@@ -72,7 +72,10 @@ def _csv(rows, header) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DiscWitnessError(f"non-finite value in output: {exc}") from exc
 
 
 def _load_curve(args):
@@ -84,13 +87,6 @@ def _load_curve(args):
     except json.JSONDecodeError as exc:
         raise MalformedSpec(f"shape file is not valid JSON: {exc}") from exc
     return build_curve(spec)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DISCWITNESS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _profile_dict(report):
@@ -121,8 +117,7 @@ def cmd_moments(args):
     n_list = args.n_list or list(range(args.n_max + 1))
     rows = []
     for method in args.methods.split(","):
-        for r in moment_sweep(curve, n_list, frame, method.strip(),
-                              workers=_workers()):
+        for r in moment_sweep(curve, n_list, frame, method.strip()):
             lc = r.as_logcomplex()
             val = lc.value()
             rows.append((r.n, args.frame_deg, r.method, val.real, val.imag,

@@ -231,6 +231,13 @@ class FourierCurve(SupportCurve):
                 "cos": list(self.cos), "sin": list(self.sin)}
 
 
+def _finite(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise MalformedSpec(f"shape parameter {x} is not finite")
+    return x
+
+
 def build_curve(spec: dict, eps0: float = DEFAULT_EPS0) -> SupportCurve:
     """Construct a validated curve from a shape-spec dictionary."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -238,21 +245,21 @@ def build_curve(spec: dict, eps0: float = DEFAULT_EPS0) -> SupportCurve:
     kind = spec["type"]
     try:
         if kind == "circle":
-            cx, cy = (float(v) for v in spec.get("center", (0.0, 0.0)))
-            r = float(spec["radius"])
+            cx, cy = (_finite(v) for v in spec.get("center", (0.0, 0.0)))
+            r = _finite(spec["radius"])
             if r <= 0:
                 raise MalformedSpec("circle radius must be positive")
             return CircleCurve((cx, cy), r, eps0)
         if kind == "ellipse":
-            cx, cy = (float(v) for v in spec.get("center", (0.0, 0.0)))
-            a, b = float(spec["a"]), float(spec["b"])
+            cx, cy = (_finite(v) for v in spec.get("center", (0.0, 0.0)))
+            a, b = _finite(spec["a"]), _finite(spec["b"])
             if a <= 0 or b <= 0:
                 raise MalformedSpec("ellipse semi-axes must be positive")
-            return EllipseCurve(a, b, (cx, cy), float(spec.get("rotation", 0.0)), eps0)
+            return EllipseCurve(a, b, (cx, cy), _finite(spec.get("rotation", 0.0)), eps0)
         if kind == "support_fourier":
-            return FourierCurve(float(spec["a0"]),
-                                tuple(float(v) for v in spec.get("cos", ())),
-                                tuple(float(v) for v in spec.get("sin", ())), eps0)
+            return FourierCurve(_finite(spec["a0"]),
+                                tuple(_finite(v) for v in spec.get("cos", ())),
+                                tuple(_finite(v) for v in spec.get("sin", ())), eps0)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSpec(f"bad shape spec: {exc}") from exc
     raise MalformedSpec(f"unknown shape type {kind!r}")

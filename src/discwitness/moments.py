@@ -1,22 +1,30 @@
 """Complex moments M_n = integral over D of e^{ix} y^n dx dy.
 
-Three independent integrators:
+Three integrators on three different node sets:
 
-  * chord  — 1-D integral of e^{ix} (f^{n+1} - g^{n+1})/(n+1) over the
-             chord chart, the reduction used by the asymptotic argument;
-  * green  — boundary integral -oint e^{ix} y^{n+1}/(n+1) dx over the
-             support parameterization (divergence theorem);
-  * area   — direct tensor quadrature over the strip a<=x<=b, g<=y<=f.
+  * chord  — e^{ix} (f^{n+1} - g^{n+1})/(n+1) over the chord chart, by the
+             trapezoid rule in tau on [0, pi] with x = mid - half cos(tau)
+             and f, g read from the chart.  f^{n+1} - g^{n+1} carries the
+             factor sqrt((x-a)(b-x)) = half sin(tau), so the tau-integrand
+             is even, periodic and analytic despite the square-root ends.
+  * green  — boundary integral -oint e^{ix} y^{n+1}/(n+1) dx by the
+             trapezoid rule at theta_j = 2 pi j/N round the support curve.
+  * area   — direct tensor Gauss quadrature over a<=x<=b, g<=y<=f; the
+             reference oracle, up to n = MAX_AREA_ORDER.
 
-All three carry the n-th power in log scale so orders up to a few hundred
-stay representable; powers of sign-changing quantities are evaluated as
-sign^{n+1} * exp((n+1) ln|.|) pointwise.
+chord and green share one kernel for all requested orders (periodic
+trapezoid rules converge geometrically; Trefethen & Weideman, SIAM Review
+2014): each level samples every node once, builds sign(v)^p exp(p (ln|v| -
+ln ref)) for all p = n + 1 and takes one matrix product; N doubles, keeping
+the old nodes, until no order moves by more than rel_tol |M| or a rounding
+floor.  The two differ in variable, grid and chart inversion, so their
+agreement is a cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +32,10 @@ import numpy as np
 from .errors import OrderTooLarge, QuadratureNoConvergence
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
-from .quadrature import adaptive_quad
 
 MAX_AREA_ORDER = 80
+_MAX_TRAPEZOID_NODES = 1 << 16
+_NODE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -53,74 +62,95 @@ def _result(raw: complex, log_scale: float, n: int, frame_angle: float,
     return MomentResult(lc.mantissa, lc.log_scale, n, frame_angle, method)
 
 
-def _signed_power_exp(vals: np.ndarray, power: int, ln_ref: float) -> np.ndarray:
-    """sign(v)^power * exp(power * (ln|v| - ln_ref)), zero where v == 0."""
-    av = np.abs(vals)
-    with np.errstate(divide="ignore"):
-        expo = np.where(av > 0.0, power * (np.log(np.where(av > 0, av, 1.0)) - ln_ref), -np.inf)
-    mag = np.exp(expo)
-    if power % 2 == 0:
-        return mag
-    return np.sign(vals) * mag
+def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
+                       frame_angle: float, method: str, rel_tol: float) -> list:
+    """M_n for every n in n_list from one doubling trapezoid grid on [0, period).
+
+    ``sample(t)`` returns (c, v) at the nodes t; M_n is the trapezoid sum of
+    c v^{n+1} in units of ref^{n+1}/(n+1).  The rounding floor is 1e-14 of
+    the sum of |c|, which bounds the scaled integrand."""
+    if any(n < 0 for n in n_list):
+        raise ValueError("moment order must be >= 0")
+    ps = np.array(n_list, dtype=float) + 1.0
+    odd = (ps % 2 == 1)[:, None]
+
+    def level_sum(t):
+        c, v = sample(t)
+        cs = np.stack([c.real, c.imag], axis=1)
+        s = np.zeros((len(ps), 2))
+        for i in range(0, len(v), _NODE_BLOCK):  # bounds the power matrix
+            vb = v[i:i + _NODE_BLOCK]
+            with np.errstate(divide="ignore"):
+                pw = np.exp(np.multiply.outer(ps, np.log(np.abs(vb)) - ln_ref))
+            s += np.where(odd, np.sign(vb) * pw, pw) @ cs[i:i + _NODE_BLOCK]
+        return s[:, 0] + 1j * s[:, 1], np.sum(np.abs(c))
+
+    n = 64
+    total, mass = level_sum(period * np.arange(n) / n)
+    prev = total * (period / n)
+    while n < _MAX_TRAPEZOID_NODES:
+        ds, dmass = level_sum(period * (np.arange(n) + 0.5) / n)
+        total, mass, n = total + ds, mass + dmass, 2 * n
+        cur = total * (period / n)
+        tol = np.maximum(rel_tol * np.abs(cur), 1e-14 * mass * period / n)
+        if np.all(np.abs(cur - prev) <= tol):
+            return [_result(z, (m + 1) * ln_ref - math.log(m + 1), m, frame_angle, method)
+                    for z, m in zip(cur, n_list)]
+        prev = cur
+    raise QuadratureNoConvergence(f"{method} moments not stable at {n} trapezoid nodes")
+
+
+def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
+    mid, half = 0.5 * (chart.a + chart.b), 0.5 * (chart.b - chart.a)
+
+    def sample(tau):
+        x = mid - half * np.cos(tau)
+        c = np.exp(1j * x) * (half * np.sin(tau))
+        return np.concatenate([c, -c]), np.concatenate([chart.f(x), chart.g(x)])
+
+    ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
+    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, chart.frame_angle,
+                              "chord", rel_tol)
+
+
+def _green_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
+                   rel_tol: float = 1e-10) -> list:
+    def sample(t):
+        th = t + frame_angle
+        hv, h1v = curve.h(th), curve.h1(th)
+        x = hv * np.cos(t) - h1v * np.sin(t)
+        y = hv * np.sin(t) + h1v * np.cos(t)
+        # dx = -rho sin(t) dt; M_n = -oint e^{ix} y^{n+1}/(n+1) dx (ccw)
+        return np.exp(1j * x) * curve.rho(th) * np.sin(t), y
+
+    ln_ref = math.log(max(float(curve.h(math.pi / 2.0 + frame_angle)),
+                          float(curve.h(3.0 * math.pi / 2.0 + frame_angle))))
+    return _trapezoid_moments(sample, 2.0 * math.pi, n_list, ln_ref, frame_angle,
+                              "green", rel_tol)
 
 
 def moment_chord(chart: ChordChart, n: int, *, rel_tol: float = 1e-10) -> MomentResult:
     """Chord-chart integral of e^{ix} (f^{n+1} - g^{n+1}) / (n+1)."""
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
-    p = n + 1
-    ref = max(abs(chart.f_x1), abs(chart.g_x2))
-    ln_ref = math.log(ref)
-    log_scale = p * ln_ref - math.log(p)
-
-    def integrand(x):
-        fv = np.asarray(chart.f(x), dtype=float)
-        gv = np.asarray(chart.g(x), dtype=float)
-        core = _signed_power_exp(fv, p, ln_ref) - _signed_power_exp(gv, p, ln_ref)
-        return np.exp(1j * x) * core
-
-    val, _ = adaptive_quad(
-        integrand, chart.a, chart.b,
-        rel_tol=rel_tol, abs_tol=1e-14 * (chart.b - chart.a),
-        seeds=(chart.x1, chart.x2),
-    )
-    return _result(val, log_scale, n, chart.frame_angle, "chord")
+    return _chord_moments(chart, [n], rel_tol)[0]
 
 
 def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                  rel_tol: float = 1e-10) -> MomentResult:
     """Boundary-integral evaluation over the support parameterization."""
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
-    p = n + 1
+    return _green_moments(curve, [n], frame_angle, rel_tol)[0]
 
-    def h(t):
-        return curve.h(np.asarray(t) + frame_angle)
 
-    def h1(t):
-        return curve.h1(np.asarray(t) + frame_angle)
-
-    def rho(t):
-        return curve.rho(np.asarray(t) + frame_angle)
-
-    ref = max(float(h(math.pi / 2.0)), float(h(3.0 * math.pi / 2.0)))
-    ln_ref = math.log(ref)
-    log_scale = p * ln_ref - math.log(p)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        hv, h1v = h(t), h1(t)
-        x = hv * np.cos(t) - h1v * np.sin(t)
-        y = hv * np.sin(t) + h1v * np.cos(t)
-        # dx = -rho sin(t) dt; M_n = -oint e^{ix} y^{n+1}/(n+1) dx (ccw)
-        return np.exp(1j * x) * _signed_power_exp(y, p, ln_ref) * rho(t) * np.sin(t)
-
-    val, _ = adaptive_quad(
-        integrand, 0.0, 2.0 * math.pi,
-        rel_tol=rel_tol, abs_tol=1e-14,
-        seeds=(math.pi / 2.0, 3.0 * math.pi / 2.0),
-    )
-    return _result(val, log_scale, n, frame_angle, "green")
+@functools.lru_cache(maxsize=8)
+def _area_level(chart: ChordChart, nx: int):
+    """Gauss x-nodes and scaled chart samples of one area level, cached so
+    a sweep's orders share them; callers must not mutate the arrays."""
+    tx, wx = np.polynomial.legendre.leggauss(nx)
+    ref = max(abs(chart.f_x1), abs(chart.g_x2))
+    half = 0.5 * (chart.b - chart.a)
+    x = 0.5 * (chart.a + chart.b) + half * tx
+    fv = np.asarray(chart.f(x)) / ref
+    gv = np.asarray(chart.g(x)) / ref
+    return half, 0.5 * (fv + gv)[:, None], 0.5 * (fv - gv)[:, None], wx * np.exp(1j * x)
 
 
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
@@ -137,17 +167,11 @@ def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
     ty, wy = np.polynomial.legendre.leggauss(ny)
 
     def outer(nx):
-        tx, wx = np.polynomial.legendre.leggauss(nx)
-        half = 0.5 * (chart.b - chart.a)
-        x = 0.5 * (chart.a + chart.b) + half * tx
-        fv = np.asarray(chart.f(x)) / ref
-        gv = np.asarray(chart.g(x)) / ref
+        half, ymid, yhalf, wxe = _area_level(chart, nx)
         # inner integral of (y/ref)^n over [g, f], Gauss exact in y
-        ymid = 0.5 * (fv + gv)[:, None]
-        yhalf = 0.5 * (fv - gv)[:, None]
         ynodes = ymid + yhalf * ty[None, :]
         inner = (ynodes ** n) @ wy * yhalf[:, 0]
-        return half * np.sum(wx * np.exp(1j * x) * inner)
+        return half * np.sum(wxe * inner)
 
     nx = 64
     prev = outer(nx)
@@ -164,30 +188,23 @@ def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                 method: str = "chord", *, workers: int = 1) -> list:
-    """Batch moments; order preserved, entries independent.
-
-    Per-entry failures are re-raised annotated with the offending index.
-    """
+                 method: str = "chord") -> list:
+    """Batch moments, order preserved: chord and green in one kernel call,
+    area order by order, re-raising a failure annotated with its index."""
     methods = {"chord", "green", "area"}
     if method not in methods:
         raise ValueError(f"method must be one of {sorted(methods)}")
-    chart = chord_chart(curve, frame_angle) if method in ("chord", "area") else None
-
-    def one(idx_n):
-        idx, n = idx_n
+    n_list = list(n_list)
+    if method == "green":
+        return _green_moments(curve, n_list, frame_angle)
+    chart = chord_chart(curve, frame_angle)
+    if method == "chord":
+        return _chord_moments(chart, n_list)
+    out = []
+    for idx, n in enumerate(n_list):
         try:
-            if method == "chord":
-                return moment_chord(chart, n)
-            if method == "green":
-                return moment_green(curve, n, frame_angle)
-            return moment_area(chart, n)
+            out.append(moment_area(chart, n))
         except Exception as exc:
             exc.args = (f"n_list[{idx}] (n={n}): {exc}",)
             raise
-
-    items = list(enumerate(n_list))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+    return out

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,14 @@ CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
 ELLIPSE = {"type": "ellipse", "a": 2, "b": 1, "center": [0, 0], "rotation": 0}
 NONCONVEX = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.5]}
 THREE_LOBE = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]}
+NON_FINITE = {
+    "nan_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.nan},
+    "inf_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.inf},
+    "nan_center": {"type": "circle", "center": [math.nan, 0.0], "radius": 1.0},
+    "inf_axis": {"type": "ellipse", "a": math.inf, "b": 1.0},
+    "nan_coef": {"type": "support_fourier", "a0": 1.0, "cos": [0.0, math.nan]},
+    "inf_a0": {"type": "support_fourier", "a0": math.inf},
+}
 
 
 @pytest.fixture
@@ -45,6 +54,16 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert run(["profile", "--shape", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["profile", "report", "moments"])
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_spec_is_validation_error(self, shape_file, tmp_path,
+                                                 capsys, name, command):
+        out = tmp_path / "out"
+        assert run([command, "--shape", shape_file(NON_FINITE[name]),
+                    "--out", str(out)]) == 2
+        assert "MalformedSpec" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMoments:

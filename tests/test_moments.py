@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,21 +87,86 @@ class TestSweep:
         assert moment_sweep(unit_disc, []) == []
 
     def test_chord_vs_green_to_40(self, ellipse):
-        ns = list(range(41))
+        ns = list(range(401))
         chords = moment_sweep(ellipse, ns, method="chord")
         greens = moment_sweep(ellipse, ns, method="green")
         worst = max(_gap(a, b) for a, b in zip(chords, greens))
         assert worst < 1e-6
 
-    def test_workers_match_serial(self, ellipse):
-        serial = moment_sweep(ellipse, [0, 2, 4], method="green")
-        parallel = moment_sweep(ellipse, [0, 2, 4], method="green", workers=3)
-        for a, b in zip(serial, parallel):
-            assert a.mantissa == b.mantissa and a.log_scale == b.log_scale
-
     def test_error_carries_index(self, unit_disc):
         with pytest.raises(OrderTooLarge, match=r"n_list\[1\]"):
             moment_sweep(unit_disc, [0, 99], method="area")
+
+
+# --- closed-form ellipse moments, mpmath at 30 digits ---
+
+
+def _exact_ellipse_moments(a, b, cx, n_max):
+    """M_n of the ellipse x^2/a^2 + y^2/b^2 <= 1 shifted to (cx, 0):
+    zero for odd n, and for even n
+    e^{i cx} a b^{n+1} 2/(n+1) sqrt(pi) Gamma(n/2 + 3/2) (2/a)^{n/2+1} J_{n/2+1}(a).
+    """
+    with mpmath.workdps(30):
+        a, b, cx = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(cx)
+        out = []
+        for n in range(n_max + 1):
+            if n % 2:
+                out.append(mpmath.mpc(0))
+                continue
+            nu = mpmath.mpf(n) / 2 + 1
+            out.append(mpmath.expj(cx) * a * b ** (n + 1) * 2 / (n + 1)
+                       * mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + mpmath.mpf(1) / 2)
+                       * (2 / a) ** nu * mpmath.besselj(nu, a))
+        return out
+
+
+def _worst_exact_gap(results, exact, b):
+    """max over n of |M - M_exact| / max(|M_exact|, b^{n+1}/(n+1))."""
+    with mpmath.workdps(30):
+        worst = mpmath.mpf(0)
+        for r, m in zip(results, exact):
+            got = mpmath.mpc(r.mantissa) * mpmath.exp(r.log_scale)
+            floor = mpmath.mpf(b) ** (r.n + 1) / (r.n + 1)
+            worst = max(worst, abs(got - m) / max(abs(m), floor))
+        return float(worst)
+
+
+# (a, b, centre, rotation, frame): read in frame = rotation, the ellipse
+# is axis-aligned with centre (cx, 0)
+EXACT_CASES = [
+    (1.0, 1.0, 0.0, 0.0),
+    (1.0, 1.0, 0.3, 0.0),
+    (2.0, 1.0, 0.0, 0.0),
+    (1.0, 1.7, -0.2, 0.0),
+    (1.6, 1.0, 0.1, 0.7),
+]
+
+
+@pytest.mark.parametrize("a,b,cx,rot", EXACT_CASES)
+def test_ellipse_moments_match_closed_form(a, b, cx, rot):
+    if a == b and rot == 0.0:
+        spec = {"type": "circle", "center": [cx, 0.0], "radius": a}
+    else:
+        spec = {"type": "ellipse", "a": a, "b": b, "rotation": rot,
+                "center": [cx * math.cos(rot), cx * math.sin(rot)]}
+    curve = build_curve(spec)
+    exact = _exact_ellipse_moments(a, b, cx, 400)
+    for method, n_max, tol in (("chord", 400, 1e-10), ("green", 400, 1e-10),
+                               ("area", 40, 1e-7)):
+        results = moment_sweep(curve, range(n_max + 1), rot, method)
+        assert _worst_exact_gap(results, exact, b) <= tol, method
+
+
+def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
+    # odd orders vanish; on a 100:1 ellipse their trapezoid sums stay at
+    # rounding level (~5e-14 in scaled units), so the floor must scale
+    # with the integrand's size for the node doubling to stop
+    a, b = 20.0, 0.2
+    curve = build_curve({"type": "ellipse", "a": a, "b": b})
+    exact = _exact_ellipse_moments(a, b, 0.0, 400)
+    for method in ("chord", "green"):
+        results = moment_sweep(curve, range(401), 0.0, method)
+        assert _worst_exact_gap(results, exact, b) <= 1e-10, method
 
 
 # --- properties ---
