@@ -7,7 +7,6 @@ from .errors import (
     BracketNearZero,
     DegenerateMax,
     DiscWitnessError,
-    ExtremumNotFound,
     Infeasible,
     MalformedSpec,
     MaxOnBoundary,

@@ -84,72 +84,50 @@ class BracketTerm:
     bracket: LogComplex
 
 
+def peak_log_magnitude(y, ypp, m):
+    """log of |(pi |y| / (m |y''|))^{1/2} |y|^{2m}|, the magnitude of the
+    Laplace peak term e^{ix} (...) at a chart extremum (x, y, y'');
+    broadcasts over arrays of extrema."""
+    ay = np.abs(y)
+    return 0.5 * np.log(math.pi * ay / (m * np.abs(ypp))) + 2.0 * m * np.log(ay)
+
+
 def bracket_main_term(chart: ChordChart, m: int) -> BracketTerm:
     """Peak terms e^{ix} (pi |y_peak| / (m |y''_peak|))^{1/2} with log scale
     2m ln|y_peak|, for the upper (f, x1) and lower (g, x2) arcs."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    fa, ga = abs(chart.f_x1), abs(chart.g_x2)
-    term_f = LogComplex(
-        math.sqrt(math.pi * fa / (m * abs(chart.f_pp_x1))) * np.exp(1j * chart.x1),
-        2.0 * m * math.log(fa),
-    ).normalized()
-    term_g = LogComplex(
-        math.sqrt(math.pi * ga / (m * abs(chart.g_pp_x2))) * np.exp(1j * chart.x2),
-        2.0 * m * math.log(ga),
-    ).normalized()
+    ln_f, ln_g = peak_log_magnitude(np.array([chart.f_x1, chart.g_x2]),
+                                    np.array([chart.f_pp_x1, chart.g_pp_x2]), m)
+    term_f = LogComplex(complex(np.exp(1j * chart.x1)), float(ln_f)).normalized()
+    term_g = LogComplex(complex(np.exp(1j * chart.x2)), float(ln_g)).normalized()
     return BracketTerm(m, term_f, term_g, term_f - term_g)
-
-
-def _arc_support(chart: ChordChart, upper: bool, floor_frac: float = 1e-8):
-    """Subinterval around the peak where |arc| >= floor_frac * peak height."""
-    if upper:
-        val, x_peak, peak = chart.f, chart.x1, abs(chart.f_x1)
-        sgn = 1.0
-    else:
-        val, x_peak, peak = chart.g, chart.x2, abs(chart.g_x2)
-        sgn = -1.0
-    floor = floor_frac * peak
-
-    def ok(x):
-        return sgn * float(val(x)) >= floor
-
-    def edge(lo, hi):
-        # lo satisfies ok, hi may not; bisect the transition
-        if ok(hi):
-            return hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    left = edge(x_peak, chart.a + 1e-12 * (chart.b - chart.a))
-    right = edge(x_peak, chart.b - 1e-12 * (chart.b - chart.a))
-    return min(left, right), max(left, right)
 
 
 def arc_integral(chart: ChordChart, m: int, upper: bool, *,
                  rel_tol: float = 1e-10) -> LogComplex:
-    """int e^{ix} (arc)^{2m} dx over the arc's effective support, log-scaled
-    by the peak: exp(2m ln|arc| - 2m ln|peak|)."""
-    if upper:
-        val, x_peak, peak = chart.f, chart.x1, abs(chart.f_x1)
-    else:
-        val, x_peak, peak = chart.g, chart.x2, abs(chart.g_x2)
-    ln_peak = math.log(peak)
-    lo, hi = _arc_support(chart, upper)
+    """int e^{ix} (arc)^{2m} dx over the arc, log-scaled by the peak:
+    exp(2m ln|arc| - 2m ln|peak|).
 
-    def integrand(x):
-        v = np.abs(np.asarray(val(x), dtype=float))
+    Integrated in the normal angle, dx = -rho sin(theta) dtheta, over
+    [0, pi] (upper) or [pi, 2pi] (lower); points where the arc has the
+    wrong sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked.
+    """
+    if upper:
+        lo, hi, peak, sgn = 0.0, math.pi, chart.f_x1, 1.0
+    else:
+        lo, hi, peak, sgn = math.pi, 2.0 * math.pi, chart.g_x2, -1.0
+    ln_peak = math.log(abs(peak))
+
+    def integrand(t):
+        x, v = chart._x(t), sgn * chart._y(t)
         with np.errstate(divide="ignore"):
             expo = 2.0 * m * (np.log(np.where(v > 0, v, 1.0)) - ln_peak)
-        return np.exp(1j * x) * np.where(v > 0, np.exp(expo), 0.0)
+        weight = np.where(v > 0, np.exp(expo), 0.0) * chart._rho(t) * np.abs(np.sin(t))
+        return np.exp(1j * x) * weight
 
     raw, _ = adaptive_quad(integrand, lo, hi, rel_tol=rel_tol,
-                           abs_tol=1e-14, seeds=(x_peak,))
+                           abs_tol=1e-14, seeds=(0.5 * (lo + hi),))
     return LogComplex(complex(raw), 2.0 * m * ln_peak).normalized()
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.optimize import minimize as nm_minimize
 
@@ -21,6 +20,7 @@ from .geometry import (
     tangent_gap,
     width_at,
 )
+from .quadrature import adaptive_quad
 
 DISC_TOL_DEFAULT = 1e-6
 
@@ -141,16 +141,17 @@ class Witness:
 
 
 def lemma2_witness(curve: SupportCurve, tol: float = 1e-6, *,
-                   grid: int = 720) -> Optional[Witness]:
+                   grid: int = 720, disc: Optional[tuple] = None) -> Optional[Witness]:
     """Inscribed-disc contradiction data for non-discs.
 
     None when every boundary point lies on the maximal inscribed disc.
     Otherwise picks the boundary point farthest outside the disc, takes the
     support line orthogonal to the center ray on the far side, and records
     the tangency point x', its radius of curvature, and the width in the
-    ray direction.
+    ray direction.  `disc` is the curve's inscribed_disc result when the
+    caller already has it.
     """
-    (cx, cy), r = inscribed_disc(curve)
+    (cx, cy), r = disc if disc is not None else inscribed_disc(curve)
     thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     pos = curve.position(thetas)
     dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
@@ -229,12 +230,11 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
     -2 pi p oint kappa ds = -4 pi^2 p; a periodic width therefore pins
     p = 0.  Both integrals are measured by quadrature.
     """
-    total_Lp, _ = quad(
-        lambda t: float(curve.h1(t) + curve.h1(t + math.pi)), 0.0,
-        2.0 * math.pi, limit=200)
-    total_kappa, _ = quad(
-        lambda t: float(curve.rho(t)) / float(curve.rho(t)), 0.0,
-        2.0 * math.pi, limit=200)
+    total_Lp, _ = adaptive_quad(lambda t: curve.h1(t) + curve.h1(t + math.pi),
+                                0.0, 2.0 * math.pi, abs_tol=1e-12)
+    total_kappa, _ = adaptive_quad(lambda t: curve.rho(t) / curve.rho(t),
+                                   0.0, 2.0 * math.pi, abs_tol=1e-12)
+    total_Lp, total_kappa = float(total_Lp.real), float(total_kappa.real)
     implied_p = -total_Lp / (2.0 * math.pi * total_kappa)
     return PZeroReport(total_Lp, total_kappa, implied_p,
                        abs(implied_p) <= tol)

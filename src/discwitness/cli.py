@@ -203,9 +203,10 @@ def cmd_report(args):
     profile = characterize.kl_profile(curve, args.samples, args.tol)
     res = characterize.constraint_residuals(
         chord_chart(curve, math.radians(args.frame_deg)))
-    (cx, cy), r = characterize.inscribed_disc(curve)
+    disc = characterize.inscribed_disc(curve)
+    (cx, cy), r = disc
     ident = characterize.identity_residuals(curve, args.samples)
-    witness = characterize.lemma2_witness(curve)
+    witness = characterize.lemma2_witness(curve, disc=disc)
     out = _profile_dict(profile)
     out["residuals"] = {"height": res.r_height, "curv": res.r_curv,
                         "phase": res.r_phase, "p": res.p_nearest}

@@ -22,10 +22,6 @@ class NotStrictlyConvex(DiscWitnessError):
         )
 
 
-class ExtremumNotFound(DiscWitnessError):
-    """Chart extremum search failed (should be unreachable for valid curves)."""
-
-
 class QuadratureNoConvergence(DiscWitnessError):
     """Adaptive quadrature did not meet tolerance within the subdivision budget."""
 

@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ExtremumNotFound, MalformedSpec, NotStrictlyConvex
+from .errors import MalformedSpec, NotStrictlyConvex
+from .quadrature import adaptive_quad
 
 DEFAULT_EPS0 = 1e-3
-_VALIDATION_GRID = 4096
+VALIDATION_GRID = 4096
 
 
 def _unit(theta):
@@ -70,7 +70,7 @@ class SupportCurve:
         raise NotImplementedError
 
     def _validate(self):
-        thetas = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_GRID, endpoint=False)
+        thetas = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
         rho = np.asarray(self.rho(thetas))
         i = int(np.argmin(rho))
         if rho[i] <= self.eps0:
@@ -280,8 +280,8 @@ def arclength(curve: SupportCurve, theta0: float, theta1: float) -> float:
     """Arc length between normal angles theta0 <= theta1 (integral of rho)."""
     if theta1 < theta0:
         raise ValueError("theta1 must be >= theta0")
-    val, _ = quad(lambda t: float(curve.rho(t)), theta0, theta1, limit=200)
-    return val
+    val, _ = adaptive_quad(curve.rho, theta0, theta1)
+    return float(val.real)
 
 
 def perimeter(curve: SupportCurve) -> float:
@@ -339,7 +339,10 @@ class ChordChart:
     lower arc (pi, 2pi); x(theta) is strictly monotone on each arc, so f
     and g are recovered by inverting it.  All chart derivatives come from
     the chain rule through theta(x): f' = -cot(theta),
-    f'' = -1 / (rho sin^3 theta).
+    f'' = -1 / (rho sin^3 theta).  The slope vanishes exactly at the
+    normal angles pi/2 and 3pi/2, so the extrema are closed forms:
+    x1 = -h'(pi/2), f(x1) = h(pi/2), f''(x1) = -1/rho(pi/2), and
+    x2 = h'(3pi/2), g(x2) = -h(3pi/2), g''(x2) = 1/rho(3pi/2).
     """
 
     _GRID = 2048
@@ -359,7 +362,13 @@ class ChordChart:
         self._xu = self._x(self._tu)
         self._tl = np.linspace(math.pi, 2.0 * math.pi, self._GRID)
         self._xl = self._x(self._tl)
-        self._locate_extrema()
+        top, bottom = 0.5 * math.pi, 1.5 * math.pi
+        self.x1 = -float(self._h1(top))
+        self.f_x1 = float(self._h(top))
+        self.f_pp_x1 = -1.0 / float(self._rho(top))
+        self.x2 = float(self._h1(bottom))
+        self.g_x2 = -float(self._h(bottom))
+        self.g_pp_x2 = 1.0 / float(self._rho(bottom))
 
     # rotated-frame support function and boundary coordinates
     def _h(self, theta):
@@ -438,33 +447,6 @@ class ChordChart:
     def g_second(self, x):
         t = self.theta_lower(x)
         return -1.0 / (self._rho(t) * np.sin(t) ** 3)
-
-    def _extremum(self, upper: bool):
-        """Bracketed root of f' (resp. g') with a Newton polish to 1e-12."""
-        mid = math.pi / 2.0 if upper else 3.0 * math.pi / 2.0
-        prime = self.f_prime if upper else self.g_prime
-        second = self.f_second if upper else self.g_second
-        lo = float(self._x(mid + 0.8)) if upper else float(self._x(mid - 0.8))
-        hi = float(self._x(mid - 0.8)) if upper else float(self._x(mid + 0.8))
-        plo, phi = float(prime(lo)), float(prime(hi))
-        if plo * phi >= 0.0 or (plo > 0.0) != upper:
-            raise ExtremumNotFound("no sign change of the chart slope")
-        x = brentq(lambda xx: float(prime(xx)), lo, hi, xtol=1e-13)
-        for _ in range(5):
-            x = x - float(prime(x)) / float(second(x))
-        if abs(float(prime(x))) > 1e-10:
-            raise ExtremumNotFound("Newton polish failed to converge")
-        return float(x)
-
-    def _locate_extrema(self):
-        self.x1 = self._extremum(upper=True)
-        self.x2 = self._extremum(upper=False)
-        self.f_x1 = float(self.f(self.x1))
-        self.g_x2 = float(self.g(self.x2))
-        self.f_pp_x1 = float(self.f_second(self.x1))
-        self.g_pp_x2 = float(self.g_second(self.x2))
-        if not (self.f_pp_x1 < 0.0 < self.g_pp_x2):
-            raise ExtremumNotFound("chart extrema have wrong concavity")
 
 
 def chord_chart(curve: SupportCurve, frame_angle: float = 0.0) -> ChordChart:

@@ -17,12 +17,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .asymptotics import bracket_main_term
-from .errors import Infeasible, NoFeasibleStart, NotStrictlyConvex
-from .geometry import DEFAULT_EPS0, FourierCurve, chord_chart
+from .asymptotics import peak_log_magnitude
+from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
+from .geometry import DEFAULT_EPS0, VALIDATION_GRID, FourierCurve
 
 DEFAULT_K = 8
 PENALTY_WEIGHT = 1e6
+RESTARTS = 3
+SIMPLEX_TOL = 1e-10
+DIRECTIONS = tuple(np.pi * k / 8 for k in range(8))
+BRACKET_M = 50
 _GRID = 512  # even, so theta + pi is an exact roll
 
 
@@ -79,26 +83,34 @@ def _pad(vals, K):
     return vals + (0.0,) * (K - len(vals))
 
 
-_THETAS = None
+_THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
 _TRIG = {}
 
 
-def _grid_eval(v: ShapeVector):
-    """h, rho on the periodic grid for the gauged vector (no validation)."""
-    global _THETAS
-    if _THETAS is None:
-        _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-    K = v.K
-    if K not in _TRIG:
-        k = np.arange(1, K + 1, dtype=float)
-        kt = np.outer(_THETAS, k)
-        _TRIG[K] = (np.cos(kt), np.sin(kt), k)
-    coskt, sinkt, k = _TRIG[K]
+def _trig(thetas, K: int):
+    k = np.arange(1, K + 1, dtype=float)
+    kt = np.outer(thetas, k)
+    return np.cos(kt), np.sin(kt), k
+
+
+def _series(v: ShapeVector, trig):
+    """h, rho of the vector's support function at the table's angles."""
+    coskt, sinkt, k = trig
     c = np.asarray(v.cos)
     s = np.asarray(v.sin)
     h = v.a0 + coskt @ c + sinkt @ s
     h2 = -coskt @ (k * k * c) - sinkt @ (k * k * s)
     return h, h + h2
+
+
+def _grid_eval(v: ShapeVector, n: int = _GRID):
+    """h, rho on the periodic n-node grid for the gauged vector (no
+    validation).  On the validation grid these are the sums FourierCurve
+    forms, so there min rho > eps0 iff decode() succeeds."""
+    if (n, v.K) not in _TRIG:
+        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        _TRIG[n, v.K] = _trig(thetas, v.K)
+    return _series(v, _TRIG[n, v.K])
 
 
 def objective_kl(v: ShapeVector) -> float:
@@ -118,44 +130,68 @@ def _kl_core(g: ShapeVector, rho_floor: Optional[float] = None) -> float:
     return float(np.mean(resid * resid * rho) * 2.0 * math.pi)
 
 
+def _bracket_core(g: ShapeVector, directions, m: int,
+                  rho_floor: Optional[float] = None) -> float:
+    """Sum over frames of |term_f - term_g|^2, each frame's peak terms
+    rescaled by the larger of their two log scales.
+
+    In the frame rotated by phi the chart extrema sit at the normal angles
+    pi/2 + phi (x1 = -h', f = h, f'' = -1/rho) and 3pi/2 + phi (x2 = h',
+    g = -h, g'' = 1/rho), so no chart is built.
+    """
+    phi = np.asarray(directions, dtype=float)
+    trig = _trig(np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), g.K)
+    h, rho = _series(g, trig)
+    if np.any(h <= 0.0):
+        return math.inf
+    coskt, sinkt, k = trig
+    h1 = -sinkt @ (k * np.asarray(g.cos)) + coskt @ (k * np.asarray(g.sin))
+    if rho_floor is not None:
+        rho = np.maximum(rho, rho_floor)
+    x1, x2 = -h1[:len(phi)], h1[len(phi):]
+    ln_f, ln_g = peak_log_magnitude(h, 1.0 / rho, m).reshape(2, -1)
+    ref = np.maximum(ln_f, ln_g)
+    bf = np.exp(1j * x1 + ln_f - ref)
+    bg = np.exp(1j * x2 + ln_g - ref)
+    return float(np.sum(np.abs(bf - bg) ** 2))
+
+
 def objective_bracket(v: ShapeVector, directions: Sequence[float],
-                      m: int = 50) -> float:
+                      m: int = BRACKET_M) -> float:
     """Sum over frames of the squared main-term bracket, each frame's terms
     rescaled by the larger of the two log scales."""
     if m < 10:
         raise ValueError("m must be >= 10")
-    curve = v.decode()
+    g = v.gauged()
+    g.decode()  # feasibility check
     directions = list(directions)
     if not directions:
         warnings.warn("empty direction set: bracket objective is vacuously 0",
                       stacklevel=2)
         return 0.0
-    total = 0.0
-    for ang in directions:
-        bt = bracket_main_term(chord_chart(curve, ang), m)
-        ref = max(bt.term_f.log_scale, bt.term_g.log_scale)
-        bf = bt.term_f.mantissa * math.exp(bt.term_f.log_scale - ref)
-        bg = bt.term_g.mantissa * math.exp(bt.term_g.log_scale - ref)
-        total += abs(bf - bg) ** 2
-    return total
+    j = _bracket_core(g, directions, m)
+    if j == math.inf:
+        raise MalformedSpec("bracket frames need h > 0 at their peak normals")
+    return j
+
+
+def _penalty(g: ShapeVector) -> float:
+    _, rho = _grid_eval(g)
+    return PENALTY_WEIGHT * max(0.0, g.eps0 - float(np.min(rho))) ** 2
 
 
 def _penalized_kl(g: ShapeVector) -> float:
-    h, rho = _grid_eval(g)
-    min_rho = float(np.min(rho))
-    penalty = PENALTY_WEIGHT * max(0.0, g.eps0 - min_rho) ** 2
-    return _kl_core(g, rho_floor=0.5 * g.eps0) + penalty
+    return _kl_core(g, rho_floor=0.5 * g.eps0) + _penalty(g)
 
 
-def _penalized_bracket(g: ShapeVector, directions, m) -> float:
-    h, rho = _grid_eval(g)
-    min_rho = float(np.min(rho))
-    penalty = PENALTY_WEIGHT * max(0.0, g.eps0 - min_rho) ** 2
-    if min_rho <= 0.5 * g.eps0:
-        # chart machinery needs a valid curve; fall back to the kl core,
-        # which tolerates the rho floor, plus the dominant penalty
-        return _kl_core(g, rho_floor=0.5 * g.eps0) + penalty
-    return objective_bracket(g, directions, m) + penalty
+def _penalized_bracket(g: ShapeVector) -> float:
+    return _bracket_core(g, DIRECTIONS, BRACKET_M, 0.5 * g.eps0) + _penalty(g)
+
+
+def _feasible(g: ShapeVector) -> bool:
+    """decode() succeeds, read from the validation grid's cached tables."""
+    _, rho = _grid_eval(g, VALIDATION_GRID)
+    return float(np.min(rho)) > g.eps0
 
 
 def circle_distance(v: ShapeVector) -> float:
@@ -163,7 +199,6 @@ def circle_distance(v: ShapeVector) -> float:
     h, rho = _grid_eval(v.gauged())
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
-    global _THETAS
     a0f = float(np.mean(h))
     cx = 2.0 * float(np.mean(h * np.cos(_THETAS)))
     cy = 2.0 * float(np.mean(h * np.sin(_THETAS)))
@@ -175,11 +210,7 @@ def circle_distance(v: ShapeVector) -> float:
 class OptOptions:
     max_iter: int = 5000
     seed: int = 0
-    restarts: int = 3
     target: float = 1e-10
-    simplex_tol: float = 1e-10
-    directions: tuple = tuple(np.pi * k / 8 for k in range(8))
-    m: int = 50
 
 
 @dataclass
@@ -199,7 +230,8 @@ def minimize(start: ShapeVector,
 
     objective: "kl", "bracket", or a callable on gauged ShapeVectors.
     Deterministic for a given seed.  Stops on objective <= target, simplex
-    collapse, or the iteration budget.
+    collapse, or the iteration budget.  A point becomes the best only if
+    it decodes, so the result is always a valid curve.
     """
     opts = options or OptOptions()
     try:
@@ -209,8 +241,7 @@ def minimize(start: ShapeVector,
     if objective == "kl":
         fun = _penalized_kl
     elif objective == "bracket":
-        def fun(g):
-            return _penalized_bracket(g, opts.directions, opts.m)
+        fun = _penalized_bracket
     elif callable(objective):
         fun = objective
     else:
@@ -221,12 +252,15 @@ def minimize(start: ShapeVector,
     def f_of_x(x):
         return fun(gauged_start.with_coefficients(x))
 
+    def feasible(x):
+        return _feasible(gauged_start.with_coefficients(x))
+
     rng = np.random.default_rng(opts.seed)
     x_best = gauged_start.coefficients()
     j_best = f_of_x(x_best)
     trace = [j_best]
     iterations = 0
-    for attempt in range(opts.restarts + 1):
+    for attempt in range(RESTARTS + 1):
         if j_best <= opts.target or iterations >= opts.max_iter:
             break
         scale = 0.05 if attempt == 0 else max(0.02 * 0.1 ** attempt, 1e-7)
@@ -239,10 +273,10 @@ def minimize(start: ShapeVector,
         def on_step(xk):
             run_best[2] += 1
             j = f_of_x(xk)
-            if j < run_best[0]:
+            if j < run_best[0] and feasible(xk):
                 run_best[0], run_best[1] = j, np.array(xk)
-            trace.append(min(trace[-1], j))
-            if j <= opts.target:
+            trace.append(run_best[0])
+            if run_best[0] <= opts.target:
                 raise StopIteration
 
         try:
@@ -251,19 +285,19 @@ def minimize(start: ShapeVector,
                 options={
                     "maxiter": opts.max_iter - iterations,
                     "initial_simplex": init,
-                    "xatol": opts.simplex_tol,
+                    "xatol": SIMPLEX_TOL,
                     "fatol": 1e-16,
                     "adaptive": len(x_best) > 6,
                 },
             )
-            if res.fun < run_best[0]:
+            if res.fun < run_best[0] and feasible(res.x):
                 run_best[0], run_best[1] = float(res.fun), res.x
         except StopIteration:
             pass
         iterations += run_best[2]
         if run_best[0] < j_best:
             j_best, x_best = run_best[0], run_best[1]
-        trace.append(min(trace[-1], j_best))
+        trace.append(j_best)
     best_vec = gauged_start.with_coefficients(x_best)
     _, rho = _grid_eval(best_vec.gauged())
     return OptResult(

@@ -179,6 +179,11 @@ def test_chart_consistency(curve, frame):
     t_top = ch.theta_upper(ch.x1)
     kappa = 1.0 / float(curve.rho(t_top + frame))
     assert abs(ch.f_pp_x1) == pytest.approx(kappa, abs=1e-8)
+    # the closed-form extrema seen through the inverse map theta(x)
+    assert float(ch.f(ch.x1)) == pytest.approx(ch.f_x1, abs=1e-9)
+    assert float(ch.g(ch.x2)) == pytest.approx(ch.g_x2, abs=1e-9)
+    assert abs(float(ch.f_prime(ch.x1))) <= 1e-9
+    assert abs(float(ch.g_prime(ch.x2))) <= 1e-9
 
 
 @settings(max_examples=15, deadline=None)

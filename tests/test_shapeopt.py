@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from discwitness import chord_chart
+from discwitness.asymptotics import bracket_main_term
 from discwitness.characterize import kl_profile
-from discwitness.errors import Infeasible, NoFeasibleStart
+from discwitness.errors import Infeasible, MalformedSpec, NoFeasibleStart
 from discwitness.shapeopt import (
     OptOptions,
     ShapeVector,
@@ -42,6 +44,26 @@ class TestObjectiveBracket:
         v = ShapeVector(cos=(0, 0.05), sin=(0, 0, 0.03))
         assert objective_bracket(v, dirs, 50) > 0
 
+    def test_matches_chart_bracket_terms(self):
+        # oracle: one chord chart per frame, terms from the extremum fields
+        dirs = [0.0, 0.4, 1.3, 2.9, 4.4]
+        v = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01))
+        curve = v.decode()
+        total = 0.0
+        for ang in dirs:
+            bt = bracket_main_term(chord_chart(curve, ang), 50)
+            ref = max(bt.term_f.log_scale, bt.term_g.log_scale)
+            bf = bt.term_f.mantissa * math.exp(bt.term_f.log_scale - ref)
+            bg = bt.term_g.mantissa * math.exp(bt.term_g.log_scale - ref)
+            total += abs(bf - bg) ** 2
+        assert total > 1e-3
+        assert objective_bracket(v, dirs, 50) == pytest.approx(total, rel=1e-12)
+
+    def test_origin_outside_a_peak_raises(self):
+        v = ShapeVector(1.0, (2.0,), pin_translation=False)  # h(pi) = -1
+        with pytest.raises(MalformedSpec):
+            objective_bracket(v, [math.pi / 2], 50)
+
     def test_empty_directions_warns(self):
         with pytest.warns(UserWarning):
             assert objective_bracket(ShapeVector(a0=1.0), [], 50) == 0.0
@@ -61,6 +83,29 @@ class TestMinimize:
         assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
         verdict = kl_profile(res.best.decode(), 256, tol=1e-3).verdict
         assert verdict == "disc"
+
+    def test_bracket_best_stays_feasible(self):
+        # this start visits shapes with min rho near eps0, which a bracket
+        # objective that needs a validated curve cannot evaluate
+        start = ShapeVector(1.0, (0, 0, 0.1), (0, 0.04))
+        res = minimize(start, "bracket", OptOptions(max_iter=80))
+        res.best.decode()
+
+    def test_best_point_always_decodes(self):
+        # an objective that rewards leaving the convex set
+        t = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+
+        def min_rho(g):
+            k = np.arange(1, g.K + 1)
+            kt = np.outer(t, k)
+            rho = (g.a0 + np.cos(kt) @ ((1 - k * k) * np.asarray(g.cos))
+                   + np.sin(kt) @ ((1 - k * k) * np.asarray(g.sin)))
+            return float(np.min(rho))
+
+        res = minimize(ShapeVector(cos=(0, 0, 0.1)), min_rho,
+                       OptOptions(max_iter=200))
+        assert res.objective < 0.2  # it did descend
+        res.best.decode()
 
     def test_infeasible_start(self):
         with pytest.raises(NoFeasibleStart):
