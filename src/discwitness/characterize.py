@@ -13,6 +13,7 @@ from scipy.optimize import linprog
 from scipy.optimize import minimize as nm_minimize
 
 from .geometry import (
+    VALIDATION_GRID,
     BoundaryPoint,
     ChordChart,
     SupportCurve,
@@ -82,52 +83,66 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     return KLReport(samples, max_dev, verdict, fitted, tol)
 
 
-def min_clearance(curve: SupportCurve, center, *, grid: int = 1024) -> float:
-    """min over theta of h(theta) - center . u(theta): the radius of the
-    largest disc around `center` inside the curve.  Grid scan plus Newton
-    polish of the grid minimum."""
+_GRID = 2048  # angle grid shared by the clearance polish and the disc LP
+_THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
+_COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
+
+
+def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
+    """(angles, values) of the local minima, or maxima, of the support
+    function about `center`, q = h - center . u.  The grid's discrete
+    extrema are Newton-polished together (q' = h' + cx sin - cy cos,
+    q'' = h'' + cx cos + cy sin); a candidate stops once its step is below
+    1e-14 or q'' has the wrong sign.  `h` is curve.h on the grid, if known.
+    """
     cx, cy = center
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = np.asarray(curve.h(thetas)) - cx * np.cos(thetas) - cy * np.sin(thetas)
-    best = math.inf
-    for i in np.where((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]:
-        t = thetas[i]
-        for _ in range(30):
-            d1 = float(curve.h1(t)) + cx * math.sin(t) - cy * math.cos(t)
-            d2 = float(curve.h2(t)) + cx * math.cos(t) + cy * math.sin(t)
-            if d2 <= 0.0:
-                break
-            step = d1 / d2
-            t -= step
-            if abs(step) < 1e-14:
-                break
-        best = min(best, float(curve.h(t)) - cx * math.cos(t) - cy * math.sin(t))
-    return best
+    h = curve.h(_THETAS) if h is None else h
+    sign = -1.0 if maximum else 1.0
+    s = sign * (h - cx * _COS - cy * _SIN)
+    t = _THETAS[(s <= np.roll(s, 1)) & (s <= np.roll(s, -1))]
+    active = np.ones(t.shape, dtype=bool)
+    for _ in range(30):
+        d1 = curve.h1(t) + cx * np.sin(t) - cy * np.cos(t)
+        d2 = curve.h2(t) + cx * np.cos(t) + cy * np.sin(t)
+        active &= sign * d2 > 0.0
+        step = np.divide(d1, d2, out=np.zeros_like(t), where=active)
+        t = t - step
+        active &= np.abs(step) >= 1e-14
+        if not active.any():
+            break
+    return t, curve.h(t) - cx * np.cos(t) - cy * np.sin(t)
 
 
-def inscribed_disc(curve: SupportCurve, *, grid: int = 2048) -> tuple:
+def min_clearance(curve: SupportCurve, center) -> float:
+    """min over theta of h(theta) - center . u(theta): the radius of the
+    largest disc around `center` inside the curve."""
+    return float(np.min(_support_extrema(curve, center)[1]))
+
+
+def inscribed_disc(curve: SupportCurve) -> tuple:
     """Chebyshev center: maximize over centers c the min over theta of
     h(theta) - c . u(theta).
 
-    An LP over support-line constraints on a dense angle grid gives the
+    An LP over support-line constraints on the module grid gives the
     start; a derivative-free polish of the exact (concave, piecewise
     smooth) min-clearance resolves directions the linearization leaves
     flat.  Returns ((cx, cy), radius).
     """
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    h = np.asarray(curve.h(thetas), dtype=float)
+    h = curve.h(_THETAS)
+
+    def clearance(c):
+        return float(np.min(_support_extrema(curve, c, h=h)[1]))
+
     # maximize r  s.t.  cx cos + cy sin + r <= h
-    A = np.stack([np.cos(thetas), np.sin(thetas), np.ones_like(thetas)], axis=1)
+    A = np.stack([_COS, _SIN, np.ones(_GRID)], axis=1)
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=h,
                   bounds=[(None, None)] * 3, method="highs")
     if not res.success:
         raise RuntimeError(f"Chebyshev LP failed: {res.message}")
-    start = res.x[:2]
-    opt = nm_minimize(lambda c: -min_clearance(curve, c), start,
-                      method="Nelder-Mead",
+    opt = nm_minimize(lambda c: -clearance(c), res.x[:2], method="Nelder-Mead",
                       options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 2000})
     cx, cy = opt.x
-    return (float(cx), float(cy)), float(min_clearance(curve, (cx, cy)))
+    return (float(cx), float(cy)), clearance((cx, cy))
 
 
 @dataclass(frozen=True)
@@ -141,32 +156,23 @@ class Witness:
 
 
 def lemma2_witness(curve: SupportCurve, tol: float = 1e-6, *,
-                   grid: int = 720, disc: Optional[tuple] = None) -> Optional[Witness]:
+                   disc: Optional[tuple] = None) -> Optional[Witness]:
     """Inscribed-disc contradiction data for non-discs.
 
     None when every boundary point lies on the maximal inscribed disc.
-    Otherwise picks the boundary point farthest outside the disc, takes the
-    support line orthogonal to the center ray on the far side, and records
-    the tangency point x', its radius of curvature, and the width in the
-    ray direction.  `disc` is the curve's inscribed_disc result when the
-    caller already has it.
+    Otherwise x' is the boundary point farthest from the disc's center c:
+    the maximum of q = h - c . u, since d|r - c|^2/dtheta = 2 rho q' and
+    r - c = q u where q' = 0.  Its support line is therefore orthogonal to
+    the center ray.  Records x', its radius of curvature, and the width in
+    the ray direction.  `disc` is the curve's inscribed_disc result when
+    the caller already has it.
     """
     (cx, cy), r = disc if disc is not None else inscribed_disc(curve)
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    pos = curve.position(thetas)
-    dist = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
-    i = int(np.argmax(dist))
-    if dist[i] - r <= tol * max(1.0, r):
+    t, q = _support_extrema(curve, (cx, cy), maximum=True)
+    i = int(np.argmax(q))
+    if q[i] - r <= tol * max(1.0, r):
         return None
-    # refine the farthest point by a short local scan
-    span = 2.0 * math.pi / grid
-    fine = np.linspace(thetas[i] - span, thetas[i] + span, 201)
-    pf = curve.position(fine)
-    df = np.hypot(pf[:, 0] - cx, pf[:, 1] - cy)
-    j = int(np.argmax(df))
-    far = pf[j]
-    direction = (far - np.array([cx, cy])) / df[j]
-    theta_prime = math.atan2(direction[1], direction[0])
+    theta_prime = math.pi - (math.pi - float(t[i])) % (2.0 * math.pi)  # in (-pi, pi]
     xp = point_at(curve, theta_prime)
     rho = xp.radius_of_curvature
     L_dir = float(width_at(curve, theta_prime))
@@ -228,13 +234,17 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
 
     A constant antipodal gap w = 2 pi p forces oint L'(s) ds =
     -2 pi p oint kappa ds = -4 pi^2 p; a periodic width therefore pins
-    p = 0.  Both integrals are measured by quadrature.
+    p = 0.  oint L' ds is measured by quadrature; oint kappa ds is the
+    turning angle of the boundary polygon through the positions on the
+    validation grid, a discretization independent of rho.
     """
     total_Lp, _ = adaptive_quad(lambda t: curve.h1(t) + curve.h1(t + math.pi),
                                 0.0, 2.0 * math.pi, abs_tol=1e-12)
-    total_kappa, _ = adaptive_quad(lambda t: curve.rho(t) / curve.rho(t),
-                                   0.0, 2.0 * math.pi, abs_tol=1e-12)
-    total_Lp, total_kappa = float(total_Lp.real), float(total_kappa.real)
+    thetas = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
+    z = curve.position(thetas) @ np.array([1.0, 1j])
+    e = np.roll(z, -1) - z  # polygon edges as complex numbers
+    total_kappa = float(np.sum(np.angle(np.roll(e, -1) * np.conj(e))))
+    total_Lp = float(total_Lp.real)
     implied_p = -total_Lp / (2.0 * math.pi * total_kappa)
     return PZeroReport(total_Lp, total_kappa, implied_p,
                        abs(implied_p) <= tol)

@@ -22,19 +22,11 @@ import tempfile
 
 from . import characterize, shapeopt
 from .asymptotics import asymptotic_ratio
-from .errors import (
-    DiscWitnessError,
-    MalformedSpec,
-    NoFeasibleStart,
-    NotStrictlyConvex,
-    OrderTooLarge,
-    QuadratureNoConvergence,
-)
+from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import build_curve, chord_chart
 from .moments import moment_sweep
 
-VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)
-NUMERICAL_ERRORS = (QuadratureNoConvergence, OrderTooLarge)
+VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
 
 
 def _fmt(x) -> str:
@@ -294,15 +286,9 @@ def main(argv=None) -> int:
         parser.exit(2, "samples must be >= 16\n")
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except DiscWitnessError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, VALIDATION_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ L(theta) = h(theta) + h(theta + pi).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,6 +27,33 @@ from .quadrature import adaptive_quad
 
 DEFAULT_EPS0 = 1e-3
 VALIDATION_GRID = 4096
+
+
+def trig_table(theta, K: int):
+    """(cos k theta, sin k theta, k) for k = 1..K at the given angles."""
+    k = np.arange(1, K + 1, dtype=float)
+    kt = np.multiply.outer(np.asarray(theta, dtype=float), k)
+    return np.cos(kt), np.sin(kt), k
+
+
+@functools.lru_cache(maxsize=8)
+def periodic_trig(n: int, K: int):
+    """trig_table on the periodic n-node grid of [0, 2 pi), cached per
+    (n, K); callers must not mutate it."""
+    return trig_table(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), K)
+
+
+def fourier_sums(a0, cos, sin, trig, deriv: int):
+    """d^deriv/dtheta^deriv of a0 + sum_k (c_k cos k theta + s_k sin k theta)
+    at the angles of a trig_table."""
+    coskt, sinkt, k = trig
+    c = np.asarray(cos, dtype=float)
+    s = np.asarray(sin, dtype=float)
+    if deriv == 0:
+        return a0 + coskt @ c + sinkt @ s
+    if deriv == 1:
+        return -sinkt @ (k * c) + coskt @ (k * s)
+    return -coskt @ (k * k * c) - sinkt @ (k * k * s)
 
 
 def _unit(theta):
@@ -179,40 +207,32 @@ class FourierCurve(SupportCurve):
     cos: tuple = ()
     sin: tuple = ()
     eps0: float = DEFAULT_EPS0
-    _k: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         kmax = max(len(self.cos), len(self.sin))
         object.__setattr__(self, "cos", tuple(self.cos) + (0.0,) * (kmax - len(self.cos)))
         object.__setattr__(self, "sin", tuple(self.sin) + (0.0,) * (kmax - len(self.sin)))
-        object.__setattr__(self, "_k", np.arange(1, kmax + 1, dtype=float))
         self._validate()
 
-    def _series(self, theta, deriv):
-        theta = np.asarray(theta, dtype=float)
-        if len(self._k) == 0:
-            base = self.a0 if deriv == 0 else 0.0
-            return np.full_like(theta, base)
-        k = self._k
-        kt = np.multiply.outer(theta, k)
-        c = np.asarray(self.cos)
-        s = np.asarray(self.sin)
-        if deriv == 0:
-            out = self.a0 + np.cos(kt) @ c + np.sin(kt) @ s
-        elif deriv == 1:
-            out = -np.sin(kt) @ (k * c) + np.cos(kt) @ (k * s)
-        else:
-            out = -np.cos(kt) @ (k * k * c) - np.sin(kt) @ (k * k * s)
-        return out
+    def _series(self, trig, deriv):
+        return fourier_sums(self.a0, self.cos, self.sin, trig, deriv)
 
     def h(self, theta):
-        return self._series(theta, 0)
+        return self._series(trig_table(theta, len(self.cos)), 0)
 
     def h1(self, theta):
-        return self._series(theta, 1)
+        return self._series(trig_table(theta, len(self.cos)), 1)
 
     def h2(self, theta):
-        return self._series(theta, 2)
+        return self._series(trig_table(theta, len(self.cos)), 2)
+
+    def _validate(self):
+        trig = periodic_trig(VALIDATION_GRID, len(self.cos))
+        rho = self._series(trig, 0) + self._series(trig, 2)
+        i = int(np.argmin(rho))
+        if rho[i] <= self.eps0:
+            raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
+                                    rho[i], self.eps0)
 
     def scaled(self, c):
         return FourierCurve(self.a0 * c,

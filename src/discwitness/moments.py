@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .errors import OrderTooLarge, QuadratureNoConvergence
 from .geometry import ChordChart, SupportCurve, chord_chart
@@ -144,7 +145,7 @@ def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
 def _area_level(chart: ChordChart, nx: int):
     """Gauss x-nodes and scaled chart samples of one area level, cached so
     a sweep's orders share them; callers must not mutate the arrays."""
-    tx, wx = np.polynomial.legendre.leggauss(nx)
+    tx, wx = roots_legendre(nx)
     ref = max(abs(chart.f_x1), abs(chart.g_x2))
     half = 0.5 * (chart.b - chart.a)
     x = 0.5 * (chart.a + chart.b) + half * tx
@@ -164,7 +165,7 @@ def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
     ref = max(abs(chart.f_x1), abs(chart.g_x2))
     log_scale = (n + 1) * math.log(ref)
     ny = n // 2 + 8
-    ty, wy = np.polynomial.legendre.leggauss(ny)
+    ty, wy = roots_legendre(ny)
 
     def outer(nx):
         half, ymid, yhalf, wxe = _area_level(chart, nx)

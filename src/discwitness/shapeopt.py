@@ -19,7 +19,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 from .asymptotics import peak_log_magnitude
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import DEFAULT_EPS0, VALIDATION_GRID, FourierCurve
+from .geometry import (DEFAULT_EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
+                       periodic_trig, trig_table)
 
 DEFAULT_K = 8
 PENALTY_WEIGHT = 1e6
@@ -84,33 +85,15 @@ def _pad(vals, K):
 
 
 _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-_TRIG = {}
-
-
-def _trig(thetas, K: int):
-    k = np.arange(1, K + 1, dtype=float)
-    kt = np.outer(thetas, k)
-    return np.cos(kt), np.sin(kt), k
-
-
-def _series(v: ShapeVector, trig):
-    """h, rho of the vector's support function at the table's angles."""
-    coskt, sinkt, k = trig
-    c = np.asarray(v.cos)
-    s = np.asarray(v.sin)
-    h = v.a0 + coskt @ c + sinkt @ s
-    h2 = -coskt @ (k * k * c) - sinkt @ (k * k * s)
-    return h, h + h2
 
 
 def _grid_eval(v: ShapeVector, n: int = _GRID):
-    """h, rho on the periodic n-node grid for the gauged vector (no
-    validation).  On the validation grid these are the sums FourierCurve
-    forms, so there min rho > eps0 iff decode() succeeds."""
-    if (n, v.K) not in _TRIG:
-        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        _TRIG[n, v.K] = _trig(thetas, v.K)
-    return _series(v, _TRIG[n, v.K])
+    """h, rho on the periodic n-node grid for the vector (no validation).
+    These are FourierCurve's sums, so on the validation grid min rho > eps0
+    iff decode() succeeds."""
+    trig = periodic_trig(n, v.K)
+    h = fourier_sums(v.a0, v.cos, v.sin, trig, 0)
+    return h, h + fourier_sums(v.a0, v.cos, v.sin, trig, 2)
 
 
 def objective_kl(v: ShapeVector) -> float:
@@ -140,12 +123,11 @@ def _bracket_core(g: ShapeVector, directions, m: int,
     g = -h, g'' = 1/rho), so no chart is built.
     """
     phi = np.asarray(directions, dtype=float)
-    trig = _trig(np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), g.K)
-    h, rho = _series(g, trig)
+    trig = trig_table(np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), g.K)
+    h, h1, h2 = (fourier_sums(g.a0, g.cos, g.sin, trig, d) for d in range(3))
     if np.any(h <= 0.0):
         return math.inf
-    coskt, sinkt, k = trig
-    h1 = -sinkt @ (k * np.asarray(g.cos)) + coskt @ (k * np.asarray(g.sin))
+    rho = h + h2
     if rho_floor is not None:
         rho = np.maximum(rho, rho_floor)
     x1, x2 = -h1[:len(phi)], h1[len(phi):]
@@ -189,7 +171,7 @@ def _penalized_bracket(g: ShapeVector) -> float:
 
 
 def _feasible(g: ShapeVector) -> bool:
-    """decode() succeeds, read from the validation grid's cached tables."""
+    """decode() succeeds: FourierCurve's own check on its cached table."""
     _, rho = _grid_eval(g, VALIDATION_GRID)
     return float(np.min(rho)) > g.eps0
 

@@ -112,6 +112,25 @@ class TestWitness:
         assert w.inequality_report["two_rho"] == 2 * w.rho
 
 
+@pytest.mark.parametrize("shape", ["asymmetric", "three_lobe", "offset_ellipse"])
+def test_witness_is_the_farthest_point(shape, request):
+    """x' is stationary for |x - c| (its support line is orthogonal to the
+    center ray) and no sampled boundary point lies farther from c."""
+    if shape == "offset_ellipse":
+        curve = build_curve({"type": "ellipse", "a": 1.6, "b": 1.0,
+                             "center": [0.1, 0.05], "rotation": 0.5})
+    else:
+        curve = request.getfixturevalue(shape)
+    w = lemma2_witness(curve)
+    assert w is not None
+    ray = w.x_prime.position - np.asarray(w.K_center)
+    assert abs(ray @ w.x_prime.tangent) <= 1e-12
+    pos = curve.position(np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False))
+    far = float(np.max(np.hypot(pos[:, 0] - w.K_center[0],
+                                pos[:, 1] - w.K_center[1])))
+    assert np.hypot(*ray) >= far - 1e-9
+
+
 class TestIdentities:
     def test_circle_residuals_vanish(self, unit_disc):
         res = identity_residuals(unit_disc, 64, 1e-4)
@@ -166,6 +185,10 @@ def test_kl_verdict_scale_invariant(curve):
 def test_inscribed_disc_is_feasible_and_optimal(curve):
     center, r = inscribed_disc(curve)
     assert min_clearance(curve, center) == pytest.approx(r, abs=1e-8)
+    # the clearance through plain numpy on a fine grid, not the Newton polish
+    t = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
+    fine = float(np.min(curve.h(t) - center[0] * np.cos(t) - center[1] * np.sin(t)))
+    assert r - 1e-12 <= fine <= r + 1e-8
     rng = np.random.default_rng(0)
     for _ in range(10):
         probe = np.asarray(center) + rng.uniform(-0.05, 0.05, size=2)
