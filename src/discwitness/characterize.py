@@ -142,7 +142,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     opt = nm_minimize(lambda c: -clearance(c), res.x[:2], method="Nelder-Mead",
                       options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 2000})
     cx, cy = opt.x
-    return (float(cx), float(cy)), clearance((cx, cy))
+    return (float(cx), float(cy)), -float(opt.fun)
 
 
 @dataclass(frozen=True)

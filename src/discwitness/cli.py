@@ -225,54 +225,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "of strictly convex plane shapes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=64):
+    shared = {  # each subcommand takes only the ones it reads
+        "--format": dict(choices=["csv", "json"], default="json"),
+        "--frame-deg": dict(type=float, default=0.0),
+        "--tol": dict(type=float, default=1e-6),
+        "--samples": dict(type=int, default=64),
+        "--seed": dict(type=int, default=0),
+    }
+
+    def add(name, help, func, *flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--shape", required=True, help="shape spec JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--frame-deg", type=float, default=0.0)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--samples", type=int, default=samples)
-        p.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("profile", help="kappa*L profile and disc verdict")
-    common(p, samples=1000)
-    p.set_defaults(func=cmd_profile)
+    p = add("profile", "kappa*L profile and disc verdict", cmd_profile,
+            "--format", "--tol", "--samples")
+    p.set_defaults(samples=1000)
 
-    p = sub.add_parser("moments", help="moment sweep, CSV")
-    common(p)
+    p = add("moments", "moment sweep, CSV", cmd_moments, "--frame-deg")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--n-list", type=lambda s: [int(v) for v in s.split(",")],
                    default=None)
     p.add_argument("--methods", default="chord,green,area")
-    p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("asymptotics", help="Laplace ratio table, CSV")
-    common(p)
+    p = add("asymptotics", "Laplace ratio table, CSV", cmd_asymptotics,
+            "--frame-deg")
     p.add_argument("--m-list", default="50,100,200")
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser("inscribed", help="maximal inscribed disc")
-    common(p)
-    p.set_defaults(func=cmd_inscribed)
+    add("inscribed", "maximal inscribed disc", cmd_inscribed)
+    add("identities", "differential identity residuals", cmd_identities,
+        "--samples")
+    add("residuals", "chart constraint residuals", cmd_residuals, "--frame-deg")
 
-    p = sub.add_parser("identities", help="differential identity residuals")
-    common(p)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("residuals", help="chart constraint residuals")
-    common(p)
-    p.set_defaults(func=cmd_residuals)
-
-    p = sub.add_parser("optimize", help="drive the shape toward a disc")
-    common(p)
+    p = add("optimize", "drive the shape toward a disc", cmd_optimize, "--seed")
     p.add_argument("--objective", choices=["kl", "bracket"], default="kl")
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--trace-out", default=None, help="objective trace CSV")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("report", help="combined JSON report")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    add("report", "combined JSON report", cmd_report,
+        "--frame-deg", "--tol", "--samples")
 
     return parser
 
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
+    if getattr(args, "tol", 1.0) <= 0:
         parser.exit(2, "tol must be positive\n")
     if getattr(args, "samples", 16) < 16:
         parser.exit(2, "samples must be >= 16\n")

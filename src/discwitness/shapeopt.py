@@ -100,13 +100,10 @@ def objective_kl(v: ShapeVector) -> float:
     """Integral of (kappa L - 2)^2 ds over the gauged shape; zero iff disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    return _kl_core(g)
+    return _kl_core(*_grid_eval(g))
 
 
-def _kl_core(g: ShapeVector, rho_floor: Optional[float] = None) -> float:
-    h, rho = _grid_eval(g)
-    if rho_floor is not None:
-        rho = np.maximum(rho, rho_floor)
+def _kl_core(h: np.ndarray, rho: np.ndarray) -> float:
     L = h + np.roll(h, _GRID // 2)
     resid = L / rho - 2.0
     # ds = rho dtheta; trapezoid on the periodic grid is spectrally accurate
@@ -157,17 +154,19 @@ def objective_bracket(v: ShapeVector, directions: Sequence[float],
     return j
 
 
-def _penalty(g: ShapeVector) -> float:
-    _, rho = _grid_eval(g)
-    return PENALTY_WEIGHT * max(0.0, g.eps0 - float(np.min(rho))) ** 2
+def _penalty(rho: np.ndarray, eps0: float) -> float:
+    return PENALTY_WEIGHT * max(0.0, eps0 - float(np.min(rho))) ** 2
 
 
 def _penalized_kl(g: ShapeVector) -> float:
-    return _kl_core(g, rho_floor=0.5 * g.eps0) + _penalty(g)
+    h, rho = _grid_eval(g)
+    return _kl_core(h, np.maximum(rho, 0.5 * g.eps0)) + _penalty(rho, g.eps0)
 
 
 def _penalized_bracket(g: ShapeVector) -> float:
-    return _bracket_core(g, DIRECTIONS, BRACKET_M, 0.5 * g.eps0) + _penalty(g)
+    _, rho = _grid_eval(g)
+    return (_bracket_core(g, DIRECTIONS, BRACKET_M, 0.5 * g.eps0)
+            + _penalty(rho, g.eps0))
 
 
 def _feasible(g: ShapeVector) -> bool:
@@ -252,30 +251,29 @@ def minimize(start: ShapeVector,
 
         run_best = [j_best, x_best, 0]  # value, point, iterations
 
-        def on_step(xk):
+        def on_step(intermediate_result):
+            # scipy passes the simplex's best vertex and the value it scored
             run_best[2] += 1
-            j = f_of_x(xk)
+            j, xk = float(intermediate_result.fun), intermediate_result.x
             if j < run_best[0] and feasible(xk):
                 run_best[0], run_best[1] = j, np.array(xk)
             trace.append(run_best[0])
             if run_best[0] <= opts.target:
-                raise StopIteration
+                raise StopIteration  # scipy halts and returns its result
 
-        try:
-            res = scipy_minimize(
-                f_of_x, x_best, method="Nelder-Mead", callback=on_step,
-                options={
-                    "maxiter": opts.max_iter - iterations,
-                    "initial_simplex": init,
-                    "xatol": SIMPLEX_TOL,
-                    "fatol": 1e-16,
-                    "adaptive": len(x_best) > 6,
-                },
-            )
-            if res.fun < run_best[0] and feasible(res.x):
-                run_best[0], run_best[1] = float(res.fun), res.x
-        except StopIteration:
-            pass
+        res = scipy_minimize(
+            f_of_x, x_best, method="Nelder-Mead", callback=on_step,
+            options={
+                "maxiter": opts.max_iter - iterations,
+                "initial_simplex": init,
+                "xatol": SIMPLEX_TOL,
+                "fatol": 1e-16,
+                "adaptive": len(x_best) > 6,
+            },
+        )
+        # Nelder-Mead can stop inside an iteration, before a callback
+        if res.fun < run_best[0] and feasible(res.x):
+            run_best[0], run_best[1] = float(res.fun), res.x
         iterations += run_best[2]
         if run_best[0] < j_best:
             j_best, x_best = run_best[0], run_best[1]

@@ -66,6 +66,51 @@ class TestExitCodes:
         assert not out.exists()
 
 
+SHARED_FLAGS = {"--format": "json", "--frame-deg": "0", "--tol": "1e-6",
+                "--samples": "64", "--seed": "0"}
+READ_FLAGS = {
+    "profile": {"--format", "--tol", "--samples"},
+    "moments": {"--frame-deg"},
+    "asymptotics": {"--frame-deg"},
+    "inscribed": set(),
+    "identities": {"--samples"},
+    "residuals": {"--frame-deg"},
+    "optimize": {"--seed"},
+    "report": {"--frame-deg", "--tol", "--samples"},
+}
+UNREAD = [(cmd, flag) for cmd, read in READ_FLAGS.items()
+          for flag in SHARED_FLAGS if flag not in read]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_is_usage_error(self, shape_file, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--shape", shape_file(CIRCLE),
+                 flag, SHARED_FLAGS[flag]])
+        assert exc.value.code == 2
+
+    def test_profile_csv(self, shape_file, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--shape", shape_file(CIRCLE), "--format",
+                    "csv", "--samples", "32", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "s,theta,kappa,L,kappaL"
+        assert len(lines) > 1
+
+    @pytest.mark.parametrize("command", ["profile", "report"])
+    def test_zero_tol_is_usage_error(self, shape_file, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--shape", shape_file(CIRCLE), "--tol", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["profile", "identities", "report"])
+    def test_few_samples_is_usage_error(self, shape_file, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--shape", shape_file(CIRCLE), "--samples", "8"])
+        assert exc.value.code == 2
+
+
 class TestMoments:
     def test_row_count_and_header(self, shape_file, tmp_path):
         out = tmp_path / "m.csv"

@@ -6,6 +6,7 @@ import pytest
 from discwitness import chord_chart
 from discwitness.asymptotics import bracket_main_term
 from discwitness.characterize import kl_profile
+from discwitness import shapeopt
 from discwitness.errors import Infeasible, MalformedSpec, NoFeasibleStart
 from discwitness.shapeopt import (
     OptOptions,
@@ -117,6 +118,47 @@ class TestMinimize:
         b = minimize(ShapeVector(cos=(0, 0, 0.08)), "kl", opts)
         assert a.trace == b.trace
         assert np.array_equal(a.best.coefficients(), b.best.coefficients())
+
+    def test_each_point_scored_once(self, monkeypatch):
+        # the objective runs once at the start and otherwise only inside
+        # scipy, which reports every call it makes as nfev
+        calls = [0]
+        nfev = [0]
+
+        def counted(g):
+            calls[0] += 1
+            return shapeopt._penalized_kl(g)
+
+        def recorder(*args, **kwargs):
+            res = scipy_minimize(*args, **kwargs)
+            nfev[0] += res.nfev
+            return res
+
+        scipy_minimize = shapeopt.scipy_minimize
+        monkeypatch.setattr(shapeopt, "scipy_minimize", recorder)
+        res = minimize(ShapeVector(cos=(0, 0, 0.08)), counted,
+                       OptOptions(max_iter=300, seed=7))
+        assert res.iterations > 0
+        assert calls[0] == 1 + nfev[0]
+
+    def test_penalized_kl_builds_one_grid(self, monkeypatch):
+        grids = [0]
+        grid_eval = shapeopt._grid_eval
+
+        def counted(*args, **kwargs):
+            grids[0] += 1
+            return grid_eval(*args, **kwargs)
+
+        monkeypatch.setattr(shapeopt, "_grid_eval", counted)
+        shapeopt._penalized_kl(ShapeVector(cos=(0, 0, 0.08)))
+        assert grids[0] == 1
+
+    @pytest.mark.parametrize("objective", ["kl", "bracket"])
+    def test_values_are_python_floats(self, objective):
+        res = minimize(ShapeVector(cos=(0, 0, 0.08)), objective,
+                       OptOptions(max_iter=40))
+        assert type(res.objective) is float
+        assert all(type(j) is float for j in res.trace)
 
     def test_zero_set_matches_disc_verdict(self):
         res = minimize(ShapeVector(sin=(0, 0.06)), "kl",
