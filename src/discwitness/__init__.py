@@ -6,6 +6,7 @@ argument, and shape optimization toward the disc."""
 from .errors import (
     BracketNearZero,
     DegenerateMax,
+    DiscSearchFailed,
     DiscWitnessError,
     Infeasible,
     MalformedSpec,

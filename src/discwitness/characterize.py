@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.optimize import minimize as nm_minimize
 
+from .errors import DiscSearchFailed
 from .geometry import (
     VALIDATION_GRID,
     BoundaryPoint,
@@ -84,6 +84,7 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
 
 
 _GRID = 2048  # angle grid shared by the clearance polish and the disc LP
+_NEWTON_STEPS = 20
 _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
 _COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
 
@@ -119,30 +120,108 @@ def min_clearance(curve: SupportCurve, center) -> float:
     return float(np.min(_support_extrema(curve, center)[1]))
 
 
-def inscribed_disc(curve: SupportCurve) -> tuple:
-    """Chebyshev center: maximize over centers c the min over theta of
-    h(theta) - c . u(theta).
+def _nearest(t, angles, weights):
+    """Indices of the contacts `t` nearest each of `angles` (circularly),
+    with the weights of angles that share a contact summed."""
+    gap = np.abs(np.angle(np.exp(1j * np.subtract.outer(angles, t))))
+    idx, inv = np.unique(np.argmin(gap, axis=1), return_inverse=True)
+    return idx, np.bincount(inv, weights=weights)
 
-    An LP over support-line constraints on the module grid gives the
-    start; a derivative-free polish of the exact (concave, piecewise
-    smooth) min-clearance resolves directions the linearization leaves
-    flat.  Returns ((cx, cy), radius).
+
+def _kkt_step(curve, center, t, q, i, lam, a0, s, tol):
+    """Newton step (d, r, i, lam) on the KKT system of max r s.t.
+    r <= q_i(c) over the active contacts i with multipliers lam:
+
+        W d + U lam = 0,   1.lam = 1,   q_i - u_i . d = r,
+
+    with W = sum lam_i u'_i u'_i^T / q''_i, exact by the envelope theorem
+    (grad q_i = -u_i, and d theta_i / dc = u'_i / q''_i).  It is solved in
+    units of s about a0, by least squares, which also serves a symmetric
+    shape's more than three contacts at one level.  A contact leaves when
+    its multiplier is negative, or when the contacts cannot all sit at one
+    level and it is the highest; an outside contact joins, with multiplier
+    0, when its linearized value falls below the predicted radius."""
+    cos, sin = np.cos(t), np.sin(t)
+    q2 = curve.h2(t) + center[0] * cos + center[1] * sin
+    for _ in range(2 * len(t) + 2):
+        k = len(i)
+        up = np.stack([-sin[i], cos[i]])
+        border = np.stack([cos[i], sin[i], np.ones(k)])
+        kkt = np.zeros((3 + k, 3 + k))
+        kkt[:2, :2] = s * (up * (lam / q2[i])) @ up.T
+        kkt[:3, 3:], kkt[3:, :3] = border, border.T
+        rhs = np.concatenate([[0.0, 0.0, 1.0], (q[i] - a0) / s])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        d, r, lam = s * sol[:2], a0 + s * sol[2], sol[3:]
+        gap = q - d[0] * cos - d[1] * sin - r  # linearized q_i - r
+        if gap[i].max() > tol:
+            # more contacts than unknowns, at unequal levels: the highest leaves
+            j = int(np.argmax(gap[i]))
+        elif k > 1 and lam.min() < 0.0:
+            j = int(np.argmin(lam))
+        else:
+            gap[i] = 0.0
+            j = int(np.argmin(gap))
+            if gap[j] >= -tol:
+                return d, r, i, lam
+            i, lam = np.append(i, j), np.append(lam, 0.0)
+            continue
+        i, lam = np.delete(i, j), np.delete(lam, j)
+    raise DiscSearchFailed("inscribed disc: contact set did not settle")
+
+
+def inscribed_disc(curve: SupportCurve) -> tuple:
+    """Chebyshev center: maximize over centers c the clearance
+    min over theta of q = h(theta) - c . u(theta).  Returns ((cx, cy), r).
+
+    Local reduction (Hettich & Kortanek, SIAM Review 35, 1993, sec. 7):
+    each local minimum theta_i of q (a contact) is a smooth constraint
+    r <= q_i(c), and the disc solves the KKT system of the contacts that
+    bind.  The start is the LP over support-line constraints on the module
+    grid, solved for the deviation of h from its fitted circle
+    a0 + c1 . u scaled by its largest magnitude s, so that HiGHS's absolute
+    tolerances act relative to the shape's departure from a circle; its
+    nonzero duals, mapped to the nearest exact contacts, are the first
+    active set.  Exact Newton steps (`_kkt_step`) follow, each accepted
+    only if the exact clearance does not drop.  They stop once the step is
+    below 1e-15 * scale, or once a step neither predicts nor makes a gain
+    above that (along a flat direction, as along an ellipse's major axis,
+    the step is rounding that the curvature amplifies).  A curve within
+    1e-13 * a0 of its fitted circle is that disc.  Raises DiscSearchFailed
+    rather than return an unconverged centre.
     """
     h = curve.h(_THETAS)
-
-    def clearance(c):
-        return float(np.min(_support_extrema(curve, c, h=h)[1]))
-
-    # maximize r  s.t.  cx cos + cy sin + r <= h
+    a0 = float(np.mean(h))
+    c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])
+    dev = h - a0 - c1[0] * _COS - c1[1] * _SIN
+    s = float(np.max(np.abs(dev)))
+    if s <= 1e-13 * a0:
+        return (float(c1[0]), float(c1[1])), min_clearance(curve, c1)
+    # maximize r  s.t.  c . u + r <= dev / s
     A = np.stack([_COS, _SIN, np.ones(_GRID)], axis=1)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=h,
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=dev / s,
                   bounds=[(None, None)] * 3, method="highs")
     if not res.success:
-        raise RuntimeError(f"Chebyshev LP failed: {res.message}")
-    opt = nm_minimize(lambda c: -clearance(c), res.x[:2], method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 2000})
-    cx, cy = opt.x
-    return (float(cx), float(cy)), -float(opt.fun)
+        raise DiscSearchFailed(f"Chebyshev LP failed: {res.message}")
+    dual = -res.ineqlin.marginals
+    angles, lam = _THETAS[dual > 0.0], dual[dual > 0.0]
+    center = c1 + s * res.x[:2]
+    tol = 1e-15 * (a0 + float(np.hypot(*c1)))
+    t, q = _support_extrema(curve, center, h=h)
+    phi = float(np.min(q))
+    for _ in range(_NEWTON_STEPS):
+        i, lam = _nearest(t, angles, lam)
+        d, r, i, lam = _kkt_step(curve, center, t, q, i, lam, a0, s, tol)
+        angles = t[i]
+        t, q = _support_extrema(curve, center + d, h=h)
+        phi_new = float(np.min(q))
+        if phi_new < phi - tol:
+            raise DiscSearchFailed("inscribed disc: a Newton step lowered "
+                                   "the clearance")
+        center, gain, phi = center + d, max(r, phi_new) - phi, phi_new
+        if math.hypot(*d) < tol or gain <= tol:
+            return (float(center[0]), float(center[1])), phi
+    raise DiscSearchFailed("inscribed disc: Newton steps did not converge")
 
 
 @dataclass(frozen=True)
@@ -164,15 +243,18 @@ def lemma2_witness(curve: SupportCurve, tol: float = 1e-6, *,
     the maximum of q = h - c . u, since d|r - c|^2/dtheta = 2 rho q' and
     r - c = q u where q' = 0.  Its support line is therefore orthogonal to
     the center ray.  Records x', its radius of curvature, and the width in
-    the ray direction.  `disc` is the curve's inscribed_disc result when
-    the caller already has it.
+    the ray direction.  Maxima within 1e-9 * max(1, r) of the largest tie
+    (an ellipse has two), and the one with the smallest angle in (-pi, pi]
+    is taken.  `disc` is the curve's inscribed_disc result when the caller
+    already has it.
     """
     (cx, cy), r = disc if disc is not None else inscribed_disc(curve)
     t, q = _support_extrema(curve, (cx, cy), maximum=True)
-    i = int(np.argmax(q))
-    if q[i] - r <= tol * max(1.0, r):
+    q_max = float(np.max(q))
+    if q_max - r <= tol * max(1.0, r):
         return None
-    theta_prime = math.pi - (math.pi - float(t[i])) % (2.0 * math.pi)  # in (-pi, pi]
+    t = math.pi - (math.pi - t) % (2.0 * math.pi)  # in (-pi, pi]
+    theta_prime = float(np.min(t[q >= q_max - 1e-9 * max(1.0, r)]))
     xp = point_at(curve, theta_prime)
     rho = xp.radius_of_curvature
     L_dir = float(width_at(curve, theta_prime))

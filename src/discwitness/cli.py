@@ -6,13 +6,15 @@ line and converted to radians internally.  Output files are written
 atomically (temp file + rename); floats are emitted with 17 significant
 digits so round-trips are bit-faithful.
 
-Exit codes: 0 success; 1 numerical failure (quadrature non-convergence);
-2 validation error (malformed spec, non-convex shape, bad arguments).
+Exit codes: 0 success; 1 numerical failure (quadrature non-convergence, a
+failed inscribed-disc search); 2 validation error (malformed spec,
+non-convex shape, bad arguments).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -218,7 +220,10 @@ def cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="discwitness",
         description="Moment, asymptotic, and disc-characterization analyses "

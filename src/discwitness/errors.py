@@ -26,6 +26,10 @@ class QuadratureNoConvergence(DiscWitnessError):
     """Adaptive quadrature did not meet tolerance within the subdivision budget."""
 
 
+class DiscSearchFailed(DiscWitnessError):
+    """The inscribed-disc LP failed or its Newton steps did not converge."""
+
+
 class OrderTooLarge(DiscWitnessError):
     """Moment order exceeds the accuracy budget of the 2D quadrature."""
 

@@ -377,11 +377,6 @@ class ChordChart:
             )
         self.b = float(self._x(0.0))
         self.a = float(self._x(math.pi))
-        # monotone x(theta) tables for inversion starting guesses
-        self._tu = np.linspace(0.0, math.pi, self._GRID)
-        self._xu = self._x(self._tu)
-        self._tl = np.linspace(math.pi, 2.0 * math.pi, self._GRID)
-        self._xl = self._x(self._tl)
         top, bottom = 0.5 * math.pi, 1.5 * math.pi
         self.x1 = -float(self._h1(top))
         self.f_x1 = float(self._h(top))
@@ -408,6 +403,14 @@ class ChordChart:
         theta = np.asarray(theta, dtype=float)
         return self._h(theta) * np.sin(theta) + self._h1(theta) * np.cos(theta)
 
+    @functools.cached_property
+    def _tables(self):
+        """Monotone x(theta) tables of the upper and lower arcs, the
+        inversion's starting guesses; built on first use."""
+        tu = np.linspace(0.0, math.pi, self._GRID)
+        tl = np.linspace(math.pi, 2.0 * math.pi, self._GRID)
+        return tu, self._x(tu), tl, self._x(tl)
+
     def _invert(self, x, upper: bool):
         """theta(x) on one arc: interp guess + damped Newton, brentq fallback."""
         x = np.asarray(x, dtype=float)
@@ -416,12 +419,13 @@ class ChordChart:
         if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
             raise ValueError("x outside chart range")
         xc = np.clip(x, self.a, self.b)
+        tu, xu, tl, xl = self._tables
         if upper:
             # x decreasing in theta on [0, pi]
-            theta = np.interp(xc, self._xu[::-1], self._tu[::-1])
+            theta = np.interp(xc, xu[::-1], tu[::-1])
             lo, hi = 0.0, math.pi
         else:
-            theta = np.interp(xc, self._xl, self._tl)
+            theta = np.interp(xc, xl, tl)
             lo, hi = math.pi, 2.0 * math.pi
         for _ in range(100):
             fx = self._x(theta) - xc

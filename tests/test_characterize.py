@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from discwitness import build_curve, chord_chart
+from discwitness import build_curve, characterize, chord_chart
+from discwitness.errors import DiscSearchFailed
 from discwitness.characterize import (
     constraint_residuals,
     identity_residuals,
@@ -87,6 +89,115 @@ class TestInscribedDisc:
         center, r = inscribed_disc(three_lobe)
         assert min_clearance(three_lobe, center) == pytest.approx(r, abs=1e-8)
 
+    def test_failed_lp_raises(self, three_lobe, monkeypatch):
+        class Failed:
+            success = False
+            message = "stub"
+
+        monkeypatch.setattr(characterize, "linprog", lambda *a, **k: Failed())
+        with pytest.raises(DiscSearchFailed):
+            inscribed_disc(three_lobe)
+
+    def test_unconverged_newton_raises(self, three_lobe, monkeypatch):
+        monkeypatch.setattr(characterize, "_NEWTON_STEPS", 0)
+        with pytest.raises(DiscSearchFailed):
+            inscribed_disc(three_lobe)
+
+    def test_newton_step_keeps_the_binding_contacts(self):
+        """Four contacts about the centre, two at 0.94 and two at 0.96: from
+        any start set, the step keeps the lower pair, with r = 0.94."""
+        curve = build_curve({"type": "support_fourier", "a0": 1.0,
+                             "cos": [0.0, 0.0, 0.0, 0.05], "sin": [0.0, 0.01]})
+        t, q = characterize._support_extrema(curve, (0.0, 0.0))
+        assert np.sort(q) == pytest.approx([0.94, 0.94, 0.96, 0.96], abs=1e-15)
+        for i in ([0, 1, 2, 3], [0, 1, 2], [1, 3]):
+            lam = np.full(len(i), 1.0 / len(i))
+            d, r, i, lam = characterize._kkt_step(
+                curve, (0.0, 0.0), t, q, np.array(i), lam, 1.0, 0.06, 1e-15)
+            assert sorted(q[i]) == pytest.approx([0.94, 0.94], abs=1e-15)
+            assert r == pytest.approx(0.94, abs=1e-15)
+            assert lam == pytest.approx([0.5, 0.5], abs=1e-12)
+            assert np.hypot(*d) <= 1e-15
+
+    def test_chart_tables_built_on_first_use(self, three_lobe):
+        chart = chord_chart(three_lobe, 0.3)
+        constraint_residuals(chart)
+        assert "_tables" not in vars(chart)
+        chart.f(0.1)
+        assert "_tables" in vars(chart)
+
+
+def _polished_minima(f, f1, f2, n=1 << 14):
+    """Local minima of a 2 pi-periodic f: the discrete minima of a fine grid,
+    each refined by Newton steps on f' while f'' > 0."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    v = f(t)
+    t = t[(v <= np.roll(v, 1)) & (v <= np.roll(v, -1))]
+    for _ in range(40):
+        d2 = f2(t)
+        t = t - np.divide(f1(t), d2, out=np.zeros_like(t), where=d2 > 0.0)
+    return t
+
+
+def _dual_bound(curve, center):
+    """An upper bound D >= r* by weak duality, from plain numpy: half the
+    minimum width, and sum lam_j h(theta_j) over every triple of the twelve
+    lowest contacts about `center` whose normals hold 0 in their convex
+    hull.  (On a circle, where every grid node is a contact, the width
+    bound is exact.)"""
+    tw = _polished_minima(lambda t: curve.h(t) + curve.h(t + math.pi),
+                          lambda t: curve.h1(t) + curve.h1(t + math.pi),
+                          lambda t: curve.h2(t) + curve.h2(t + math.pi))
+    bound = 0.5 * float(np.min(curve.h(tw) + curve.h(tw + math.pi)))
+    cx, cy = center
+    tc = _polished_minima(
+        lambda t: curve.h(t) - cx * np.cos(t) - cy * np.sin(t),
+        lambda t: curve.h1(t) + cx * np.sin(t) - cy * np.cos(t),
+        lambda t: curve.h2(t) + cx * np.cos(t) + cy * np.sin(t))
+    tc = tc[np.argsort(curve.h(tc) - cx * np.cos(tc) - cy * np.sin(tc))[:12]]
+    for tri in itertools.combinations(tc, 3):
+        tri = np.array(tri)
+        m = np.stack([np.cos(tri), np.sin(tri), np.ones(3)])
+        if abs(np.linalg.det(m)) < 1e-12:
+            continue
+        lam = np.linalg.solve(m, [0.0, 0.0, 1.0])
+        if np.all(lam >= 0.0):
+            bound = min(bound, float(lam @ curve.h(tri)))
+    return bound
+
+
+def _fourier(k_max, weight, seed):
+    """Translated Fourier shape: harmonics 2..k_max with sum k^2 |coef| =
+    weight about a0 = 1."""
+    rng = np.random.default_rng(seed)
+    cos, sin = rng.standard_normal((2, k_max))
+    k2 = np.arange(1, k_max + 1) ** 2
+    cos[0] = sin[0] = 0.0
+    scale = weight / float(k2 @ np.abs(cos) + k2 @ np.abs(sin))
+    cos, sin = cos * scale, sin * scale
+    cos[0], sin[0] = 0.2, -0.1
+    return {"type": "support_fourier", "a0": 1.0, "cos": cos.tolist(),
+            "sin": sin.tolist()}
+
+
+CERTIFIED = (
+    [{"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
+     {"type": "circle", "center": [0.3, -0.2], "radius": 0.7}]
+    + [_fourier(k, w, k) for w in (1e-9, 1e-6, 1e-3) for k in (2, 5, 8, 12)]
+    + [_fourier(k, w, 10 + k) for w in (0.2, 0.5, 0.79) for k in (3, 6)]
+    + [{"type": "ellipse", "a": a, "b": 1.0, "center": [0.1, 0.05],
+        "rotation": 0.5} for a in (1.6, 20.0)]
+)
+
+
+@pytest.mark.parametrize("spec", CERTIFIED, ids=range(len(CERTIFIED)))
+def test_inscribed_radius_meets_the_dual_bound(spec):
+    """The radius is the clearance at the returned centre, so r <= r* <= D;
+    a gap D - r above rounding means the centre is not optimal."""
+    curve = build_curve(spec)
+    center, r = inscribed_disc(curve)
+    assert _dual_bound(curve, center) - r <= 1e-12 * max(1.0, r)
+
 
 class TestWitness:
     def test_circles_have_none(self):
@@ -110,6 +221,26 @@ class TestWitness:
         assert w.inequality_report["L_dir"] == w.L_dir
         assert w.inequality_report["two_r"] == 2 * w.K_radius
         assert w.inequality_report["two_rho"] == 2 * w.rho
+
+
+@pytest.mark.parametrize("spec,center", [
+    ({"type": "ellipse", "a": 1.6, "b": 1.0, "center": [0.1, 0.05],
+      "rotation": 0.5}, (0.1, 0.05)),
+    ({"type": "support_fourier", "a0": 1.0, "cos": [0.0, 0.05, 0.0, 0.01],
+      "sin": [0.0, 0.02]}, (0.0, 0.0)),
+], ids=["ellipse", "symmetric_fourier"])
+def test_witness_tie_rule(spec, center):
+    """A centrally symmetric shape has two boundary points equally far from
+    its centre of symmetry, the inscribed centre.  Moving that centre by
+    1e-10 must not make the witness jump from one to the other."""
+    curve = build_curve(spec)
+    disc = inscribed_disc(curve)
+    assert disc[0] == pytest.approx(center, abs=1e-12)
+    theta = lemma2_witness(curve, disc=disc).x_prime.theta
+    cx, cy = center
+    for dx, dy in ((1e-10, 0.0), (-1e-10, 0.0), (0.0, 1e-10), (0.0, -1e-10)):
+        moved = lemma2_witness(curve, disc=((cx + dx, cy + dy), disc[1]))
+        assert moved.x_prime.theta == pytest.approx(theta, abs=1e-6)
 
 
 @pytest.mark.parametrize("shape", ["asymmetric", "three_lobe", "offset_ellipse"])

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from discwitness.cli import main
+import discwitness
+from discwitness import characterize
+from discwitness.cli import build_parser, main
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
 ELLIPSE = {"type": "ellipse", "a": 2, "b": 1, "center": [0, 0], "rotation": 0}
@@ -54,6 +59,17 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert run(["profile", "--shape", str(tmp_path / "nope.json")]) == 2
+
+    def test_failed_disc_search_is_numerical_error(self, shape_file, capsys,
+                                                   monkeypatch):
+        class Failed:
+            success = False
+            message = "stub"
+
+        monkeypatch.setattr(characterize, "linprog", lambda *a, **k: Failed())
+        assert run(["inscribed", "--shape", shape_file(THREE_LOBE)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["profile", "report", "moments"])
     @pytest.mark.parametrize("name", sorted(NON_FINITE))
@@ -178,3 +194,25 @@ class TestOptimizeRoundTrip:
                     "identities", "residuals", "report"):
             assert run([cmd, "--shape", str(final),
                         "--out", str(tmp_path / "x.out")]) == 0
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_one_process_matches_fresh_processes(self, shape_file, tmp_path):
+        """profile, inscribed, report in one process write the same bytes
+        as each run in its own interpreter."""
+        shape = shape_file(THREE_LOBE)
+        commands = ("profile", "inscribed", "report")
+        for cmd in commands:
+            assert run([cmd, "--shape", shape,
+                        "--out", str(tmp_path / f"{cmd}.one")]) == 0
+        src = os.path.dirname(os.path.dirname(discwitness.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for cmd in commands:
+            fresh = tmp_path / f"{cmd}.fresh"
+            subprocess.run([sys.executable, "-m", "discwitness.cli", cmd,
+                            "--shape", shape, "--out", str(fresh)],
+                           env=env, check=True)
+            assert fresh.read_bytes() == (tmp_path / f"{cmd}.one").read_bytes()
