@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DiscSearchFailed
 from .geometry import (
@@ -83,7 +82,7 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     return KLReport(samples, max_dev, verdict, fitted, tol)
 
 
-_GRID = 2048  # angle grid shared by the clearance polish and the disc LP
+_GRID = 1024  # angle grid shared by the clearance polish and the disc LP
 _NEWTON_STEPS = 20
 _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
 _COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
@@ -190,6 +189,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     1e-13 * a0 of its fitted circle is that disc.  Raises DiscSearchFailed
     rather than return an unconverged centre.
     """
+    from scipy.optimize import linprog  # here, not at import: cold start
     h = curve.h(_THETAS)
     a0 = float(np.mean(h))
     c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import MalformedSpec, NotStrictlyConvex
 from .quadrature import adaptive_quad
@@ -412,7 +411,7 @@ class ChordChart:
         return tu, self._x(tu), tl, self._x(tl)
 
     def _invert(self, x, upper: bool):
-        """theta(x) on one arc: interp guess + damped Newton, brentq fallback."""
+        """theta(x) on one arc: interp guess + damped Newton, bracketed fallback."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -427,22 +426,37 @@ class ChordChart:
         else:
             theta = np.interp(xc, xl, tl)
             lo, hi = math.pi, 2.0 * math.pi
+        tol = 1e-13 * max(1.0, abs(self.b), abs(self.a))
         for _ in range(100):
             fx = self._x(theta) - xc
-            if np.all(np.abs(fx) <= 1e-13 * max(1.0, abs(self.b), abs(self.a))):
+            if np.all(np.abs(fx) <= tol):
                 break
             d = -self._rho(theta) * np.sin(theta)
             step = np.where(np.abs(d) > 1e-30, fx / np.where(d == 0, 1.0, d), 0.0)
             step = np.clip(step, -0.1, 0.1)
             theta = np.clip(theta - step, lo, hi)
         else:
-            for i in range(len(theta)):
-                if abs(float(self._x(theta[i]) - xc[i])) > 1e-11:
-                    theta[i] = brentq(
-                        lambda t, xi=xc[i]: float(self._x(t) - xi), lo, hi,
-                        xtol=1e-14,
-                    )
+            bad = np.abs(self._x(theta) - xc) > tol
+            theta[bad] = self._bracketed(xc[bad], upper)
         return theta[0] if scalar else theta
+
+    def _bracketed(self, x, upper: bool):
+        """theta(x) on one arc, where x(theta) is monotone: Newton steps
+        inside a bracket that shrinks about the root, bisecting where a
+        step would leave it (as near the ends, where x' -> 0)."""
+        sign = -1.0 if upper else 1.0  # sign * (x(t) - x) increases in t
+        lo = np.full(np.shape(x), 0.0 if upper else math.pi)
+        hi, t = lo + math.pi, lo + 0.5 * math.pi
+        for _ in range(100):
+            F = sign * (self._x(t) - x)
+            lo, hi = np.where(F <= 0.0, t, lo), np.where(F >= 0.0, t, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = t + F / (sign * self._rho(t) * np.sin(t))
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            if np.array_equal(new, t):
+                break
+            t = new
+        return t
 
     def theta_upper(self, x):
         return self._invert(x, upper=True)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import OrderTooLarge, QuadratureNoConvergence
 from .geometry import ChordChart, SupportCurve, chord_chart
@@ -145,6 +144,7 @@ def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
 def _area_level(chart: ChordChart, nx: int):
     """Gauss x-nodes and scaled chart samples of one area level, cached so
     a sweep's orders share them; callers must not mutate the arrays."""
+    from scipy.special import roots_legendre  # the area oracle alone needs scipy
     tx, wx = roots_legendre(nx)
     ref = max(abs(chart.f_x1), abs(chart.g_x2))
     half = 0.5 * (chart.b - chart.a)
@@ -157,6 +157,7 @@ def _area_level(chart: ChordChart, nx: int):
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                 rel_tol: float = 1e-8, max_nodes: int = 4096) -> MomentResult:
     """Direct 2-D tensor quadrature over the chart strip; reference oracle."""
+    from scipy.special import roots_legendre
     if n < 0:
         raise ValueError("moment order must be >= 0")
     if n > MAX_AREA_ORDER:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .asymptotics import peak_log_magnitude
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
@@ -214,6 +213,7 @@ def minimize(start: ShapeVector,
     collapse, or the iteration budget.  A point becomes the best only if
     it decodes, so the result is always a valid curve.
     """
+    from scipy.optimize import minimize as scipy_minimize  # not at import
     opts = options or OptOptions()
     try:
         start.decode()

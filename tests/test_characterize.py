@@ -94,7 +94,7 @@ class TestInscribedDisc:
             success = False
             message = "stub"
 
-        monkeypatch.setattr(characterize, "linprog", lambda *a, **k: Failed())
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *a, **k: Failed())
         with pytest.raises(DiscSearchFailed):
             inscribed_disc(three_lobe)
 

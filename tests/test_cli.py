@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import discwitness
-from discwitness import characterize
 from discwitness.cli import build_parser, main
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
@@ -66,7 +65,7 @@ class TestExitCodes:
             success = False
             message = "stub"
 
-        monkeypatch.setattr(characterize, "linprog", lambda *a, **k: Failed())
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *a, **k: Failed())
         assert run(["inscribed", "--shape", shape_file(THREE_LOBE)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -216,3 +215,49 @@ class TestParserCache:
                             "--shape", shape, "--out", str(fresh)],
                            env=env, check=True)
             assert fresh.read_bytes() == (tmp_path / f"{cmd}.one").read_bytes()
+
+
+ASYMMETRIC = {"type": "support_fourier", "a0": 1, "cos": [0, 0.05],
+              "sin": [0, 0, 0.03]}
+SCIPY_MODULES = ("scipy.optimize", "scipy.special")
+
+
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter importing this checkout."""
+    src = os.path.dirname(os.path.dirname(discwitness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestColdStart:
+    """scipy is imported only inside the routines that call it."""
+
+    loaded = f"print([m for m in {SCIPY_MODULES!r} if m in sys.modules])\n"
+
+    def test_import_and_build_curve(self):
+        code = ("import sys\n"
+                "import discwitness.cli\n"
+                "from discwitness import build_curve\n"
+                f"for spec in {[CIRCLE, ELLIPSE, ASYMMETRIC]!r}:\n"
+                "    build_curve(spec)\n" + self.loaded)
+        assert _fresh_python(code) == "[]\n"
+
+    def test_numpy_only_subcommands(self, shape_file, tmp_path):
+        shape = shape_file(ASYMMETRIC)
+        commands = [["profile"],
+                    ["moments", "--n-max", "20", "--methods", "chord,green"],
+                    ["asymptotics"], ["residuals"], ["identities"]]
+        runs = [argv + ["--shape", shape, "--out", str(tmp_path / f"{i}.out")]
+                for i, argv in enumerate(commands)]
+        code = ("import sys\n"
+                "from discwitness.cli import main\n"
+                f"for argv in {runs!r}:\n"
+                "    assert main(argv) == 0, argv\n" + self.loaded)
+        assert _fresh_python(code) == "[]\n"
+
+    def test_inscribed_still_loads_its_solver(self, shape_file):
+        code = ("from discwitness.cli import main\n"
+                f"main(['inscribed', '--shape', {shape_file(ELLIPSE)!r}])\n")
+        assert json.loads(_fresh_python(code))["radius"] == pytest.approx(
+            1.0, abs=1e-9)

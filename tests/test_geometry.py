@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.optimize import brentq
 
 from discwitness import (
     MalformedSpec,
@@ -20,6 +21,14 @@ from conftest import angles, small_fourier_curves
 # frozen: 8 * scipy.special.ellipe(0.75), cross-checked against dense
 # quadrature of the parametric arclength integrand
 ELLIPSE_2_1_PERIMETER = 9.688448220547675
+
+INVERSION_SHAPES = {
+    "circle": {"type": "circle", "center": [0, 0], "radius": 1},
+    "ellipse_20x0.2": {"type": "ellipse", "a": 20, "b": 0.2},
+    "fourier_K5": {"type": "support_fourier", "a0": 1,
+                   "cos": [0.02, 0.03, 0.01, 0.005, 0.004],
+                   "sin": [0.01, -0.02, 0.01, 0.0, -0.006]},
+}
 
 
 class TestBuildCurve:
@@ -135,6 +144,42 @@ class TestChordChart:
         assert ch.g_x2 == pytest.approx(ch._y(t)[j], abs=1e-9)
         assert ch.x2 == pytest.approx(ch._x(t)[j], abs=1e-4)
         assert abs(ch.x1 - ch.x2) > 1e-3  # genuinely asymmetric in this frame
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    @pytest.mark.parametrize("name", sorted(INVERSION_SHAPES))
+    def test_bracketed_inversion_at_the_chart_ends(self, name, upper):
+        """At the chart ends x' = -rho sin(theta) vanishes.  The bracketed
+        solver still meets x, and agrees with brentq to 1e-12 inside the
+        chart.  Within 1e-14 of an end the computed x(theta) is flat over
+        a theta window of width up to sqrt(32 eps scale / rho) (eight ulps
+        of x), which no root finder resolves, so agreement there is to
+        that window."""
+        ch = chord_chart(build_curve(INVERSION_SHAPES[name]))
+        scale = max(1.0, abs(ch.a), abs(ch.b))
+        lo, hi = (0.0, math.pi) if upper else (math.pi, 2 * math.pi)
+        window = math.sqrt(32 * np.finfo(float).eps * scale
+                           / min(ch._rho(lo), ch._rho(hi)))
+        ends = np.array([ch.a, ch.a + 1e-15, ch.a + 1e-14,
+                         ch.b - 1e-14, ch.b - 1e-15, ch.b])
+        inside = ch.a + (ch.b - ch.a) * np.array([1e-3, 0.3, 0.5, 0.9])
+        for x, tol in ((ends, 1e-12 + window), (inside, 1e-12)):
+            theta = ch._bracketed(x, upper)
+            assert np.all((lo <= theta) & (theta <= hi))
+            assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13 * scale
+            ref = [brentq(lambda t, xi=xi: float(ch._x(t) - xi), lo, hi,
+                          xtol=1e-14) for xi in x]
+            assert np.max(np.abs(theta - ref)) <= tol
+
+    def test_inversion_falls_back_when_newton_stalls(self, asymmetric,
+                                                     monkeypatch):
+        ch = chord_chart(asymmetric, 0.3)
+        x = np.linspace(ch.a, ch.b, 41)[1:-1]
+        want = ch.theta_upper(x), ch.theta_lower(x)
+        # a vanishing x' makes every damped Newton step zero
+        monkeypatch.setattr(ch, "_rho", lambda t: np.full(np.shape(t), 1e-40))
+        for theta, ref in zip((ch.theta_upper(x), ch.theta_lower(x)), want):
+            assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13
+            assert np.max(np.abs(theta - ref)) <= 1e-12
 
     def test_chart_needs_origin_inside(self):
         far = build_curve({"type": "circle", "center": [5, 0], "radius": 1})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from discwitness import chord_chart
 from discwitness.asymptotics import bracket_main_term
@@ -134,8 +135,8 @@ class TestMinimize:
             nfev[0] += res.nfev
             return res
 
-        scipy_minimize = shapeopt.scipy_minimize
-        monkeypatch.setattr(shapeopt, "scipy_minimize", recorder)
+        scipy_minimize = scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize", recorder)
         res = minimize(ShapeVector(cos=(0, 0, 0.08)), counted,
                        OptOptions(max_iter=300, seed=7))
         assert res.iterations > 0
