@@ -18,8 +18,8 @@ import numpy as np
 from .errors import BracketNearZero, DegenerateMax, MaxOnBoundary
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
-from .moments import moment_chord
-from .quadrature import adaptive_quad, golden_section_max
+from .moments import trapezoid_sums
+from .quadrature import golden_section_max
 
 BOUNDARY_MARGIN = 1e-9
 DEGENERATE_TOL = 1e-9
@@ -104,31 +104,80 @@ def bracket_main_term(chart: ChordChart, m: int) -> BracketTerm:
     return BracketTerm(m, term_f, term_g, term_f - term_g)
 
 
+def _arc_sample(chart: ChordChart, upper: bool, masked: bool):
+    """(c, y) at tau in [0, pi) on one arc, [0, pi] (upper) or [pi, 2pi]
+    (lower) in the normal angle, with c = e^{ix} rho sin(theta) dtheta/dtau:
+    as dx = -rho sin(theta) dtheta, the integral of c f^p is that of
+    e^{ix} f^p dx, and of c g^p minus that of e^{ix} g^p dx.  Masked, the
+    wrong-sign points (y <= 0 upper, y >= 0 lower) drop out and c takes
+    the arc's sign.
+
+    theta = lo + pi/2 - atan2(k sin z, cos z), z = (pi/2) cos tau, is the
+    cosine map lo + (pi/2)(1 - cos tau) at k = 1; smaller k packs nodes
+    about the peak normal by 1/k.  k = sqrt(|y| / rho) of the narrower
+    peak (1 on a unit circle), so flat shapes cost no more nodes; one k
+    serves both arcs, so that their end errors cancel in the moments.
+    """
+    lo, sgn = (0.0, 1.0) if upper else (math.pi, -1.0)
+    k = min(1.0, math.sqrt(abs(chart.f_x1 * chart.f_pp_x1)),
+            math.sqrt(abs(chart.g_x2 * chart.g_pp_x2)))
+
+    def sample(tau):
+        z = 0.5 * math.pi * np.cos(tau)
+        cz, sz = np.cos(z), np.sin(z)
+        theta = lo + 0.5 * math.pi - np.arctan2(k * sz, cz)
+        dtheta = k * 0.5 * math.pi * np.sin(tau) / (cz * cz + (k * sz) ** 2)
+        h, h1 = chart._h(theta), chart._h1(theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        c = np.exp(1j * (h * ct - h1 * st)) * chart._rho(theta) * st * dtheta
+        y = h * st + h1 * ct
+        if not masked:
+            return c, y
+        keep = sgn * y > 0.0
+        return np.where(keep, sgn * c, 0.0), np.where(keep, y, 0.0)
+
+    return sample
+
+
+def _arc_integrals(chart: ChordChart, m_list, upper: bool,
+                   rel_tol: float = 1e-10) -> list:
+    """arc_integral for every m in m_list from one trapezoid grid."""
+    ln_peak = math.log(abs(chart.f_x1 if upper else chart.g_x2))
+    sums = trapezoid_sums(_arc_sample(chart, upper, masked=True), math.pi,
+                          [2 * m for m in m_list], ln_peak, "arc integrals", rel_tol)
+    return [LogComplex(complex(z), 2.0 * m * ln_peak).normalized()
+            for z, m in zip(sums, m_list)]
+
+
 def arc_integral(chart: ChordChart, m: int, upper: bool, *,
                  rel_tol: float = 1e-10) -> LogComplex:
     """int e^{ix} (arc)^{2m} dx over the arc, log-scaled by the peak:
     exp(2m ln|arc| - 2m ln|peak|).
 
     Integrated in the normal angle, dx = -rho sin(theta) dtheta, over
-    [0, pi] (upper) or [pi, 2pi] (lower); points where the arc has the
-    wrong sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked.
+    [0, pi] (upper) or [pi, 2pi] (lower), by the trapezoid rule in tau of
+    a cosine map (see _arc_sample); points where the arc has the wrong
+    sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked.  A
+    one-m call of the batched routine asymptotic_ratio uses; no chart
+    inversion.
     """
-    if upper:
-        lo, hi, peak, sgn = 0.0, math.pi, chart.f_x1, 1.0
-    else:
-        lo, hi, peak, sgn = math.pi, 2.0 * math.pi, chart.g_x2, -1.0
-    ln_peak = math.log(abs(peak))
+    return _arc_integrals(chart, [m], upper, rel_tol)[0]
 
-    def integrand(t):
-        x, v = chart._x(t), sgn * chart._y(t)
-        with np.errstate(divide="ignore"):
-            expo = 2.0 * m * (np.log(np.where(v > 0, v, 1.0)) - ln_peak)
-        weight = np.where(v > 0, np.exp(expo), 0.0) * chart._rho(t) * np.abs(np.sin(t))
-        return np.exp(1j * x) * weight
 
-    raw, _ = adaptive_quad(integrand, lo, hi, rel_tol=rel_tol,
-                           abs_tol=1e-14, seeds=(0.5 * (lo + hi),))
-    return LogComplex(complex(raw), 2.0 * m * ln_peak).normalized()
+def _odd_moments(chart: ChordChart, m_list) -> list:
+    """M_{2m-1} = int e^{ix} (f^{2m} - g^{2m}) / (2m) dx for every m, from
+    both arcs' nodes unmasked."""
+    upper, lower = (_arc_sample(chart, up, masked=False) for up in (True, False))
+
+    def sample(tau):
+        (cu, yu), (cl, yl) = upper(tau), lower(tau)
+        return np.concatenate([cu, cl]), np.concatenate([yu, yl])
+
+    ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
+    sums = trapezoid_sums(sample, math.pi, [2 * m for m in m_list], ln_ref,
+                          "odd moments")
+    return [LogComplex(complex(z), 2.0 * m * ln_ref - math.log(2.0 * m)).normalized()
+            for z, m in zip(sums, m_list)]
 
 
 @dataclass(frozen=True)
@@ -143,9 +192,11 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
                      *, raise_on_zero_bracket: bool = False) -> list:
     """Per-arc and combined ratios of true integrals to their leading terms.
 
-    The combined entry compares the chord moment of order n = 2m-1 (which
+    The combined entry compares the moment of order n = 2m-1 (which
     carries its 1/(2m) factor) against bracket/(2m), so both sides share
-    the reduction factor.
+    the reduction factor; rows whose closed-form bracket is near zero get
+    None.  Every m comes from at most three trapezoid grids in the normal
+    angle: one per arc, and one over both arcs for the moments.
     """
     m_list = list(m_list)
     if any(m < 10 for m in m_list):
@@ -153,19 +204,25 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     if sorted(m_list) != m_list:
         raise ValueError("m_list must be ascending")
     chart = chord_chart(curve, frame_angle)
-    rows = []
-    for m in m_list:
-        bt = bracket_main_term(chart, m)
-        ratio_f = arc_integral(chart, m, upper=True).ratio(bt.term_f)
-        ratio_g = arc_integral(chart, m, upper=False).ratio(bt.term_g)
+    terms = [bracket_main_term(chart, m) for m in m_list]
+    # the bracket is a closed form: decide which rows get a combined entry
+    # before integrating anything
+    live = []
+    for bt in terms:
         scale = max(bt.term_f.abs_log(), bt.term_g.abs_log())
+        if bt.bracket.abs_log() > math.log(1e-12) + scale:
+            live.append(bt.m)
+        elif raise_on_zero_bracket:
+            raise BracketNearZero(f"bracket vanishes to tolerance at m={bt.m}")
+    upper = _arc_integrals(chart, m_list, upper=True)
+    lower = _arc_integrals(chart, m_list, upper=False)
+    moments = dict(zip(live, _odd_moments(chart, live))) if live else {}
+    rows = []
+    for bt, f, g in zip(terms, upper, lower):
         combined = None
-        if bt.bracket.abs_log() <= math.log(1e-12) + scale:
-            if raise_on_zero_bracket:
-                raise BracketNearZero(f"bracket vanishes to tolerance at m={m}")
-        else:
-            moment = moment_chord(chart, 2 * m - 1)
-            rhs = bt.bracket.shifted(-math.log(2.0 * m))
-            combined = abs(moment.as_logcomplex().ratio(rhs) - 1.0)
-        rows.append(RatioRow(m, abs(ratio_f - 1.0), abs(ratio_g - 1.0), combined))
+        if bt.m in moments:
+            rhs = bt.bracket.shifted(-math.log(2.0 * bt.m))
+            combined = abs(moments[bt.m].ratio(rhs) - 1.0)
+        rows.append(RatioRow(bt.m, abs(f.ratio(bt.term_f) - 1.0),
+                             abs(g.ratio(bt.term_g) - 1.0), combined))
     return rows

@@ -443,19 +443,24 @@ class ChordChart:
     def _bracketed(self, x, upper: bool):
         """theta(x) on one arc, where x(theta) is monotone: Newton steps
         inside a bracket that shrinks about the root, bisecting where a
-        step would leave it (as near the ends, where x' -> 0)."""
+        step would leave it (as near the ends, where x' -> 0).  An entry
+        stops once its iterate repeats or its bracket stops shrinking: where
+        x(t) moves by one ulp over many ulps of t, Newton can cycle between
+        two floats about the root."""
         sign = -1.0 if upper else 1.0  # sign * (x(t) - x) increases in t
         lo = np.full(np.shape(x), 0.0 if upper else math.pi)
         hi, t = lo + math.pi, lo + 0.5 * math.pi
+        width = hi - lo
         for _ in range(100):
             F = sign * (self._x(t) - x)
             lo, hi = np.where(F <= 0.0, t, lo), np.where(F >= 0.0, t, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 new = t + F / (sign * self._rho(t) * np.sin(t))
             new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            if np.array_equal(new, t):
+            done = (new == t) | (hi - lo >= width)
+            if np.all(done):
                 break
-            t = new
+            t, width = np.where(done, t, new), hi - lo
         return t
 
     def theta_upper(self, x):

@@ -1,7 +1,5 @@
 """Complex moments M_n = integral over D of e^{ix} y^n dx dy.
 
-Three integrators on three different node sets:
-
   * chord  — e^{ix} (f^{n+1} - g^{n+1})/(n+1) over the chord chart, by the
              trapezoid rule in tau on [0, pi] with x = mid - half cos(tau)
              and f, g read from the chart.  f^{n+1} - g^{n+1} carries the
@@ -9,16 +7,16 @@ Three integrators on three different node sets:
              is even, periodic and analytic despite the square-root ends.
   * green  — boundary integral -oint e^{ix} y^{n+1}/(n+1) dx by the
              trapezoid rule at theta_j = 2 pi j/N round the support curve.
-  * area   — direct tensor Gauss quadrature over a<=x<=b, g<=y<=f; the
-             reference oracle, up to n = MAX_AREA_ORDER.
+  * area   — tensor Gauss quadrature over a<=x<=b, g<=y<=f (in x, Gauss in
+             chord's tau), up to n = MAX_AREA_ORDER.  It shares chord's node
+             map and chart, so the mpmath closed form for ellipses (tests)
+             is the independent reference.
 
-chord and green share one kernel for all requested orders (periodic
-trapezoid rules converge geometrically; Trefethen & Weideman, SIAM Review
-2014): each level samples every node once, builds sign(v)^p exp(p (ln|v| -
-ln ref)) for all p = n + 1 and takes one matrix product; N doubles, keeping
-the old nodes, until no order moves by more than rel_tol |M| or a rounding
-floor.  The two differ in variable, grid and chart inversion, so their
-agreement is a cross-check.
+trapezoid_sums, one kernel for chord, green and the arc integrals of
+asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
+Weideman, SIAM Review 2014), takes every requested power from one doubling
+grid.  chord and green differ in variable, grid and chart inversion, so
+their agreement is a cross-check.
 """
 
 from __future__ import annotations
@@ -62,16 +60,17 @@ def _result(raw: complex, log_scale: float, n: int, frame_angle: float,
     return MomentResult(lc.mantissa, lc.log_scale, n, frame_angle, method)
 
 
-def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
-                       frame_angle: float, method: str, rel_tol: float) -> list:
-    """M_n for every n in n_list from one doubling trapezoid grid on [0, period).
+def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
+                   rel_tol: float = 1e-10) -> np.ndarray:
+    """Trapezoid integrals of c (v/ref)^p over [0, period) for every p in
+    powers, from one doubling grid.
 
-    ``sample(t)`` returns (c, v) at the nodes t; M_n is the trapezoid sum of
-    c v^{n+1} in units of ref^{n+1}/(n+1).  The rounding floor is 1e-14 of
-    the sum of |c|, which bounds the scaled integrand."""
-    if any(n < 0 for n in n_list):
-        raise ValueError("moment order must be >= 0")
-    ps = np.array(n_list, dtype=float) + 1.0
+    ``sample(t)`` returns (c, v) at the nodes t; each level samples every
+    new node once and takes one matrix product for all powers, with
+    sign(v)^p kept for odd p.  N doubles, keeping the old nodes, until no
+    sum moves by more than rel_tol of itself or the rounding floor, 1e-14
+    of the sum of |c| (which bounds the scaled integrand)."""
+    ps = np.asarray(powers, dtype=float)
     odd = (ps % 2 == 1)[:, None]
 
     def level_sum(t):
@@ -94,10 +93,21 @@ def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
         cur = total * (period / n)
         tol = np.maximum(rel_tol * np.abs(cur), 1e-14 * mass * period / n)
         if np.all(np.abs(cur - prev) <= tol):
-            return [_result(z, (m + 1) * ln_ref - math.log(m + 1), m, frame_angle, method)
-                    for z, m in zip(cur, n_list)]
+            return cur
         prev = cur
-    raise QuadratureNoConvergence(f"{method} moments not stable at {n} trapezoid nodes")
+    raise QuadratureNoConvergence(f"{what} not stable at {n} trapezoid nodes")
+
+
+def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
+                       frame_angle: float, method: str, rel_tol: float) -> list:
+    """M_n for every n in n_list: the trapezoid sum of c v^{n+1} in units
+    of ref^{n+1}/(n+1)."""
+    if any(n < 0 for n in n_list):
+        raise ValueError("moment order must be >= 0")
+    sums = trapezoid_sums(sample, period, [n + 1 for n in n_list], ln_ref,
+                          f"{method} moments", rel_tol)
+    return [_result(z, (n + 1) * ln_ref - math.log(n + 1), n, frame_angle, method)
+            for z, n in zip(sums, n_list)]
 
 
 def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
@@ -142,21 +152,28 @@ def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
 
 @functools.lru_cache(maxsize=8)
 def _area_level(chart: ChordChart, nx: int):
-    """Gauss x-nodes and scaled chart samples of one area level, cached so
-    a sweep's orders share them; callers must not mutate the arrays."""
+    """x-nodes, weights and scaled chart samples of one area level, cached
+    so a sweep's orders share them; callers must not mutate the arrays.
+
+    The nodes are Gauss in tau of chord's cosine map x = mid - half cos(tau),
+    with weights (pi/2) w sin(tau): f - g carries a square-root factor at
+    the chart ends, which Gauss in x resolves only algebraically."""
     from scipy.special import roots_legendre  # the area oracle alone needs scipy
-    tx, wx = roots_legendre(nx)
+    t, w = roots_legendre(nx)
+    tau = 0.5 * math.pi * (1.0 + t)
     ref = max(abs(chart.f_x1), abs(chart.g_x2))
     half = 0.5 * (chart.b - chart.a)
-    x = 0.5 * (chart.a + chart.b) + half * tx
+    x = 0.5 * (chart.a + chart.b) - half * np.cos(tau)
     fv = np.asarray(chart.f(x)) / ref
     gv = np.asarray(chart.g(x)) / ref
+    wx = 0.5 * math.pi * w * np.sin(tau)
     return half, 0.5 * (fv + gv)[:, None], 0.5 * (fv - gv)[:, None], wx * np.exp(1j * x)
 
 
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                 rel_tol: float = 1e-8, max_nodes: int = 4096) -> MomentResult:
-    """Direct 2-D tensor quadrature over the chart strip; reference oracle."""
+    """2-D tensor quadrature over the chart strip: Gauss in y, and Gauss in
+    tau of chord's cosine map in x (see _area_level)."""
     from scipy.special import roots_legendre
     if n < 0:
         raise ValueError("moment order must be >= 0")

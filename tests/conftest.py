@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -53,3 +55,36 @@ def small_fourier_curves(max_harmonic=4, scale=0.2):
 
 def angles():
     return st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+
+
+# --- closed-form ellipse moments, mpmath at 30 digits ---
+
+
+def exact_ellipse_moments(a, b, cx, n_max):
+    """M_n of the ellipse x^2/a^2 + y^2/b^2 <= 1 shifted to (cx, 0):
+    zero for odd n, and for even n
+    e^{i cx} a b^{n+1} 2/(n+1) sqrt(pi) Gamma(n/2 + 3/2) (2/a)^{n/2+1} J_{n/2+1}(a).
+    """
+    with mpmath.workdps(30):
+        a, b, cx = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(cx)
+        out = []
+        for n in range(n_max + 1):
+            if n % 2:
+                out.append(mpmath.mpc(0))
+                continue
+            nu = mpmath.mpf(n) / 2 + 1
+            out.append(mpmath.expj(cx) * a * b ** (n + 1) * 2 / (n + 1)
+                       * mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + mpmath.mpf(1) / 2)
+                       * (2 / a) ** nu * mpmath.besselj(nu, a))
+        return out
+
+
+def worst_exact_gap(results, exact, b):
+    """max over n of |M - M_exact| / max(|M_exact|, b^{n+1}/(n+1))."""
+    with mpmath.workdps(30):
+        worst = mpmath.mpf(0)
+        for r, m in zip(results, exact):
+            got = mpmath.mpc(r.mantissa) * mpmath.exp(r.log_scale)
+            floor = mpmath.mpf(b) ** (r.n + 1) / (r.n + 1)
+            worst = max(worst, abs(got - m) / max(abs(m), floor))
+        return float(worst)

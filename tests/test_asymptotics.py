@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from discwitness import build_curve, chord_chart
+from discwitness import ChordChart, asymptotics, build_curve, chord_chart
 from discwitness.asymptotics import (
     BracketNearZero,
     LaplaceProblem,
+    _odd_moments,
     arc_integral,
     asymptotic_ratio,
     bracket_main_term,
@@ -14,7 +16,11 @@ from discwitness.asymptotics import (
     laplace_leading,
 )
 from discwitness.errors import DegenerateMax, MaxOnBoundary
+from discwitness.logscale import LogComplex, relative_gap
+from discwitness.moments import moment_chord, trapezoid_sums
 from discwitness.quadrature import adaptive_quad
+
+from conftest import exact_ellipse_moments
 
 
 def gaussian_problem(lam=20.0, shift=0.0):
@@ -162,3 +168,101 @@ def test_arc_integral_matches_direct_quadrature(ellipse):
         lambda x: np.exp(1j * x) * np.asarray(ch.f(x)) ** (2 * m),
         ch.a + 1e-9, ch.b - 1e-9, rel_tol=1e-12, seeds=(ch.x1,))
     assert val.value() == pytest.approx(direct, rel=1e-8)
+
+
+# --- the batched arc grid ---
+
+
+TILTED_FLAT = {"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]}
+
+
+def _exact_odd_moment(a, b, cx, cy, n, centred):
+    """M_n of the axis-aligned ellipse centred at (cx, cy), from the moments
+    M0_k of the one centred at (cx, 0): sum over even k of
+    C(n, k) cy^{n-k} M0_k, every term of one sign for cy > 0 and a < 3.8."""
+    with mpmath.workdps(30):
+        return sum(mpmath.binomial(n, k) * mpmath.mpf(cy) ** (n - k) * centred[k]
+                   for k in range(0, n + 1, 2))
+
+
+@pytest.mark.parametrize("a,b,cx,cy,rot", [(1.6, 1.0, 0.1, 0.3, 0.0),
+                                           (2.0, 1.0, -0.2, 0.25, 0.7)])
+def test_odd_moments_from_the_arc_grid(a, b, cx, cy, rot):
+    # read in frame = rot the ellipse is axis-aligned and centred at (cx, cy)
+    c, s = math.cos(rot), math.sin(rot)
+    curve = build_curve({"type": "ellipse", "a": a, "b": b, "rotation": rot,
+                         "center": [c * cx - s * cy, s * cx + c * cy]})
+    ch = chord_chart(curve, rot)
+    m_list = [50, 100, 200]
+    centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
+    for m, got in zip(m_list, _odd_moments(ch, m_list)):
+        chord = moment_chord(ch, 2 * m - 1).as_logcomplex()
+        assert relative_gap(got, chord) <= 1e-10
+        exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
+        with mpmath.workdps(30):
+            value = mpmath.mpc(got.mantissa) * mpmath.exp(got.log_scale)
+            assert float(abs(value - exact) / abs(exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+def test_arc_integral_masks_the_wrong_sign_points(upper):
+    """Tilted 100:1 ellipse: each arc dips across y = 0, and its wrong-sign
+    points outweigh the peak (unmasked, the lower arc's ratio at m = 2000
+    is ~2e25 instead of 7.3e-3).  Reference: adaptive Gauss in theta with
+    the same mask."""
+    ch = chord_chart(build_curve(TILTED_FLAT), 0.3)
+    m = 2000
+    lo, peak, sgn = (0.0, ch.f_x1, 1.0) if upper else (math.pi, ch.g_x2, -1.0)
+    ln_peak = math.log(abs(peak))
+
+    def integrand(t):
+        v = sgn * ch._y(t)
+        with np.errstate(divide="ignore"):
+            expo = 2.0 * m * (np.log(np.where(v > 0, v, 1.0)) - ln_peak)
+        weight = np.where(v > 0, np.exp(expo), 0.0) * ch._rho(t) * np.abs(np.sin(t))
+        return np.exp(1j * ch._x(t)) * weight
+
+    ref, _ = adaptive_quad(integrand, lo, lo + math.pi, rel_tol=1e-12,
+                           abs_tol=1e-16, seeds=(lo + 0.5 * math.pi,))
+    got = arc_integral(ch, m, upper)
+    assert got.ratio(LogComplex(complex(ref), 2.0 * m * ln_peak)) == pytest.approx(
+        1.0, abs=1e-8)
+    term = bracket_main_term(ch, m)
+    assert abs(got.ratio(term.term_f if upper else term.term_g) - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("m_list", [[50], [50, 100, 200],
+                                    [10, 20, 50, 100, 200, 400]])
+def test_ratio_table_from_three_grids(asymmetric, m_list, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return trapezoid_sums(*args, **kwargs)
+
+    def no_inversion(self, x, upper):
+        raise AssertionError("asymptotic_ratio inverted the chart")
+
+    monkeypatch.setattr(asymptotics, "trapezoid_sums", counted)
+    monkeypatch.setattr(ChordChart, "_invert", no_inversion)
+    rows = asymptotic_ratio(asymmetric, 0.3, m_list)
+    assert [r.m for r in rows] == m_list
+    assert all(r.combined_abs_err is not None for r in rows)
+    assert len(calls) <= 3
+
+
+def test_flat_ellipse_arcs_match_closed_form():
+    """On the 20 x 0.2 ellipse the peak spans ~1e-4 of the normal angle at
+    m = 2000; the arc is int e^{ix} (b^2 (1 - x^2/a^2))^m dx
+    = b^{2m} a sqrt(pi) Gamma(m+1) (2/a)^{m+1/2} J_{m+1/2}(a)."""
+    a, b = 20.0, 0.2
+    ch = chord_chart(build_curve({"type": "ellipse", "a": a, "b": b}))
+    for m in (200, 2000):
+        with mpmath.workdps(30):
+            scaled = (a * mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1)
+                      * (2 / mpmath.mpf(a)) ** (m + mpmath.mpf(1) / 2)
+                      * mpmath.besselj(m + mpmath.mpf(1) / 2, a))
+        exact = LogComplex(complex(scaled), 2.0 * m * math.log(b))
+        for upper in (True, False):
+            assert arc_integral(ch, m, upper).ratio(exact) == pytest.approx(
+                1.0, abs=1e-9)

@@ -181,6 +181,26 @@ class TestChordChart:
             assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13
             assert np.max(np.abs(theta - ref)) <= 1e-12
 
+    def test_bracketed_inversion_stops_when_newton_cycles(self):
+        """On the 20 x 0.2 ellipse's lower arc at x = a + 1e-3, x(theta)
+        moves by one ulp over ~1e-12 in theta and Newton steps alternate
+        between two floats about the root; the solver stops there instead
+        of running its 100 steps."""
+        ch = chord_chart(build_curve(INVERSION_SHAPES["ellipse_20x0.2"]))
+        calls = []
+        x_of = ch._x
+
+        def counted(t):
+            calls.append(1)
+            return x_of(t)
+
+        ch._x = counted
+        theta = ch._bracketed(np.array([ch.a + 1e-3]), upper=False)
+        assert len(calls) <= 25
+        # frozen: the value the 100-step loop returned
+        assert theta[0] == pytest.approx(3.92700956753443, abs=1e-12)
+        assert abs(x_of(theta[0]) - (ch.a + 1e-3)) <= 1e-13 * abs(ch.a)
+
     def test_chart_needs_origin_inside(self):
         far = build_curve({"type": "circle", "center": [5, 0], "radius": 1})
         with pytest.raises(MalformedSpec):
