@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BracketNearZero, DegenerateMax, MaxOnBoundary
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
-from .moments import trapezoid_sums
+from .moments import _green_moments, trapezoid_sums
 from .quadrature import golden_section_max
 
 BOUNDARY_MARGIN = 1e-9
@@ -104,23 +104,28 @@ def bracket_main_term(chart: ChordChart, m: int) -> BracketTerm:
     return BracketTerm(m, term_f, term_g, term_f - term_g)
 
 
-def _arc_sample(chart: ChordChart, upper: bool, masked: bool):
+def _packing(chart: ChordChart, upper: bool) -> float:
+    """min(1, sqrt(|y y''|)) = min(1, sqrt(|y| / rho)) at the arc's peak:
+    the factor by which node maps in the normal angle pack nodes about its
+    peak normal (1 on a unit circle)."""
+    y, ypp = (chart.f_x1, chart.f_pp_x1) if upper else (chart.g_x2, chart.g_pp_x2)
+    return min(1.0, math.sqrt(abs(y * ypp)))
+
+
+def _arc_sample(chart: ChordChart, upper: bool):
     """(c, y) at tau in [0, pi) on one arc, [0, pi] (upper) or [pi, 2pi]
-    (lower) in the normal angle, with c = e^{ix} rho sin(theta) dtheta/dtau:
-    as dx = -rho sin(theta) dtheta, the integral of c f^p is that of
-    e^{ix} f^p dx, and of c g^p minus that of e^{ix} g^p dx.  Masked, the
-    wrong-sign points (y <= 0 upper, y >= 0 lower) drop out and c takes
-    the arc's sign.
+    (lower) in the normal angle, with c = e^{ix} rho |sin(theta)|
+    dtheta/dtau, so that the integral of c y^p is that of e^{ix} y^p dx
+    over the arc (dx = -rho sin(theta) dtheta).  The wrong-sign points
+    (y <= 0 upper, y >= 0 lower) are masked out.
 
     theta = lo + pi/2 - atan2(k sin z, cos z), z = (pi/2) cos tau, is the
     cosine map lo + (pi/2)(1 - cos tau) at k = 1; smaller k packs nodes
-    about the peak normal by 1/k.  k = sqrt(|y| / rho) of the narrower
-    peak (1 on a unit circle), so flat shapes cost no more nodes; one k
-    serves both arcs, so that their end errors cancel in the moments.
+    about the peak normal by 1/k.  k is the arc's own _packing, so flat
+    arcs cost no more nodes than round ones.
     """
     lo, sgn = (0.0, 1.0) if upper else (math.pi, -1.0)
-    k = min(1.0, math.sqrt(abs(chart.f_x1 * chart.f_pp_x1)),
-            math.sqrt(abs(chart.g_x2 * chart.g_pp_x2)))
+    k = _packing(chart, upper)
 
     def sample(tau):
         z = 0.5 * math.pi * np.cos(tau)
@@ -131,8 +136,6 @@ def _arc_sample(chart: ChordChart, upper: bool, masked: bool):
         ct, st = np.cos(theta), np.sin(theta)
         c = np.exp(1j * (h * ct - h1 * st)) * chart._rho(theta) * st * dtheta
         y = h * st + h1 * ct
-        if not masked:
-            return c, y
         keep = sgn * y > 0.0
         return np.where(keep, sgn * c, 0.0), np.where(keep, y, 0.0)
 
@@ -143,7 +146,7 @@ def _arc_integrals(chart: ChordChart, m_list, upper: bool,
                    rel_tol: float = 1e-10) -> list:
     """arc_integral for every m in m_list from one trapezoid grid."""
     ln_peak = math.log(abs(chart.f_x1 if upper else chart.g_x2))
-    sums = trapezoid_sums(_arc_sample(chart, upper, masked=True), math.pi,
+    sums = trapezoid_sums(_arc_sample(chart, upper), math.pi,
                           [2 * m for m in m_list], ln_peak, "arc integrals", rel_tol)
     return [LogComplex(complex(z), 2.0 * m * ln_peak).normalized()
             for z, m in zip(sums, m_list)]
@@ -164,22 +167,6 @@ def arc_integral(chart: ChordChart, m: int, upper: bool, *,
     return _arc_integrals(chart, [m], upper, rel_tol)[0]
 
 
-def _odd_moments(chart: ChordChart, m_list) -> list:
-    """M_{2m-1} = int e^{ix} (f^{2m} - g^{2m}) / (2m) dx for every m, from
-    both arcs' nodes unmasked."""
-    upper, lower = (_arc_sample(chart, up, masked=False) for up in (True, False))
-
-    def sample(tau):
-        (cu, yu), (cl, yl) = upper(tau), lower(tau)
-        return np.concatenate([cu, cl]), np.concatenate([yu, yl])
-
-    ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
-    sums = trapezoid_sums(sample, math.pi, [2 * m for m in m_list], ln_ref,
-                          "odd moments")
-    return [LogComplex(complex(z), 2.0 * m * ln_ref - math.log(2.0 * m)).normalized()
-            for z, m in zip(sums, m_list)]
-
-
 @dataclass(frozen=True)
 class RatioRow:
     m: int
@@ -195,8 +182,9 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     The combined entry compares the moment of order n = 2m-1 (which
     carries its 1/(2m) factor) against bracket/(2m), so both sides share
     the reduction factor; rows whose closed-form bracket is near zero get
-    None.  Every m comes from at most three trapezoid grids in the normal
-    angle: one per arc, and one over both arcs for the moments.
+    None.  Every m comes from at most three trapezoid grids: one per arc
+    in the normal angle, and green's round the curve for the moments, its
+    nodes packed about both peak normals by the narrower peak's width.
     """
     m_list = list(m_list)
     if any(m < 10 for m in m_list):
@@ -216,7 +204,11 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
             raise BracketNearZero(f"bracket vanishes to tolerance at m={bt.m}")
     upper = _arc_integrals(chart, m_list, upper=True)
     lower = _arc_integrals(chart, m_list, upper=False)
-    moments = dict(zip(live, _odd_moments(chart, live))) if live else {}
+    moments = {}
+    if live:
+        k = min(_packing(chart, True), _packing(chart, False))
+        odd = _green_moments(curve, [2 * m - 1 for m in live], frame_angle, k=k)
+        moments = {m: r.as_logcomplex() for m, r in zip(live, odd)}
     rows = []
     for bt, f, g in zip(terms, upper, lower):
         combined = None

@@ -4,11 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from discwitness import ChordChart, asymptotics, build_curve, chord_chart
+from discwitness import ChordChart, asymptotics, build_curve, chord_chart, moments
 from discwitness.asymptotics import (
     BracketNearZero,
     LaplaceProblem,
-    _odd_moments,
     arc_integral,
     asymptotic_ratio,
     bracket_main_term,
@@ -17,7 +16,7 @@ from discwitness.asymptotics import (
 )
 from discwitness.errors import DegenerateMax, MaxOnBoundary
 from discwitness.logscale import LogComplex, relative_gap
-from discwitness.moments import moment_chord, trapezoid_sums
+from discwitness.moments import _green_moments, moment_chord, trapezoid_sums
 from discwitness.quadrature import adaptive_quad
 
 from conftest import exact_ellipse_moments
@@ -185,9 +184,12 @@ def _exact_odd_moment(a, b, cx, cy, n, centred):
                    for k in range(0, n + 1, 2))
 
 
+@pytest.mark.parametrize("k", [1.0, 0.4], ids=["uniform", "packed"])
 @pytest.mark.parametrize("a,b,cx,cy,rot", [(1.6, 1.0, 0.1, 0.3, 0.0),
                                            (2.0, 1.0, -0.2, 0.25, 0.7)])
-def test_odd_moments_from_the_arc_grid(a, b, cx, cy, rot):
+def test_odd_moments_from_green(a, b, cx, cy, rot, k):
+    """The combined column of asymptotic_ratio: green's M_{2m-1}, on its
+    uniform grid and with nodes packed about the peak normals."""
     # read in frame = rot the ellipse is axis-aligned and centred at (cx, cy)
     c, s = math.cos(rot), math.sin(rot)
     curve = build_curve({"type": "ellipse", "a": a, "b": b, "rotation": rot,
@@ -195,7 +197,9 @@ def test_odd_moments_from_the_arc_grid(a, b, cx, cy, rot):
     ch = chord_chart(curve, rot)
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
-    for m, got in zip(m_list, _odd_moments(ch, m_list)):
+    odd = _green_moments(curve, [2 * m - 1 for m in m_list], rot, k=k)
+    for m, res in zip(m_list, odd):
+        got = res.as_logcomplex()
         chord = moment_chord(ch, 2 * m - 1).as_logcomplex()
         assert relative_gap(got, chord) <= 1e-10
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
@@ -244,6 +248,7 @@ def test_ratio_table_from_three_grids(asymmetric, m_list, monkeypatch):
         raise AssertionError("asymptotic_ratio inverted the chart")
 
     monkeypatch.setattr(asymptotics, "trapezoid_sums", counted)
+    monkeypatch.setattr(moments, "trapezoid_sums", counted)
     monkeypatch.setattr(ChordChart, "_invert", no_inversion)
     rows = asymptotic_ratio(asymmetric, 0.3, m_list)
     assert [r.m for r in rows] == m_list
@@ -266,3 +271,42 @@ def test_flat_ellipse_arcs_match_closed_form():
         for upper in (True, False):
             assert arc_integral(ch, m, upper).ratio(exact) == pytest.approx(
                 1.0, abs=1e-9)
+
+
+def test_flat_combined_column_matches_chord():
+    """On the 20 x 0.2 ellipse centred at (0, 0.05) the y^{4000} peaks span
+    ~1e-4 of the normal angle; green's uniform grid does not resolve them
+    in 65536 nodes, its packed grid does.  Reference: moment_chord."""
+    curve = build_curve({"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]})
+    ch = chord_chart(curve)
+    for row in asymptotic_ratio(curve, 0.0, [200, 2000]):
+        rhs = bracket_main_term(ch, row.m).bracket.shifted(-math.log(2.0 * row.m))
+        chord = moment_chord(ch, 2 * row.m - 1).as_logcomplex()
+        assert row.combined_abs_err == pytest.approx(abs(chord.ratio(rhs) - 1.0),
+                                                     abs=1e-9)
+
+
+@pytest.mark.parametrize("eps,upper", [(1e-14, True), (1e-4, False)],
+                         ids=["upper", "lower"])
+def test_each_arc_grid_fits_its_own_peak(eps, upper):
+    """Origin eps above the bottom of a unit circle: the lower arc's peak
+    is ~sqrt(eps) of the normal angle wide and the upper arc's is broad.
+    Each arc packs its nodes for its own peak only, so the narrow lower
+    peak does not starve the upper arc's ends.  Reference: the masked arc
+    int cos(x) (y/y_peak)^{2m} dx, y = cy +- sqrt(1 - x^2), by mpmath.
+    (Much smaller eps leaves the lower arc ill-conditioned: its y is known
+    to ~1e-16 absolute, so y^{2m} to ~2m 1e-16 / eps relative.)"""
+    cy = 1.0 - eps
+    ch = chord_chart(build_curve({"type": "circle", "radius": 1, "center": [0, cy]}))
+    sgn = 1 if upper else -1
+    with mpmath.workdps(30):
+        cy_mp = mpmath.mpf(cy)
+        peak = cy_mp + sgn
+        end = 1 if upper else mpmath.sqrt(1 - cy_mp ** 2)
+    for m in (10, 200):
+        with mpmath.workdps(30):
+            scaled = mpmath.quad(
+                lambda x: mpmath.cos(x) * ((cy_mp + sgn * mpmath.sqrt(1 - x * x)) / peak)
+                ** (2 * m), [-end, -end / 2, 0, end / 2, end])
+        exact = LogComplex(complex(scaled), 2.0 * m * math.log(abs(float(peak))))
+        assert arc_integral(ch, m, upper).ratio(exact) == pytest.approx(1.0, abs=1e-9)
