@@ -5,15 +5,12 @@ argument, and shape optimization toward the disc."""
 
 from .errors import (
     BracketNearZero,
-    DegenerateMax,
     DiscSearchFailed,
     DiscWitnessError,
     Infeasible,
     MalformedSpec,
-    MaxOnBoundary,
     NoFeasibleStart,
     NotStrictlyConvex,
-    OrderTooLarge,
     QuadratureNoConvergence,
 )
 from .geometry import (

@@ -1,79 +1,25 @@
-"""Laplace leading-term machinery and the chord main-term bracket.
+"""Laplace peak terms of the chord chart, the main-term bracket, and
+convergence tables of the true arc integrals against them.
 
-For a phase with a unique non-degenerate interior maximum xi the leading
-term of int phi e^{lam S} is (2 pi / (lam |S''(xi)|))^{1/2} phi(xi)
-e^{lam S(xi)}.  Applied to S = ln|f| on a chord chart with lam = 2m = n+1
-this yields the two peak contributions whose difference (the bracket) must
-vanish when the moments do.
+At a non-degenerate interior maximum y_peak of an arc y(x) the leading
+term of int e^{ix} y^{2m} dx is e^{ix_peak} (pi |y_peak| / (m |y''_peak|))^{1/2}
+y_peak^{2m}.  The chart's extrema are closed forms at the normal angles
+pi/2 and 3pi/2, so the two peak terms, and the bracket (their difference)
+that must vanish when the moments do, need no search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import BracketNearZero, DegenerateMax, MaxOnBoundary
+from .errors import BracketNearZero
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
-from .moments import _green_moments, trapezoid_sums
-from .quadrature import golden_section_max
-
-BOUNDARY_MARGIN = 1e-9
-DEGENERATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LaplaceProblem:
-    """int_a^b phi(x) e^{lam S(x)} dx with an interior phase peak."""
-
-    phi: Callable
-    S: Callable
-    dS: Callable
-    d2S: Callable
-    lam: float
-    a: float
-    b: float
-
-
-def find_interior_max(S, dS, d2S, a: float, b: float):
-    """Locate the unique interior maximum of S on [a, b].
-
-    Golden-section bracketing, then Newton on dS.  Returns
-    (xi, S(xi), S''(xi)).
-    """
-    xi = golden_section_max(S, a, b, tol=1e-12 * (b - a))
-    for _ in range(60):
-        d2 = float(d2S(xi))
-        if d2 == 0.0:
-            break
-        step = float(dS(xi)) / d2
-        xi_new = min(max(xi - step, a), b)
-        if abs(xi_new - xi) < 1e-15 * max(1.0, abs(xi)):
-            xi = xi_new
-            break
-        xi = xi_new
-    if min(xi - a, b - xi) <= BOUNDARY_MARGIN * (b - a):
-        raise MaxOnBoundary(f"phase maximum at xi={xi:.12g} sits on the boundary")
-    d2 = float(d2S(xi))
-    if abs(d2) <= DEGENERATE_TOL:
-        raise DegenerateMax(f"|S''(xi)| = {abs(d2):.3g} at xi={xi:.12g}")
-    if d2 > 0.0:
-        raise DegenerateMax(f"S''(xi) = {d2:.3g} > 0 at xi={xi:.12g}: not a maximum")
-    scale = max(1.0, abs(d2) * (b - a))
-    if abs(float(dS(xi))) > 1e-12 * scale:
-        raise DegenerateMax("Newton polish on S' did not converge")
-    return xi, float(S(xi)), d2
-
-
-def laplace_leading(problem: LaplaceProblem) -> LogComplex:
-    """Closed-form leading term; no integration performed."""
-    xi, s_xi, d2 = find_interior_max(problem.S, problem.dS, problem.d2S,
-                                     problem.a, problem.b)
-    amp = math.sqrt(2.0 * math.pi / (problem.lam * abs(d2))) * complex(problem.phi(xi))
-    return LogComplex(amp, problem.lam * s_xi).normalized()
+from .moments import _green_moments, peak_packing, trapezoid_sums
 
 
 @dataclass(frozen=True)
@@ -105,11 +51,10 @@ def bracket_main_term(chart: ChordChart, m: int) -> BracketTerm:
 
 
 def _packing(chart: ChordChart, upper: bool) -> float:
-    """min(1, sqrt(|y y''|)) = min(1, sqrt(|y| / rho)) at the arc's peak:
-    the factor by which node maps in the normal angle pack nodes about its
-    peak normal (1 on a unit circle)."""
-    y, ypp = (chart.f_x1, chart.f_pp_x1) if upper else (chart.g_x2, chart.g_pp_x2)
-    return min(1.0, math.sqrt(abs(y * ypp)))
+    """peak_packing at the arc's peak."""
+    if upper:
+        return peak_packing(chart.f_x1, chart.f_pp_x1)
+    return peak_packing(chart.g_x2, chart.g_pp_x2)
 
 
 def _arc_sample(chart: ChordChart, upper: bool):
@@ -175,6 +120,13 @@ class RatioRow:
     combined_abs_err: Optional[float]  # None when the bracket is near zero
 
 
+def check_m_list(m_list) -> None:
+    if any(m < 10 for m in m_list):
+        raise ValueError("m entries must be >= 10")
+    if sorted(m_list) != m_list:
+        raise ValueError("m_list must be ascending")
+
+
 def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
                      *, raise_on_zero_bracket: bool = False) -> list:
     """Per-arc and combined ratios of true integrals to their leading terms.
@@ -187,10 +139,7 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     nodes packed about both peak normals by the narrower peak's width.
     """
     m_list = list(m_list)
-    if any(m < 10 for m in m_list):
-        raise ValueError("m entries must be >= 10")
-    if sorted(m_list) != m_list:
-        raise ValueError("m_list must be ascending")
+    check_m_list(m_list)
     chart = chord_chart(curve, frame_angle)
     terms = [bracket_main_term(chart, m) for m in m_list]
     # the bracket is a closed form: decide which rows get a combined entry
@@ -206,8 +155,7 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     lower = _arc_integrals(chart, m_list, upper=False)
     moments = {}
     if live:
-        k = min(_packing(chart, True), _packing(chart, False))
-        odd = _green_moments(curve, [2 * m - 1 for m in live], frame_angle, k=k)
+        odd = _green_moments(curve, [2 * m - 1 for m in live], frame_angle)
         moments = {m: r.as_logcomplex() for m, r in zip(live, odd)}
     rows = []
     for bt, f, g in zip(terms, upper, lower):

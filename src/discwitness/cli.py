@@ -23,10 +23,10 @@ import sys
 import tempfile
 
 from . import characterize, shapeopt
-from .asymptotics import asymptotic_ratio
+from .asymptotics import asymptotic_ratio, check_m_list
 from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import build_curve, chord_chart
-from .moments import moment_sweep
+from .moments import METHODS, check_orders, moment_sweep
 
 VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
 
@@ -110,8 +110,8 @@ def cmd_moments(args):
     frame = math.radians(args.frame_deg)
     n_list = args.n_list or list(range(args.n_max + 1))
     rows = []
-    for method in args.methods.split(","):
-        for r in moment_sweep(curve, n_list, frame, method.strip()):
+    for method in args.methods:
+        for r in moment_sweep(curve, n_list, frame, method):
             lc = r.as_logcomplex()
             val = lc.value()
             rows.append((r.n, args.frame_deg, r.method, val.real, val.imag,
@@ -125,8 +125,7 @@ def cmd_moments(args):
 def cmd_asymptotics(args):
     curve = _load_curve(args)
     frame = math.radians(args.frame_deg)
-    m_list = [int(v) for v in args.m_list.split(",")]
-    rows = asymptotic_ratio(curve, frame, m_list)
+    rows = asymptotic_ratio(curve, frame, args.m_list)
     _emit(args.out, _csv(
         [(r.m, r.ratio_f_abs_err, r.ratio_g_abs_err, r.combined_abs_err)
          for r in rows],
@@ -220,6 +219,28 @@ def cmd_report(args):
     return 0
 
 
+def _int_list(check):
+    """argparse type: comma-separated integers that pass check, a library
+    validator raising ValueError."""
+    def parse(text):
+        try:
+            values = [int(v) for v in text.split(",")]
+            check(values)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return values
+    return parse
+
+
+def _methods(text):
+    names = [v.strip() for v in text.split(",")]
+    unknown = [v for v in names if v not in METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {unknown[0]!r}; choose from {', '.join(METHODS)}")
+    return names
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
@@ -253,13 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("moments", "moment sweep, CSV", cmd_moments, "--frame-deg")
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--n-list", type=lambda s: [int(v) for v in s.split(",")],
-                   default=None)
-    p.add_argument("--methods", default="chord,green,area")
+    p.add_argument("--n-list", type=_int_list(check_orders), default=None)
+    p.add_argument("--methods", type=_methods, default=",".join(METHODS))
 
     p = add("asymptotics", "Laplace ratio table, CSV", cmd_asymptotics,
             "--frame-deg")
-    p.add_argument("--m-list", default="50,100,200")
+    p.add_argument("--m-list", type=_int_list(check_m_list), default="50,100,200")
 
     add("inscribed", "maximal inscribed disc", cmd_inscribed)
     add("identities", "differential identity residuals", cmd_identities,
@@ -284,6 +304,8 @@ def main(argv=None) -> int:
         parser.exit(2, "tol must be positive\n")
     if getattr(args, "samples", 16) < 16:
         parser.exit(2, "samples must be >= 16\n")
+    if getattr(args, "n_max", 0) < 0:
+        parser.error("n-max must be >= 0")
     try:
         return args.func(args)
     except DiscWitnessError as exc:

@@ -30,18 +30,6 @@ class DiscSearchFailed(DiscWitnessError):
     """The inscribed-disc LP failed or its Newton steps did not converge."""
 
 
-class OrderTooLarge(DiscWitnessError):
-    """Moment order exceeds the accuracy budget of the 2D quadrature."""
-
-
-class MaxOnBoundary(DiscWitnessError):
-    """Phase maximum sits on the interval boundary; the leading-term formula does not apply."""
-
-
-class DegenerateMax(DiscWitnessError):
-    """Second derivative at the phase maximum is numerically zero."""
-
-
 class BracketNearZero(DiscWitnessError):
     """Main-term bracket vanishes to tolerance; the combined ratio is undefined."""
 

@@ -6,13 +6,18 @@
              factor sqrt((x-a)(b-x)) = half sin(tau), so the tau-integrand
              is even, periodic and analytic despite the square-root ends.
   * green  — boundary integral -oint e^{ix} y^{n+1}/(n+1) dx by the
-             trapezoid rule at theta_j = 2 pi j/N round the support curve.
-  * area   — tensor Gauss quadrature over a<=x<=b, g<=y<=f (in x, Gauss in
-             chord's tau), up to n = MAX_AREA_ORDER.  It shares chord's node
-             map and chart, so the mpmath closed form for ellipses (tests)
-             is the independent reference.
+             trapezoid rule round the support curve, its nodes packed about
+             the peak normals by the narrower peak's width.
+  * area   — the horizontal-chord reduction: integrating e^{ix} over the
+             chord a(y) <= x <= b(y) first leaves y^n psi(y) dy, with
+             psi = -i (e^{ib} - e^{ia}) = 2 e^{i(a+b)/2} sin((b-a)/2).  a and
+             b are -f and -g of the chart rotated by pi/2 (its x is this
+             frame's y), and psi has chord's square-root end factor, so it
+             takes chord's cosine map on that chart.  It shares
+             ChordChart._invert with chord, so the mpmath closed form for
+             ellipses (tests) is the independent reference.
 
-trapezoid_sums, one kernel for chord, green and the arc integrals of
+trapezoid_sums, one kernel for all three and the arc integrals of
 asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
 Weideman, SIAM Review 2014), takes every requested power from one doubling
 grid.  chord and green differ in variable, grid and chart inversion, so
@@ -21,17 +26,16 @@ their agreement is a cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooLarge, QuadratureNoConvergence
+from .errors import QuadratureNoConvergence
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
 
-MAX_AREA_ORDER = 80
+METHODS = ("chord", "green", "area")
 _MAX_TRAPEZOID_NODES = 1 << 16
 _NODE_BLOCK = 512
 
@@ -60,6 +64,11 @@ def _result(raw: complex, log_scale: float, n: int, frame_angle: float,
     return MomentResult(lc.mantissa, lc.log_scale, n, frame_angle, method)
 
 
+def check_orders(n_list) -> None:
+    if any(n < 0 for n in n_list):
+        raise ValueError("moment order must be >= 0")
+
+
 def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
                    rel_tol: float = 1e-10) -> np.ndarray:
     """Trapezoid integrals of c (v/ref)^p over [0, period) for every p in
@@ -72,6 +81,7 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
     of the sum of |c| (which bounds the scaled integrand)."""
     ps = np.asarray(powers, dtype=float)
     odd = (ps % 2 == 1)[:, None]
+    flat = ps == 0  # v^0 = 1, also at v = 0
 
     def level_sum(t):
         c, v = sample(t)
@@ -79,8 +89,9 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
         s = np.zeros((len(ps), 2))
         for i in range(0, len(v), _NODE_BLOCK):  # bounds the power matrix
             vb = v[i:i + _NODE_BLOCK]
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 pw = np.exp(np.multiply.outer(ps, np.log(np.abs(vb)) - ln_ref))
+            pw[flat] = 1.0
             s += np.where(odd, np.sign(vb) * pw, pw) @ cs[i:i + _NODE_BLOCK]
         return s[:, 0] + 1j * s[:, 1], np.sum(np.abs(c))
 
@@ -99,14 +110,16 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
 
 
 def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
-                       frame_angle: float, method: str, rel_tol: float) -> list:
-    """M_n for every n in n_list: the trapezoid sum of c v^{n+1} in units
-    of ref^{n+1}/(n+1)."""
-    if any(n < 0 for n in n_list):
-        raise ValueError("moment order must be >= 0")
-    sums = trapezoid_sums(sample, period, [n + 1 for n in n_list], ln_ref,
+                       frame_angle: float, method: str, rel_tol: float,
+                       lift: int = 1) -> list:
+    """M_n for every n in n_list: the trapezoid sum of c v^{n+lift} in units
+    of ref^{n+lift}/(n+1)^lift.  lift = 1 where the integrand is the
+    y-antiderivative (chord, green), 0 where it is y^n itself (area)."""
+    check_orders(n_list)
+    sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
                           f"{method} moments", rel_tol)
-    return [_result(z, (n + 1) * ln_ref - math.log(n + 1), n, frame_angle, method)
+    return [_result(z, (n + lift) * ln_ref - lift * math.log(n + 1), n,
+                    frame_angle, method)
             for z, n in zip(sums, n_list)]
 
 
@@ -123,20 +136,46 @@ def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
                               "chord", rel_tol)
 
 
+def _area_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
+                  rel_tol: float = 1e-10) -> list:
+    """M_n = int y^n psi(y) dy on chord's cosine map y = mid - half cos(tau)
+    of the chart turned by pi/2, whose x is y and whose -f, -g are the
+    ends a, b of the chord at height y."""
+    turned = chord_chart(curve, frame_angle + 0.5 * math.pi)
+    mid, half = 0.5 * (turned.a + turned.b), 0.5 * (turned.b - turned.a)
+
+    def sample(tau):
+        y = mid - half * np.cos(tau)
+        psi = -1j * (np.exp(-1j * turned.g(y)) - np.exp(-1j * turned.f(y)))
+        return psi * (half * np.sin(tau)), y
+
+    ln_ref = math.log(max(-turned.a, turned.b))
+    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, frame_angle,
+                              "area", rel_tol, lift=0)
+
+
+def peak_packing(y: float, ypp: float) -> float:
+    """min(1, sqrt(|y y''|)) = min(1, sqrt(|y| / rho)) at a peak of the
+    height y over the normal angle: the factor by which node maps in the
+    normal angle pack nodes about the peak normal (1 on a unit circle)."""
+    return min(1.0, math.sqrt(abs(y * ypp)))
+
+
 def _green_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                   rel_tol: float = 1e-10, k: float = 1.0) -> list:
-    """k < 1 packs the nodes about the peak normals t = pi/2, 3pi/2 by 1/k:
-    t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, as periodic and
-    analytic as the uniform one.  With k ~ sqrt(y_peak / rho_peak) flat
-    shapes cost no more than round ones (asymptotics reads orders in the
-    thousands); the uniform grid is k = 1."""
+                   rel_tol: float = 1e-10) -> list:
+    """Nodes t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, packed
+    about the peak normals t = pi/2, 3pi/2 by 1/k, k the peak_packing of
+    the narrower peak: as periodic and analytic as the uniform grid (k = 1),
+    and flat shapes cost no more nodes than round ones."""
+    top, bottom = 0.5 * math.pi + frame_angle, 1.5 * math.pi + frame_angle
+    h_top, h_bottom = float(curve.h(top)), float(curve.h(bottom))
+    k = min(peak_packing(h_top, 1.0 / float(curve.rho(top))),
+            peak_packing(h_bottom, 1.0 / float(curve.rho(bottom))))
 
     def sample(s):
-        t, dt = s, 1.0
-        if k < 1.0:
-            cs, ss = np.cos(s), np.sin(s)
-            t = 0.5 * math.pi + np.arctan2(k * ss, cs)
-            dt = k / (cs * cs + (k * ss) ** 2)
+        cs, ss = np.cos(s), np.sin(s)
+        t = 0.5 * math.pi + np.arctan2(k * ss, cs)
+        dt = k / (cs * cs + (k * ss) ** 2)
         th = t + frame_angle
         hv, h1v = curve.h(th), curve.h1(th)
         x = hv * np.cos(t) - h1v * np.sin(t)
@@ -144,8 +183,7 @@ def _green_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
         # dx = -rho sin(t) dt; M_n = -oint e^{ix} y^{n+1}/(n+1) dx (ccw)
         return np.exp(1j * x) * curve.rho(th) * np.sin(t) * dt, y
 
-    ln_ref = math.log(max(float(curve.h(math.pi / 2.0 + frame_angle)),
-                          float(curve.h(3.0 * math.pi / 2.0 + frame_angle))))
+    ln_ref = math.log(max(h_top, h_bottom))
     return _trapezoid_moments(sample, 2.0 * math.pi, n_list, ln_ref, frame_angle,
                               "green", rel_tol)
 
@@ -161,80 +199,20 @@ def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
     return _green_moments(curve, [n], frame_angle, rel_tol)[0]
 
 
-@functools.lru_cache(maxsize=8)
-def _area_level(chart: ChordChart, nx: int):
-    """x-nodes, weights and scaled chart samples of one area level, cached
-    so a sweep's orders share them; callers must not mutate the arrays.
-
-    The nodes are Gauss in tau of chord's cosine map x = mid - half cos(tau),
-    with weights (pi/2) w sin(tau): f - g carries a square-root factor at
-    the chart ends, which Gauss in x resolves only algebraically."""
-    from scipy.special import roots_legendre  # the area oracle alone needs scipy
-    t, w = roots_legendre(nx)
-    tau = 0.5 * math.pi * (1.0 + t)
-    ref = max(abs(chart.f_x1), abs(chart.g_x2))
-    half = 0.5 * (chart.b - chart.a)
-    x = 0.5 * (chart.a + chart.b) - half * np.cos(tau)
-    fv = np.asarray(chart.f(x)) / ref
-    gv = np.asarray(chart.g(x)) / ref
-    wx = 0.5 * math.pi * w * np.sin(tau)
-    return half, 0.5 * (fv + gv)[:, None], 0.5 * (fv - gv)[:, None], wx * np.exp(1j * x)
-
-
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
-                rel_tol: float = 1e-8, max_nodes: int = 4096) -> MomentResult:
-    """2-D tensor quadrature over the chart strip: Gauss in y, and Gauss in
-    tau of chord's cosine map in x (see _area_level)."""
-    from scipy.special import roots_legendre
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
-    if n > MAX_AREA_ORDER:
-        raise OrderTooLarge(f"n={n} exceeds the 2D quadrature budget ({MAX_AREA_ORDER})")
-    chart = curve if isinstance(curve, ChordChart) else chord_chart(curve, frame_angle)
-    ref = max(abs(chart.f_x1), abs(chart.g_x2))
-    log_scale = (n + 1) * math.log(ref)
-    ny = n // 2 + 8
-    ty, wy = roots_legendre(ny)
-
-    def outer(nx):
-        half, ymid, yhalf, wxe = _area_level(chart, nx)
-        # inner integral of (y/ref)^n over [g, f], Gauss exact in y
-        ynodes = ymid + yhalf * ty[None, :]
-        inner = (ynodes ** n) @ wy * yhalf[:, 0]
-        return half * np.sum(wxe * inner)
-
-    nx = 64
-    prev = outer(nx)
-    while True:
-        nx *= 2
-        cur = outer(nx)
-        if abs(cur - prev) <= max(rel_tol * abs(cur), 1e-14):
-            return _result(cur, log_scale, n, chart.frame_angle, "area")
-        if nx >= max_nodes:
-            raise QuadratureNoConvergence(
-                f"area moment not stable at {nx} x-nodes (n={n})"
-            )
-        prev = cur
+                rel_tol: float = 1e-10) -> MomentResult:
+    """Area integral by the horizontal-chord reduction (see _area_moments)."""
+    return _area_moments(curve, [n], frame_angle, rel_tol)[0]
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
                  method: str = "chord") -> list:
-    """Batch moments, order preserved: chord and green in one kernel call,
-    area order by order, re-raising a failure annotated with its index."""
-    methods = {"chord", "green", "area"}
-    if method not in methods:
-        raise ValueError(f"method must be one of {sorted(methods)}")
+    """Batch moments, order preserved, every order from one kernel call."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}")
     n_list = list(n_list)
+    if method == "chord":
+        return _chord_moments(chord_chart(curve, frame_angle), n_list)
     if method == "green":
         return _green_moments(curve, n_list, frame_angle)
-    chart = chord_chart(curve, frame_angle)
-    if method == "chord":
-        return _chord_moments(chart, n_list)
-    out = []
-    for idx, n in enumerate(n_list):
-        try:
-            out.append(moment_area(chart, n))
-        except Exception as exc:
-            exc.args = (f"n_list[{idx}] (n={n}): {exc}",)
-            raise
-    return out
+    return _area_moments(curve, n_list, frame_angle)

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and 1-D maximization helpers.
+"""Adaptive Gauss quadrature.
 
 The integrator is a worst-interval-first adaptive scheme with an embedded
 Gauss pair (10 vs 20 nodes) for the error estimate.  Integrands are
@@ -9,7 +9,6 @@ seeded at known peak abscissas so narrow features are not missed.
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -76,29 +75,3 @@ def adaptive_quad(
         counter += 1
         n_intervals += 1
     return total, err_sum
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, a: float, b: float, tol: float = 1e-8, max_iter: int = 200):
-    """Golden-section search for an interior maximum of f on [a, b].
-
-    Returns the midpoint of the final bracket.  Assumes f is unimodal on
-    the bracket; callers polish with Newton afterwards.
-    """
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)

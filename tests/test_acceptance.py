@@ -18,10 +18,11 @@ from discwitness.characterize import (
     min_clearance,
     p_zero_check,
 )
-from discwitness.logscale import relative_gap
-from discwitness.moments import moment_area, moment_chord, moment_green
+from discwitness.moments import moment_chord, moment_sweep
 from discwitness.quadrature import adaptive_quad
 from discwitness.shapeopt import OptOptions, ShapeVector, minimize
+
+from conftest import exact_ellipse_moments, worst_exact_gap
 
 # frozen: independent 200-node Gauss polar quadrature (= 2 pi J1(1))
 DISC_M0 = 2.764919374768337
@@ -61,23 +62,17 @@ def test_criterion_2_non_disc_separation():
 
 def test_criterion_3_moment_oracle_agreement():
     ellipse = build_curve({"type": "ellipse", "a": 2, "b": 1})
-    chart = chord_chart(ellipse)
-    floor = math.log(1e-8)
-    worst = 0.0
-    for n in range(41):
-        rc = moment_chord(chart, n).as_logcomplex()
-        rg = moment_green(ellipse, n).as_logcomplex()
-        ra = moment_area(ellipse, n).as_logcomplex()
-        worst = max(worst,
-                    relative_gap(rc, rg, abs_floor_log=floor),
-                    relative_gap(rc, ra, abs_floor_log=floor))
-    ok = worst <= 1e-6
+    exact = exact_ellipse_moments(2.0, 1.0, 0.0, 400)
+    ok = all(worst_exact_gap(moment_sweep(ellipse, range(401), 0.0, method),
+                             exact, 1.0) <= 1e-10
+             for method in ("chord", "green", "area"))
     disc = build_curve({"type": "circle", "center": [0, 0], "radius": 1})
     m0 = moment_chord(chord_chart(disc), 0).value()
     ok &= abs(m0 - DISC_M0) <= 1e-6
     for n in (1, 3, 5):
         ok &= moment_chord(chord_chart(disc), n).abs_log() <= math.log(1e-10)
-    report("3 moment oracle agreement (3 methods, n<=40; disc M0; odd-n=0)", ok)
+    report("3 moment oracle agreement (3 methods vs mpmath, n<=400; disc M0; odd-n=0)",
+           ok)
 
 
 def test_criterion_4_laplace_validation():

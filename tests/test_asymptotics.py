@@ -7,88 +7,15 @@ import pytest
 from discwitness import ChordChart, asymptotics, build_curve, chord_chart, moments
 from discwitness.asymptotics import (
     BracketNearZero,
-    LaplaceProblem,
     arc_integral,
     asymptotic_ratio,
     bracket_main_term,
-    find_interior_max,
-    laplace_leading,
 )
-from discwitness.errors import DegenerateMax, MaxOnBoundary
 from discwitness.logscale import LogComplex, relative_gap
 from discwitness.moments import _green_moments, moment_chord, trapezoid_sums
 from discwitness.quadrature import adaptive_quad
 
 from conftest import exact_ellipse_moments
-
-
-def gaussian_problem(lam=20.0, shift=0.0):
-    return LaplaceProblem(
-        phi=lambda x: 1.0,
-        S=lambda x: -(x - shift) ** 2,
-        dS=lambda x: -2.0 * (x - shift),
-        d2S=lambda x: -2.0,
-        lam=lam, a=-1.0, b=1.0,
-    )
-
-
-class TestFindInteriorMax:
-    def test_parabola(self):
-        xi, s, s2 = find_interior_max(lambda x: -x * x, lambda x: -2 * x,
-                                      lambda x: -2.0, -1.0, 1.0)
-        assert xi == pytest.approx(0.0, abs=1e-12)
-        assert s2 == pytest.approx(-2.0)
-
-    def test_log_semicircle(self):
-        def S(x):
-            return 0.5 * math.log(1 - x * x)
-
-        def dS(x):
-            return -x / (1 - x * x)
-
-        def d2S(x):
-            return -(1 + x * x) / (1 - x * x) ** 2
-
-        xi, s, s2 = find_interior_max(S, dS, d2S, -0.99, 0.99)
-        assert xi == pytest.approx(0.0, abs=1e-12)
-        assert s2 == pytest.approx(-1.0)
-
-    def test_boundary_max(self):
-        with pytest.raises(MaxOnBoundary):
-            find_interior_max(lambda x: x, lambda x: 1.0, lambda x: 0.0, 0.0, 1.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateMax):
-            find_interior_max(lambda x: -x ** 4, lambda x: -4 * x ** 3,
-                              lambda x: -12 * x * x, -1.0, 1.0)
-
-
-class TestLaplaceLeading:
-    def test_gaussian_value(self):
-        lead = laplace_leading(gaussian_problem())
-        assert lead.value() == pytest.approx(math.sqrt(math.pi / 20), rel=1e-12)
-
-    def test_gaussian_matches_integral(self):
-        lead = laplace_leading(gaussian_problem())
-        true, _ = adaptive_quad(lambda x: np.exp(-20.0 * x * x), -1, 1,
-                                rel_tol=1e-13)
-        assert abs(true / lead.value() - 1) <= 1e-6
-
-    def test_shift_invariance(self):
-        lead = laplace_leading(gaussian_problem(lam=50.0, shift=0.3))
-        assert lead.value() == pytest.approx(math.sqrt(math.pi / 50), rel=1e-12)
-
-    def test_semicircle_arc_formula(self):
-        def S(x):
-            return 0.5 * math.log(1 - x * x)
-
-        p = LaplaceProblem(
-            phi=lambda x: np.exp(1j * x), S=S,
-            dS=lambda x: -x / (1 - x * x),
-            d2S=lambda x: -(1 + x * x) / (1 - x * x) ** 2,
-            lam=100.0, a=-0.99, b=0.99)
-        assert laplace_leading(p).value() == pytest.approx(
-            math.sqrt(math.pi / 50), rel=1e-12)
 
 
 class TestBracket:
@@ -105,29 +32,6 @@ class TestBracket:
     def test_asymmetric_bracket_nonzero(self, asymmetric):
         bt = bracket_main_term(chord_chart(asymmetric), 50)
         assert bt.bracket.abs_log() > bt.term_f.abs_log() + math.log(1e-6)
-
-    def test_term_matches_laplace_leading(self, asymmetric):
-        # the closed-form peak term and the generic Laplace formula must be
-        # the same quantity computed two ways
-        ch = chord_chart(asymmetric)
-        m = 37
-
-        def S(x):
-            return math.log(float(ch.f(x)))
-
-        def dS(x):
-            return float(ch.f_prime(x)) / float(ch.f(x))
-
-        def d2S(x):
-            f, fp, fpp = (float(ch.f(x)), float(ch.f_prime(x)),
-                          float(ch.f_second(x)))
-            return (fpp * f - fp * fp) / (f * f)
-
-        p = LaplaceProblem(phi=lambda x: np.exp(1j * x), S=S, dS=dS, d2S=d2S,
-                           lam=2.0 * m, a=ch.x1 - 0.5, b=ch.x1 + 0.5)
-        lead = laplace_leading(p)
-        term = bracket_main_term(ch, m).term_f
-        assert abs(lead.ratio(term) - 1) < 1e-12
 
 
 class TestAsymptoticRatio:
@@ -178,26 +82,28 @@ TILTED_FLAT = {"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]}
 def _exact_odd_moment(a, b, cx, cy, n, centred):
     """M_n of the axis-aligned ellipse centred at (cx, cy), from the moments
     M0_k of the one centred at (cx, 0): sum over even k of
-    C(n, k) cy^{n-k} M0_k, every term of one sign for cy > 0 and a < 3.8."""
+    C(n, k) cy^{n-k} M0_k.  For a < 3.8 every term has one sign; for larger
+    a the terms that change sign have small k and carry cy^{n-k}, far below
+    the sum."""
     with mpmath.workdps(30):
         return sum(mpmath.binomial(n, k) * mpmath.mpf(cy) ** (n - k) * centred[k]
                    for k in range(0, n + 1, 2))
 
 
-@pytest.mark.parametrize("k", [1.0, 0.4], ids=["uniform", "packed"])
-@pytest.mark.parametrize("a,b,cx,cy,rot", [(1.6, 1.0, 0.1, 0.3, 0.0),
-                                           (2.0, 1.0, -0.2, 0.25, 0.7)])
-def test_odd_moments_from_green(a, b, cx, cy, rot, k):
-    """The combined column of asymptotic_ratio: green's M_{2m-1}, on its
-    uniform grid and with nodes packed about the peak normals."""
-    # read in frame = rot the ellipse is axis-aligned and centred at (cx, cy)
+def _ellipse_in_frame(a, b, cx, cy, rot):
+    """Ellipse that, read in frame = rot, is axis-aligned and centred at
+    (cx, cy)."""
     c, s = math.cos(rot), math.sin(rot)
-    curve = build_curve({"type": "ellipse", "a": a, "b": b, "rotation": rot,
-                         "center": [c * cx - s * cy, s * cx + c * cy]})
+    return build_curve({"type": "ellipse", "a": a, "b": b, "rotation": rot,
+                        "center": [c * cx - s * cy, s * cx + c * cy]})
+
+
+def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
+    """green's M_{2m-1}, m = 50, 100, 200, against chord and mpmath."""
     ch = chord_chart(curve, rot)
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
-    odd = _green_moments(curve, [2 * m - 1 for m in m_list], rot, k=k)
+    odd = _green_moments(curve, [2 * m - 1 for m in m_list], rot)
     for m, res in zip(m_list, odd):
         got = res.as_logcomplex()
         chord = moment_chord(ch, 2 * m - 1).as_logcomplex()
@@ -206,6 +112,32 @@ def test_odd_moments_from_green(a, b, cx, cy, rot, k):
         with mpmath.workdps(30):
             value = mpmath.mpc(got.mantissa) * mpmath.exp(got.log_scale)
             assert float(abs(value - exact) / abs(exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1.0, 0.4], ids=["uniform", "packed"])
+@pytest.mark.parametrize("a,b,cx,cy,rot", [(1.6, 1.0, 0.1, 0.3, 0.0),
+                                           (2.0, 1.0, -0.2, 0.25, 0.7)])
+def test_odd_moments_from_green(a, b, cx, cy, rot, k, monkeypatch):
+    """The combined column of asymptotic_ratio: green's M_{2m-1}, on its
+    uniform grid and with nodes packed about the peak normals (the packing
+    green would derive is replaced by k)."""
+    monkeypatch.setattr(moments, "peak_packing", lambda y, ypp: k)
+    _check_odd_moments_from_green(_ellipse_in_frame(a, b, cx, cy, rot),
+                                  a, b, cx, cy, rot)
+
+
+@pytest.mark.parametrize("a,b,cx,cy,rot,k", [(1.0, 1.2, 0.1, 0.1, 0.0, 1.0),
+                                             (5.0, 0.2, 0.0, 0.01, 0.0, 0.04)],
+                         ids=["round", "flat"])
+def test_green_derives_its_packing(a, b, cx, cy, rot, k):
+    """green's M_{2m-1} with the packing it derives: on a round ellipse,
+    where green's grid is uniform, and on a flat one, where its nodes are
+    packed about the peak normals by 1/k."""
+    curve = _ellipse_in_frame(a, b, cx, cy, rot)
+    ch = chord_chart(curve, rot)
+    assert min(asymptotics._packing(ch, True),
+               asymptotics._packing(ch, False)) == pytest.approx(k, abs=0.002)
+    _check_odd_moments_from_green(curve, a, b, cx, cy, rot)
 
 
 @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])

@@ -125,6 +125,21 @@ class TestFlags:
             run([command, "--shape", shape_file(CIRCLE), "--samples", "8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--n-list", "-1"],
+        ["moments", "--n-max", "-1"],
+        ["moments", "--methods", "chord,foo"],
+        ["asymptotics", "--m-list", "5"],
+        ["asymptotics", "--m-list", "50,20"],
+        ["asymptotics", "--m-list", "abc"],
+    ])
+    def test_bad_list_argument_is_usage_error(self, shape_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--shape", shape_file(CIRCLE)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestMoments:
     def test_row_count_and_header(self, shape_file, tmp_path):
@@ -134,6 +149,13 @@ class TestMoments:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,frame_deg,method,re,im,log_scale,abs"
         assert len(lines) == 1 + 41 * 3
+
+    def test_area_reaches_every_order(self, shape_file, tmp_path):
+        out = tmp_path / "a.csv"
+        assert run(["moments", "--shape", shape_file(ELLIPSE), "--methods",
+                    "area", "--n-max", "400", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(401))
 
     def test_deterministic_output(self, shape_file, tmp_path):
         args = ["moments", "--shape", shape_file(ELLIPSE), "--n-max", "3"]
@@ -246,7 +268,7 @@ class TestColdStart:
     def test_numpy_only_subcommands(self, shape_file, tmp_path):
         shape = shape_file(ASYMMETRIC)
         commands = [["profile"],
-                    ["moments", "--n-max", "20", "--methods", "chord,green"],
+                    ["moments", "--n-max", "20"],
                     ["asymptotics"], ["residuals"], ["identities"]]
         runs = [argv + ["--shape", shape, "--out", str(tmp_path / f"{i}.out")]
                 for i, argv in enumerate(commands)]
