@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Drive a perturbed shape to a disc under the kappa*L objective and print
-the convergence trace summary.
+"""Drive a perturbed shape to a disc and print the convergence trace summary.
+
+The default kappa*L objective is convex in the support coefficients and is
+solved by damped Newton steps (eight from this start; the seed is unused).  The
+"bracket" objective goes through restarted Nelder-Mead, which the seed
+drives.
 
 Usage: python3 scripts/optimize_to_disc.py [seed] [objective]
 """

@@ -179,12 +179,9 @@ def cmd_optimize(args):
     opts = shapeopt.OptOptions(max_iter=args.max_iter, seed=args.seed)
     result = shapeopt.minimize(start, args.objective, opts)
     if args.trace_out:
-        rows = []
-        for i, j in enumerate(result.trace):
-            rows.append((i, j, None, None))
-        final = result
-        rows[-1] = (len(result.trace) - 1, final.objective,
-                    final.circle_distance, final.min_rho)
+        rows = [(i, j, None, None) for i, j in enumerate(result.trace)]
+        rows[-1] = (len(rows) - 1, result.objective,
+                    result.circle_distance, result.min_rho)
         _emit(args.trace_out, _csv(rows, ["iter", "J", "circle_distance",
                                           "min_rho"]))
     _emit(args.out, _json(result.best.decode().to_spec()))

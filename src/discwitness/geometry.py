@@ -479,17 +479,9 @@ class ChordChart:
         t = self.theta_upper(x)
         return -np.cos(t) / np.sin(t)
 
-    def f_second(self, x):
-        t = self.theta_upper(x)
-        return -1.0 / (self._rho(t) * np.sin(t) ** 3)
-
     def g_prime(self, x):
         t = self.theta_lower(x)
         return -np.cos(t) / np.sin(t)
-
-    def g_second(self, x):
-        t = self.theta_lower(x)
-        return -1.0 / (self._rho(t) * np.sin(t) ** 3)
 
 
 def chord_chart(curve: SupportCurve, frame_angle: float = 0.0) -> ChordChart:

@@ -16,10 +16,6 @@ class LogComplex:
     mantissa: complex
     log_scale: float
 
-    @staticmethod
-    def from_value(z: complex) -> "LogComplex":
-        return LogComplex(complex(z), 0.0).normalized()
-
     def normalized(self) -> "LogComplex":
         mag = abs(self.mantissa)
         if mag == 0.0:

@@ -2,9 +2,9 @@
 
 Minimizing the kappa*L residual (or the main-term bracket magnitude over a
 set of frames) drives strictly convex shapes to discs, which is the
-numerical face of the symmetry theorem.  Scale is gauged out by
-normalizing the mean width to 2 at every evaluation; translation is gauged
-out by pinning the first harmonics.
+numerical face of the symmetry theorem; the convex kappa*L residual takes
+Newton steps.  Scale is gauged out by normalizing the mean width to 2 at
+every evaluation; translation is gauged out by pinning the first harmonics.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ DEFAULT_K = 8
 PENALTY_WEIGHT = 1e6
 RESTARTS = 3
 SIMPLEX_TOL = 1e-10
+BOUNDARY_FRACTION = 0.99
+MAX_HALVINGS = 40
 DIRECTIONS = tuple(np.pi * k / 8 for k in range(8))
 BRACKET_M = 50
 _GRID = 512  # even, so theta + pi is an exact roll
@@ -83,9 +85,6 @@ def _pad(vals, K):
     return vals + (0.0,) * (K - len(vals))
 
 
-_THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-
-
 def _grid_eval(v: ShapeVector, n: int = _GRID):
     """h, rho on the periodic n-node grid for the vector (no validation).
     These are FourierCurve's sums, so on the validation grid min rho > eps0
@@ -95,18 +94,38 @@ def _grid_eval(v: ShapeVector, n: int = _GRID):
     return h, h + fourier_sums(v.a0, v.cos, v.sin, trig, 2)
 
 
+def _kl_maps(K: int, pin_translation: bool):
+    """A_ell, A_rho: ell = L - 2 rho = A_ell x and rho = 1 + A_rho x on the
+    grid for the free coefficients x of a gauged vector."""
+    coskt, sinkt, k = periodic_trig(_GRID, K)
+    k0 = 1 if pin_translation else 0
+    basis = np.hstack([coskt[:, k0:], sinkt[:, k0:]])
+    w_ell = np.where(k % 2 == 0, 2.0 * k * k, 2.0 * (k * k - 1.0))[k0:]
+    return basis * np.tile(w_ell, 2), basis * np.tile(1.0 - k[k0:] ** 2, 2)
+
+
+def _kl_value(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray) -> float:
+    # (kappa L - 2)^2 ds = (ell / rho)^2 rho dtheta, by the periodic trapezoid
+    ell, rho = a_ell @ x, 1.0 + a_rho @ x
+    return float(np.mean(ell * ell / rho) * 2.0 * math.pi)
+
+
+def _kl_derivatives(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray):
+    """Gradient and Hessian of J at x, with lam = ell / rho = kappa L - 2:
+    sum 2 lam ell' - lam^2 rho' and sum (2 / rho) q q^T, q = ell' - lam rho'."""
+    ell, rho = a_ell @ x, 1.0 + a_rho @ x
+    lam = ell / rho
+    q = a_ell - lam[:, None] * a_rho
+    w = 2.0 * math.pi / len(rho)
+    return (w * (a_ell.T @ (2.0 * lam) - a_rho.T @ (lam * lam)),
+            w * (q.T * (2.0 / rho)) @ q)
+
+
 def objective_kl(v: ShapeVector) -> float:
     """Integral of (kappa L - 2)^2 ds over the gauged shape; zero iff disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    return _kl_core(*_grid_eval(g))
-
-
-def _kl_core(h: np.ndarray, rho: np.ndarray) -> float:
-    L = h + np.roll(h, _GRID // 2)
-    resid = L / rho - 2.0
-    # ds = rho dtheta; trapezoid on the periodic grid is spectrally accurate
-    return float(np.mean(resid * resid * rho) * 2.0 * math.pi)
+    return _kl_value(*_kl_maps(g.K, g.pin_translation), g.coefficients())
 
 
 def _bracket_core(g: ShapeVector, directions, m: int,
@@ -153,19 +172,10 @@ def objective_bracket(v: ShapeVector, directions: Sequence[float],
     return j
 
 
-def _penalty(rho: np.ndarray, eps0: float) -> float:
-    return PENALTY_WEIGHT * max(0.0, eps0 - float(np.min(rho))) ** 2
-
-
-def _penalized_kl(g: ShapeVector) -> float:
-    h, rho = _grid_eval(g)
-    return _kl_core(h, np.maximum(rho, 0.5 * g.eps0)) + _penalty(rho, g.eps0)
-
-
 def _penalized_bracket(g: ShapeVector) -> float:
     _, rho = _grid_eval(g)
     return (_bracket_core(g, DIRECTIONS, BRACKET_M, 0.5 * g.eps0)
-            + _penalty(rho, g.eps0))
+            + PENALTY_WEIGHT * max(0.0, g.eps0 - float(np.min(rho))) ** 2)
 
 
 def _feasible(g: ShapeVector) -> bool:
@@ -180,9 +190,10 @@ def circle_distance(v: ShapeVector) -> float:
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f = float(np.mean(h))
-    cx = 2.0 * float(np.mean(h * np.cos(_THETAS)))
-    cy = 2.0 * float(np.mean(h * np.sin(_THETAS)))
-    fit = a0f + cx * np.cos(_THETAS) + cy * np.sin(_THETAS)
+    cos, sin = (t[:, 0] for t in periodic_trig(_GRID, v.K)[:2])
+    cx = 2.0 * float(np.mean(h * cos))
+    cy = 2.0 * float(np.mean(h * sin))
+    fit = a0f + cx * cos + cy * sin
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 
 
@@ -201,34 +212,76 @@ class OptResult:
     trace: list
     circle_distance: float
     min_rho: float
+    evaluations: int  # objective values computed, line-search trials too
 
 
 def minimize(start: ShapeVector,
              objective: Union[str, Callable] = "kl",
              options: Optional[OptOptions] = None) -> OptResult:
-    """Derivative-free simplex descent with convexity penalty.
+    """Descent over the start's free coefficients.
 
-    objective: "kl", "bracket", or a callable on gauged ShapeVectors.
-    Deterministic for a given seed.  Stops on objective <= target, simplex
-    collapse, or the iteration budget.  A point becomes the best only if
-    it decodes, so the result is always a valid curve.
+    objective: "kl" (damped Newton), "bracket", or a callable on gauged
+    ShapeVectors (simplex descent with a convexity penalty, whose restarts
+    are all the seed drives).  Stops on objective <= target, no further
+    descent, or the iteration budget.  A point becomes the best only if it
+    decodes, so the result is always a valid curve.
     """
-    from scipy.optimize import minimize as scipy_minimize  # not at import
     opts = options or OptOptions()
     try:
         start.decode()
     except Infeasible as exc:
         raise NoFeasibleStart(str(exc)) from exc
+    gauged_start = start.gauged()
+    fun = _penalized_bracket if objective == "bracket" else objective
     if objective == "kl":
-        fun = _penalized_kl
-    elif objective == "bracket":
-        fun = _penalized_bracket
-    elif callable(objective):
-        fun = objective
+        found = _newton_kl(gauged_start, opts)
+    elif callable(fun):
+        found = _nelder_mead(fun, gauged_start, opts)
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    x_best, j_best, iterations, trace, evaluations = found
+    best_vec = gauged_start.with_coefficients(x_best)
+    return OptResult(best=best_vec, objective=j_best, iterations=iterations,
+                     trace=trace, circle_distance=circle_distance(best_vec),
+                     min_rho=float(np.min(_grid_eval(best_vec.gauged())[1])),
+                     evaluations=evaluations)
 
-    gauged_start = start.gauged()
+
+def _newton_kl(g: ShapeVector, opts: OptOptions):
+    """Newton descent on J = (2 pi / N) sum ell^2 / rho, convex as the
+    perspective of a square of affine maps (Boyd & Vandenberghe, 2004,
+    3.2.6 and 9.5).  A step goes BOUNDARY_FRACTION of the way to rho = eps0
+    at most, then halves until J falls at a point that decodes."""
+    a_ell, a_rho = _kl_maps(g.K, g.pin_translation)
+    x = g.coefficients()
+    j = _kl_value(a_ell, a_rho, x)
+    _, rho_v = _grid_eval(g, VALIDATION_GRID)
+    trace, evaluations = [j], 1
+    while j > opts.target and len(trace) <= opts.max_iter:
+        grad, hess = _kl_derivatives(a_ell, a_rho, x)
+        # least squares: no step along an unpinned translation (zero columns)
+        p = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        _, rho_p = _grid_eval(replace(g.with_coefficients(p), a0=0.0),
+                              VALIDATION_GRID)
+        falling = rho_p < 0.0  # rho is affine: one ratio test bounds the step
+        t = min(1.0, BOUNDARY_FRACTION * float(np.min(
+            (rho_v[falling] - g.eps0) / -rho_p[falling], initial=math.inf)))
+        for _ in range(MAX_HALVINGS):
+            j_t = _kl_value(a_ell, a_rho, x + t * p)
+            evaluations += 1
+            if j_t < j and _feasible(g.with_coefficients(x + t * p)):
+                break
+            t *= 0.5
+        else:
+            break  # J no longer decreases
+        x, j, rho_v = x + t * p, j_t, rho_v + t * rho_p
+        trace.append(j)
+    return x, j, len(trace) - 1, trace, evaluations
+
+
+def _nelder_mead(fun: Callable, gauged_start: ShapeVector, opts: OptOptions):
+    """Nelder-Mead on fun, restarted from the best point; seeded."""
+    from scipy.optimize import minimize as scipy_minimize  # not at import
 
     def f_of_x(x):
         return fun(gauged_start.with_coefficients(x))
@@ -240,7 +293,7 @@ def minimize(start: ShapeVector,
     x_best = gauged_start.coefficients()
     j_best = f_of_x(x_best)
     trace = [j_best]
-    iterations = 0
+    iterations, evaluations = 0, 1
     for attempt in range(RESTARTS + 1):
         if j_best <= opts.target or iterations >= opts.max_iter:
             break
@@ -271,6 +324,7 @@ def minimize(start: ShapeVector,
                 "adaptive": len(x_best) > 6,
             },
         )
+        evaluations += res.nfev
         # Nelder-Mead can stop inside an iteration, before a callback
         if res.fun < run_best[0] and feasible(res.x):
             run_best[0], run_best[1] = float(res.fun), res.x
@@ -278,13 +332,4 @@ def minimize(start: ShapeVector,
         if run_best[0] < j_best:
             j_best, x_best = run_best[0], run_best[1]
         trace.append(j_best)
-    best_vec = gauged_start.with_coefficients(x_best)
-    _, rho = _grid_eval(best_vec.gauged())
-    return OptResult(
-        best=best_vec,
-        objective=j_best,
-        iterations=iterations,
-        trace=trace,
-        circle_distance=circle_distance(best_vec),
-        min_rho=float(np.min(rho)),
-    )
+    return x_best, j_best, iterations, trace, evaluations

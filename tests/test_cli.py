@@ -278,6 +278,14 @@ class TestColdStart:
                 "    assert main(argv) == 0, argv\n" + self.loaded)
         assert _fresh_python(code) == "[]\n"
 
+    def test_kl_optimize_skips_scipy(self, shape_file, tmp_path):
+        argv = ["optimize", "--shape", shape_file(THREE_LOBE), "--objective",
+                "kl", "--out", str(tmp_path / "best.json")]
+        code = ("import sys\n"
+                "from discwitness.cli import main\n"
+                f"assert main({argv!r}) == 0\n" + self.loaded)
+        assert _fresh_python(code) == "[]\n"
+
     def test_inscribed_still_loads_its_solver(self, shape_file):
         code = ("from discwitness.cli import main\n"
                 f"main(['inscribed', '--shape', {shape_file(ELLIPSE)!r}])\n")

@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 from discwitness import chord_chart
+from discwitness.geometry import width_at
 from discwitness.asymptotics import bracket_main_term
 from discwitness.characterize import kl_profile
 from discwitness import shapeopt
@@ -128,7 +129,7 @@ class TestMinimize:
 
         def counted(g):
             calls[0] += 1
-            return shapeopt._penalized_kl(g)
+            return shapeopt._penalized_bracket(g)
 
         def recorder(*args, **kwargs):
             res = scipy_minimize(*args, **kwargs)
@@ -138,11 +139,11 @@ class TestMinimize:
         scipy_minimize = scipy.optimize.minimize
         monkeypatch.setattr(scipy.optimize, "minimize", recorder)
         res = minimize(ShapeVector(cos=(0, 0, 0.08)), counted,
-                       OptOptions(max_iter=300, seed=7))
+                       OptOptions(max_iter=100, seed=7))
         assert res.iterations > 0
-        assert calls[0] == 1 + nfev[0]
+        assert calls[0] == 1 + nfev[0] == res.evaluations
 
-    def test_penalized_kl_builds_one_grid(self, monkeypatch):
+    def test_penalized_bracket_builds_one_grid(self, monkeypatch):
         grids = [0]
         grid_eval = shapeopt._grid_eval
 
@@ -151,7 +152,7 @@ class TestMinimize:
             return grid_eval(*args, **kwargs)
 
         monkeypatch.setattr(shapeopt, "_grid_eval", counted)
-        shapeopt._penalized_kl(ShapeVector(cos=(0, 0, 0.08)))
+        shapeopt._penalized_bracket(ShapeVector(cos=(0, 0, 0.08)))
         assert grids[0] == 1
 
     @pytest.mark.parametrize("objective", ["kl", "bracket"])
@@ -166,6 +167,109 @@ class TestMinimize:
                        OptOptions(target=1e-12))
         if res.objective <= 1e-10:
             assert kl_profile(res.best.decode(), 256, tol=1e-4).verdict == "disc"
+
+
+def _random_k8(seed, weight=0.6):
+    # sum k^2 (|c_k| + |s_k|) = weight < 1 keeps the shape strictly convex
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((2, 8))
+    c[:, 0] = 0.0
+    c *= weight / float(np.sum(np.arange(1, 9) ** 2 * np.abs(c)))
+    return ShapeVector(cos=tuple(c[0]), sin=tuple(c[1]))
+
+
+KL_STARTS = [ShapeVector(cos=(0, 0, 0.1)), _random_k8(1), _random_k8(2)]
+
+
+class TestNewtonKL:
+    """The closed forms behind the kl Newton solve, checked against
+    kl_profile's samples and against finite differences of objective_kl."""
+
+    @pytest.mark.parametrize("v", KL_STARTS)
+    def test_affine_parts_match_kl_profile(self, v):
+        # kappa and L as kl_profile builds them, on the optimizer's grid
+        curve = v.decode()
+        n = 512
+        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        rho = curve.rho(thetas)
+        kl = width_at(curve, thetas) / rho
+        prof = kl_profile(curve, n).samples
+        assert np.allclose(kl[:len(prof)], [row[4] for row in prof],
+                           rtol=1e-14, atol=0.0)
+        ref = 2.0 * math.pi / n * float(np.sum((kl - 2.0) ** 2 * rho))
+        assert ref > 1e-3
+        assert objective_kl(v) == pytest.approx(ref, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("v", KL_STARTS)
+    def test_derivatives_match_central_differences(self, v):
+        g = v.gauged()
+        x = g.coefficients()
+        grad, hess = shapeopt._kl_derivatives(
+            *shapeopt._kl_maps(g.K, g.pin_translation), x)
+
+        def j(dx):
+            return objective_kl(g.with_coefficients(x + dx))
+
+        eye = np.eye(len(x))
+        d1, d2 = 1e-7, 5e-7  # J's high derivatives are large near rho = 0.2
+        fd_grad = np.array([(j(d1 * e) - j(-d1 * e)) / (2 * d1) for e in eye])
+        fd_hess = np.array([[(j(d2 * (a + b)) - j(d2 * (a - b))
+                              - j(d2 * (b - a)) + j(-d2 * (a + b)))
+                             / (4 * d2 * d2) for b in eye] for a in eye])
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
+        assert np.min(np.linalg.eigvalsh(hess)) > 0.0
+
+    def test_near_floor_start(self, monkeypatch):
+        # min rho = 1 - 8 * 0.1248 = 0.0016, just above eps0 = 1e-3
+        accepted = []
+        feasible = shapeopt._feasible
+
+        def recorded(g):
+            ok = feasible(g)
+            if ok:
+                accepted.append(g)
+            return ok
+
+        monkeypatch.setattr(shapeopt, "_feasible", recorded)
+        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "kl")
+        assert res.objective <= 1e-10
+        assert res.iterations <= 20
+        assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
+        assert len(accepted) == res.iterations == len(res.trace) - 1
+        for g in accepted:
+            g.decode()
+
+    def test_one_step_budget(self):
+        res = minimize(ShapeVector(cos=(0, 0, 0.1)), "kl",
+                       OptOptions(max_iter=1))
+        assert res.iterations == 1
+        assert len(res.trace) == 2
+
+    def test_seed_is_ignored(self):
+        a = minimize(_random_k8(3), "kl", OptOptions(seed=0))
+        b = minimize(_random_k8(3), "kl", OptOptions(seed=12345))
+        assert a.trace == b.trace
+        assert np.array_equal(a.best.coefficients(), b.best.coefficients())
+
+    def test_evaluations_count_every_j(self, monkeypatch):
+        calls = [0]
+        kl_value = shapeopt._kl_value
+
+        def counted(*args):
+            calls[0] += 1
+            return kl_value(*args)
+
+        monkeypatch.setattr(shapeopt, "_kl_value", counted)
+        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "kl")
+        assert calls[0] == res.evaluations >= res.iterations + 1
+
+    def test_unpinned_translation_gets_no_step(self):
+        v = ShapeVector(cos=(0.05, 0, 0.1), sin=(0.02,), pin_translation=False)
+        res = minimize(v, "kl")
+        assert res.objective <= 1e-10
+        assert res.best.cos[0] == pytest.approx(0.05, abs=1e-12)
+        assert res.best.sin[0] == pytest.approx(0.02, abs=1e-12)
 
 
 def test_circle_distance_on_circle():
