@@ -4,6 +4,7 @@ witness, and the width/antipodal differential identities."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -67,7 +68,7 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     kl = kappa * L
     # arc length accumulated on the same grid (trapezoid, periodic)
     dtheta = 2.0 * math.pi / sample_count
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (rho[:-1] + rho[1:]) * dtheta)])[:-1]
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (rho[:-1] + rho[1:]) * dtheta)])
     max_dev = float(np.max(np.abs(kl - 2.0)))
     verdict = "disc" if max_dev <= tol else "not_disc"
     fitted = None
@@ -82,8 +83,10 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     return KLReport(samples, max_dev, verdict, fitted, tol)
 
 
-_GRID = 1024  # angle grid shared by the clearance polish and the disc LP
+_GRID = 1024  # angle grid of the clearance polish and the fitted circle
 _NEWTON_STEPS = 20
+_HALVINGS = 30
+_POOL = 32  # lowest contacts searched for a balanced triple
 _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
 _COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
 
@@ -127,6 +130,23 @@ def _nearest(t, angles, weights):
     return idx, np.bincount(inv, weights=weights)
 
 
+def _balanced_triple(t, q, i):
+    """(i3, w): the three of the _POOL lowest contacts i whose normals
+    balance, sum w u = 0 with w >= 0 and sum w = 1, at the least sum w q:
+    the dual of the support-line LP max r s.t. r + u_i . d <= q_i.  w are
+    the barycentric coordinates of 0, as the sines of the opposite arcs.
+    (None, None) when the normals lie in a half-plane."""
+    low = i[np.argsort(q[i])[:_POOL]]
+    i3 = low[np.array(list(itertools.combinations(range(len(low)), 3)))]
+    ta, tb, tc = t[i3].T
+    w = np.stack([np.sin(tc - tb), np.sin(ta - tc), np.sin(tb - ta)], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= w.sum(axis=1, keepdims=True)
+    dual = np.where(np.all(w >= 0.0, axis=1), np.sum(w * q[i3], axis=1), np.inf)
+    b = int(np.argmin(dual))
+    return (i3[b], w[b]) if dual[b] < np.inf else (None, None)
+
+
 def _kkt_step(curve, center, t, q, i, lam, a0, s, tol):
     """Newton step (d, r, i, lam) on the KKT system of max r s.t.
     r <= q_i(c) over the active contacts i with multipliers lam:
@@ -136,10 +156,12 @@ def _kkt_step(curve, center, t, q, i, lam, a0, s, tol):
     with W = sum lam_i u'_i u'_i^T / q''_i, exact by the envelope theorem
     (grad q_i = -u_i, and d theta_i / dc = u'_i / q''_i).  It is solved in
     units of s about a0, by least squares, which also serves a symmetric
-    shape's more than three contacts at one level.  A contact leaves when
-    its multiplier is negative, or when the contacts cannot all sit at one
-    level and it is the highest; an outside contact joins, with multiplier
-    0, when its linearized value falls below the predicted radius."""
+    shape's more than three contacts at one level.  When more than three
+    cannot sit at one level (beyond tol and the solve's rounding,
+    64 eps |KKT| |sol| s), their `_balanced_triple` replaces them.  A
+    contact leaves when its multiplier is negative, but never the last; an
+    outside contact joins, with multiplier 0, when its linearized value
+    falls below the predicted radius."""
     cos, sin = np.cos(t), np.sin(t)
     q2 = curve.h2(t) + center[0] * cos + center[1] * sin
     for _ in range(2 * len(t) + 2):
@@ -153,10 +175,14 @@ def _kkt_step(curve, center, t, q, i, lam, a0, s, tol):
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         d, r, lam = s * sol[:2], a0 + s * sol[2], sol[3:]
         gap = q - d[0] * cos - d[1] * sin - r  # linearized q_i - r
-        if gap[i].max() > tol:
-            # more contacts than unknowns, at unequal levels: the highest leaves
-            j = int(np.argmax(gap[i]))
-        elif k > 1 and lam.min() < 0.0:
+        level_tol = tol + 64.0 * np.finfo(float).eps * s * (
+            np.abs(kkt).sum(axis=1).max() * np.abs(sol).max())
+        if k > 3 and gap[i].max() > level_tol:
+            i3, w = _balanced_triple(t, q, i)
+            if i3 is not None:
+                i, lam = i3, w
+                continue
+        if k > 1 and lam.min() < 0.0:
             j = int(np.argmin(lam))
         else:
             gap[i] = 0.0
@@ -176,20 +202,17 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     Local reduction (Hettich & Kortanek, SIAM Review 35, 1993, sec. 7):
     each local minimum theta_i of q (a contact) is a smooth constraint
     r <= q_i(c), and the disc solves the KKT system of the contacts that
-    bind.  The start is the LP over support-line constraints on the module
-    grid, solved for the deviation of h from its fitted circle
-    a0 + c1 . u scaled by its largest magnitude s, so that HiGHS's absolute
-    tolerances act relative to the shape's departure from a circle; its
-    nonzero duals, mapped to the nearest exact contacts, are the first
-    active set.  Exact Newton steps (`_kkt_step`) follow, each accepted
-    only if the exact clearance does not drop.  They stop once the step is
-    below 1e-15 * scale, or once a step neither predicts nor makes a gain
-    above that (along a flat direction, as along an ellipse's major axis,
-    the step is rounding that the curvature amplifies).  A curve within
-    1e-13 * a0 of its fitted circle is that disc.  Raises DiscSearchFailed
-    rather than return an unconverged centre.
+    bind.  It starts at the centre c1 of h's fitted circle a0 + c1 . u,
+    whose largest deviation from h is s, with the local minima of q within
+    s of the lowest as contacts of equal weight.  Exact Newton steps
+    (`_kkt_step`) follow, each halved until the exact clearance does not
+    drop.  They stop once the step is below 1e-15 * scale, or once a step
+    neither predicts nor makes a gain above that (along a flat direction,
+    as along an ellipse's major axis, the step is rounding that the
+    curvature amplifies).  A curve within 1e-13 * a0 of its fitted circle
+    is that disc.  Raises DiscSearchFailed rather than return an
+    unconverged centre.
     """
-    from scipy.optimize import linprog  # here, not at import: cold start
     h = curve.h(_THETAS)
     a0 = float(np.mean(h))
     c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])
@@ -197,30 +220,27 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     s = float(np.max(np.abs(dev)))
     if s <= 1e-13 * a0:
         return (float(c1[0]), float(c1[1])), min_clearance(curve, c1)
-    # maximize r  s.t.  c . u + r <= dev / s
-    A = np.stack([_COS, _SIN, np.ones(_GRID)], axis=1)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=dev / s,
-                  bounds=[(None, None)] * 3, method="highs")
-    if not res.success:
-        raise DiscSearchFailed(f"Chebyshev LP failed: {res.message}")
-    dual = -res.ineqlin.marginals
-    angles, lam = _THETAS[dual > 0.0], dual[dual > 0.0]
-    center = c1 + s * res.x[:2]
-    tol = 1e-15 * (a0 + float(np.hypot(*c1)))
+    center, tol = c1, 1e-15 * (a0 + float(np.hypot(*c1)))
     t, q = _support_extrema(curve, center, h=h)
     phi = float(np.min(q))
+    i = np.flatnonzero(q <= phi + s)
+    lam = np.full(len(i), 1.0 / len(i))
     for _ in range(_NEWTON_STEPS):
-        i, lam = _nearest(t, angles, lam)
         d, r, i, lam = _kkt_step(curve, center, t, q, i, lam, a0, s, tol)
         angles = t[i]
-        t, q = _support_extrema(curve, center + d, h=h)
-        phi_new = float(np.min(q))
-        if phi_new < phi - tol:
+        for _ in range(_HALVINGS):
+            t, q = _support_extrema(curve, center + d, h=h)
+            phi_new = float(np.min(q))
+            if phi_new >= phi - tol:
+                break
+            d = 0.5 * d
+        else:
             raise DiscSearchFailed("inscribed disc: a Newton step lowered "
                                    "the clearance")
         center, gain, phi = center + d, max(r, phi_new) - phi, phi_new
         if math.hypot(*d) < tol or gain <= tol:
             return (float(center[0]), float(center[1])), phi
+        i, lam = _nearest(t, angles, lam)
     raise DiscSearchFailed("inscribed disc: Newton steps did not converge")
 
 

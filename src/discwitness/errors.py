@@ -27,7 +27,7 @@ class QuadratureNoConvergence(DiscWitnessError):
 
 
 class DiscSearchFailed(DiscWitnessError):
-    """The inscribed-disc LP failed or its Newton steps did not converge."""
+    """The inscribed-disc Newton search did not converge."""
 
 
 class BracketNearZero(DiscWitnessError):

@@ -64,6 +64,10 @@ class TestKLProfile:
             kl_profile(unit_disc, 8)
 
 
+ELLIPSE_AXES = (1.001, 5.0, 10.0, 20.0, 50.0, 100.0)
+ELLIPSE_CENTERS = ((0.0, 0.0), (0.1, -0.2), (3.0, 1.5))
+
+
 class TestInscribedDisc:
     def test_offset_circle(self):
         c = build_curve({"type": "circle", "center": [0.2, 0.1], "radius": 1})
@@ -89,13 +93,15 @@ class TestInscribedDisc:
         center, r = inscribed_disc(three_lobe)
         assert min_clearance(three_lobe, center) == pytest.approx(r, abs=1e-8)
 
-    def test_failed_lp_raises(self, three_lobe, monkeypatch):
-        class Failed:
-            success = False
-            message = "stub"
+    def test_step_lowering_the_clearance_raises(self, three_lobe, monkeypatch):
+        """A step towards a contact lowers the clearance however it is
+        halved, so the search raises instead of taking it."""
+        def towards_a_contact(curve, center, t, q, i, lam, *rest):
+            d = 0.1 * np.array([math.cos(t[i[0]]), math.sin(t[i[0]])])
+            return d, float(np.min(q)) + 1.0, i, lam
 
-        monkeypatch.setattr("scipy.optimize.linprog", lambda *a, **k: Failed())
-        with pytest.raises(DiscSearchFailed):
+        monkeypatch.setattr(characterize, "_kkt_step", towards_a_contact)
+        with pytest.raises(DiscSearchFailed, match="lowered the clearance"):
             inscribed_disc(three_lobe)
 
     def test_unconverged_newton_raises(self, three_lobe, monkeypatch):
@@ -118,6 +124,57 @@ class TestInscribedDisc:
             assert r == pytest.approx(0.94, abs=1e-15)
             assert lam == pytest.approx([0.5, 0.5], abs=1e-12)
             assert np.hypot(*d) <= 1e-15
+
+    def test_flat_step_keeps_both_contacts(self):
+        """Off centre along the major axis of a flat rotated ellipse, the two
+        antipodal contacts meet the least-squares solve at one level only to
+        its rounding: the step keeps both and heads back to the centre."""
+        curve = build_curve({"type": "ellipse", "a": 100.0, "b": 1.0,
+                             "rotation": math.pi / 6})
+        h = curve.h(characterize._THETAS)
+        a0 = float(np.mean(h))
+        s = float(np.max(np.abs(h - a0)))
+        center = -0.0922 * np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+        t, q = characterize._support_extrema(curve, center)
+        assert len(t) == 2
+        d, r, i, lam = characterize._kkt_step(
+            curve, center, t, q, np.arange(2), np.full(2, 0.5), a0, s,
+            1e-15 * a0)
+        assert list(i) == [0, 1] and lam == pytest.approx([0.5, 0.5])
+        assert r == pytest.approx(1.0, abs=1e-6)
+        assert np.hypot(*(center + d)) <= 1e-3 * 0.0922
+
+    def test_unequal_contacts_settle(self):
+        """Five contacts at unequal levels about the fitted-circle centre:
+        dropping the highest one at a time cycles among sets of four, and
+        the balanced triple settles on three with positive weights."""
+        curve = build_curve({"type": "support_fourier", "a0": 1.0,
+                             "cos": [-0.0309, -0.0104, 0.0067, 0.0002, -0.0046],
+                             "sin": [-0.0029, 0.0047, -0.0059, 0.0009, 0.0081]})
+        h = curve.h(characterize._THETAS)
+        u = np.stack([characterize._COS, characterize._SIN])
+        a0, c1 = float(np.mean(h)), 2.0 * (u @ h) / len(h)
+        s = float(np.max(np.abs(h - a0 - c1 @ u)))
+        t, q = characterize._support_extrema(curve, c1)
+        assert len(t) == 5 and np.ptp(q) < s
+        d, r, i, lam = characterize._kkt_step(
+            curve, c1, t, q, np.arange(5), np.full(5, 0.2), a0, s, 1e-15)
+        assert len(i) == 3 and np.all(lam > 0.0)
+        center, r = inscribed_disc(curve)
+        assert _dual_bound(curve, center) - r <= 1e-12
+
+    @pytest.mark.parametrize("a", ELLIPSE_AXES)
+    def test_flat_rotated_ellipses(self, a):
+        """r = b at the ellipse's centre, in closed form, over 12 rotations
+        and 3 centres (b = 1)."""
+        for k, center in itertools.product(range(12), ELLIPSE_CENTERS):
+            curve = build_curve({"type": "ellipse", "a": a, "b": 1.0,
+                                 "center": list(center),
+                                 "rotation": k * math.pi / 12})
+            (cx, cy), r = inscribed_disc(curve)
+            assert r == pytest.approx(1.0, abs=1e-12), (k, center)
+            assert math.hypot(cx - center[0], cy - center[1]) <= 1e-12 * a, (
+                k, center)
 
     def test_chart_tables_built_on_first_use(self, three_lobe):
         chart = chord_chart(three_lobe, 0.3)
@@ -188,6 +245,30 @@ CERTIFIED = (
     + [{"type": "ellipse", "a": a, "b": 1.0, "center": [0.1, 0.05],
         "rotation": 0.5} for a in (1.6, 20.0)]
 )
+
+
+def test_balanced_triple_is_the_lp_dual():
+    """The least sum w q over triples whose normals balance with weights
+    w >= 0, against every triple solved by np.linalg.solve."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        t, q = rng.uniform(0.0, 2.0 * math.pi, 7), rng.uniform(0.9, 1.1, 7)
+        best = math.inf
+        for tri in itertools.combinations(range(7), 3):
+            m = np.stack([np.cos(t[tri,]), np.sin(t[tri,]), np.ones(3)])
+            lam = np.linalg.solve(m, [0.0, 0.0, 1.0])
+            if np.all(lam >= 0.0):
+                best = min(best, float(lam @ q[tri,]))
+        i3, w = characterize._balanced_triple(t, q, np.arange(7))
+        if best == math.inf:
+            assert i3 is None
+            continue
+        assert float(w @ q[i3]) == pytest.approx(best, abs=1e-14)
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0)
+        assert np.hypot(w @ np.cos(t[i3]), w @ np.sin(t[i3])) <= 1e-15
+    half_plane = np.array([0.1, 0.5, 1.0, 2.0])
+    assert characterize._balanced_triple(half_plane, np.ones(4),
+                                         np.arange(4)) == (None, None)
 
 
 @pytest.mark.parametrize("spec", CERTIFIED, ids=range(len(CERTIFIED)))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import discwitness
+from discwitness import characterize
 from discwitness.cli import build_parser, main
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
@@ -61,11 +62,7 @@ class TestExitCodes:
 
     def test_failed_disc_search_is_numerical_error(self, shape_file, capsys,
                                                    monkeypatch):
-        class Failed:
-            success = False
-            message = "stub"
-
-        monkeypatch.setattr("scipy.optimize.linprog", lambda *a, **k: Failed())
+        monkeypatch.setattr(characterize, "_NEWTON_STEPS", 0)
         assert run(["inscribed", "--shape", shape_file(THREE_LOBE)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -112,6 +109,11 @@ class TestFlags:
         lines = out.read_text().splitlines()
         assert lines[0] == "s,theta,kappa,L,kappaL"
         assert len(lines) > 1
+
+    def test_profile_keeps_every_sample(self, shape_file, capsys):
+        assert run(["profile", "--shape", shape_file(CIRCLE), "--samples",
+                    "16", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 16
 
     @pytest.mark.parametrize("command", ["profile", "report"])
     def test_zero_tol_is_usage_error(self, shape_file, command):
@@ -181,6 +183,14 @@ class TestSubcommands:
                     "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["radius"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_inscribed_flat_rotated_ellipse(self, shape_file, capsys):
+        flat = {"type": "ellipse", "a": 100, "b": 1, "center": [0, 0],
+                "rotation": math.pi / 6}
+        assert run(["inscribed", "--shape", shape_file(flat)]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert json.loads(out)["radius"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identities_and_residuals(self, shape_file, tmp_path):
         out = tmp_path / "r.json"
@@ -286,8 +296,12 @@ class TestColdStart:
                 f"assert main({argv!r}) == 0\n" + self.loaded)
         assert _fresh_python(code) == "[]\n"
 
-    def test_inscribed_still_loads_its_solver(self, shape_file):
-        code = ("from discwitness.cli import main\n"
-                f"main(['inscribed', '--shape', {shape_file(ELLIPSE)!r}])\n")
-        assert json.loads(_fresh_python(code))["radius"] == pytest.approx(
-            1.0, abs=1e-9)
+    def test_disc_commands_skip_scipy(self, shape_file, tmp_path):
+        shape = shape_file(ASYMMETRIC)
+        runs = [[cmd, "--shape", shape, "--out", str(tmp_path / cmd)]
+                for cmd in ("inscribed", "report")]
+        code = ("import sys\n"
+                "from discwitness.cli import main\n"
+                f"for argv in {runs!r}:\n"
+                "    assert main(argv) == 0, argv\n" + self.loaded)
+        assert _fresh_python(code) == "[]\n"
