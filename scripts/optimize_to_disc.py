@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Drive a perturbed shape to a disc and print the convergence trace summary.
 
-The default kappa*L objective is convex in the support coefficients and is
-solved by damped Newton steps (eight from this start; the seed is unused).  The
-"bracket" objective goes through restarted Nelder-Mead, which the seed
-drives.
+Both objectives are solved by damped Newton steps in one loop: the default
+kappa*L objective is convex in the support coefficients and takes exact Newton
+steps (eight from this start); the "bracket" objective takes Gauss-Newton steps
+on the equal-height, equal-curvature and phase residuals of each frame's two
+Laplace peak terms (six from this start).  Both are deterministic; the seed
+argument is accepted and ignored.
 
 Usage: python3 scripts/optimize_to_disc.py [seed] [objective]
 """
@@ -12,14 +14,13 @@ Usage: python3 scripts/optimize_to_disc.py [seed] [objective]
 import sys
 
 from discwitness.characterize import kl_profile
-from discwitness.shapeopt import OptOptions, ShapeVector, minimize
+from discwitness.shapeopt import ShapeVector, minimize
 
 
 def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    objective = sys.argv[2] if len(sys.argv) > 2 else "kl"
+    objective = sys.argv[2] if len(sys.argv) > 2 else "kl"  # argv[1]: the seed
     start = ShapeVector(cos=(0.0, 0.0, 0.1), sin=(0.0, 0.04))
-    res = minimize(start, objective, OptOptions(seed=seed))
+    res = minimize(start, objective)
     print(f"objective       : {res.objective:.3e}")
     print(f"iterations      : {res.iterations}")
     print(f"circle distance : {res.circle_distance:.3e}")

@@ -176,7 +176,10 @@ def cmd_optimize(args):
         raise MalformedSpec("optimize requires a support_fourier shape")
     k = max(shapeopt.DEFAULT_K, len(spec["cos"]), len(spec["sin"]))
     start = shapeopt.ShapeVector(spec["a0"], spec["cos"], spec["sin"], K=k)
-    opts = shapeopt.OptOptions(max_iter=args.max_iter, seed=args.seed)
+    # the objective's own stopping J, passed as a float as callers that
+    # read options.target (perfbench's tracer) expect
+    opts = shapeopt.OptOptions(max_iter=args.max_iter,
+                               target=shapeopt.TARGETS[args.objective])
     result = shapeopt.minimize(start, args.objective, opts)
     if args.trace_out:
         rows = [(i, j, None, None) for i, j in enumerate(result.trace)]
@@ -253,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--frame-deg": dict(type=float, default=0.0),
         "--tol": dict(type=float, default=1e-6),
         "--samples": dict(type=int, default=64),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=int, default=0,
+                       help="ignored: both objectives are deterministic"),
     }
 
     def add(name, help, func, *flags):

@@ -1,34 +1,30 @@
 """Shape optimization over support-Fourier coefficients.
 
-Minimizing the kappa*L residual (or the main-term bracket magnitude over a
-set of frames) drives strictly convex shapes to discs, which is the
-numerical face of the symmetry theorem; the convex kappa*L residual takes
-Newton steps.  Scale is gauged out by normalizing the mean width to 2 at
-every evaluation; translation is gauged out by pinning the first harmonics.
+Minimizing the kappa*L residual, or the bracket residuals (the equal-height,
+equal-curvature and phase conditions of each frame's two Laplace peak
+terms), drives strictly convex shapes to discs, which is the numerical face
+of the symmetry theorem.  Both take damped Newton steps in one loop: exact
+Newton on the convex kappa*L residual, Gauss-Newton on the bracket.  Scale
+is gauged out by normalizing the mean width to 2 at every evaluation;
+translation is gauged out by pinning the first harmonics.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import peak_log_magnitude
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import (DEFAULT_EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
                        periodic_trig, trig_table)
 
 DEFAULT_K = 8
-PENALTY_WEIGHT = 1e6
-RESTARTS = 3
-SIMPLEX_TOL = 1e-10
 BOUNDARY_FRACTION = 0.99
 MAX_HALVINGS = 40
-DIRECTIONS = tuple(np.pi * k / 8 for k in range(8))
-BRACKET_M = 50
 _GRID = 512  # even, so theta + pi is an exact roll
 
 
@@ -128,54 +124,66 @@ def objective_kl(v: ShapeVector) -> float:
     return _kl_value(*_kl_maps(g.K, g.pin_translation), g.coefficients())
 
 
-def _bracket_core(g: ShapeVector, directions, m: int,
-                  rho_floor: Optional[float] = None) -> float:
-    """Sum over frames of |term_f - term_g|^2, each frame's peak terms
-    rescaled by the larger of their two log scales.
+def bracket_frames(K: int) -> np.ndarray:
+    """The F = 2K frame angles pi j / (2K), j < F: enough that the bracket
+    residuals of a degree-K shape vanish only on a centred disc (with K
+    frames sin K theta vanishes at every peak normal)."""
+    return np.pi * np.arange(2 * K) / (2 * K)
 
-    In the frame rotated by phi the chart extrema sit at the normal angles
-    pi/2 + phi (x1 = -h', f = h, f'' = -1/rho) and 3pi/2 + phi (x2 = h',
-    g = -h, g'' = 1/rho), so no chart is built.
-    """
+
+def _bracket_maps(K: int, pin_translation: bool, directions):
+    """B_h, B_h1, B_rho: h = 1 + B_h x, h' = B_h1 x and rho = 1 + B_rho x
+    for the free coefficients x of a gauged vector, at the peak normals
+    pi/2 + phi of the frames phi (first half of the rows), then 3pi/2 + phi."""
     phi = np.asarray(directions, dtype=float)
-    trig = trig_table(np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), g.K)
-    h, h1, h2 = (fourier_sums(g.a0, g.cos, g.sin, trig, d) for d in range(3))
-    if np.any(h <= 0.0):
-        return math.inf
-    rho = h + h2
-    if rho_floor is not None:
-        rho = np.maximum(rho, rho_floor)
-    x1, x2 = -h1[:len(phi)], h1[len(phi):]
-    ln_f, ln_g = peak_log_magnitude(h, 1.0 / rho, m).reshape(2, -1)
-    ref = np.maximum(ln_f, ln_g)
-    bf = np.exp(1j * x1 + ln_f - ref)
-    bg = np.exp(1j * x2 + ln_g - ref)
-    return float(np.sum(np.abs(bf - bg) ** 2))
+    coskt, sinkt, k = trig_table(
+        np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), K)
+    k0 = 1 if pin_translation else 0
+    cos, sin, k = coskt[:, k0:], sinkt[:, k0:], k[k0:]
+    b_h = np.hstack([cos, sin])
+    return b_h, np.hstack([-sin * k, cos * k]), b_h * np.tile(1.0 - k * k, 2)
 
 
-def objective_bracket(v: ShapeVector, directions: Sequence[float],
-                      m: int = BRACKET_M) -> float:
-    """Sum over frames of the squared main-term bracket, each frame's terms
-    rescaled by the larger of the two log scales."""
-    if m < 10:
-        raise ValueError("m must be >= 10")
+def _bracket_residuals(maps, x: np.ndarray):
+    """(r, dr/dx), r = [ln h(up) - ln h(lo), ln rho(up) - ln rho(lo),
+    h'(up) + h'(lo)] over the frames, up and lo the peak normals: the
+    equal-height, equal-curvature and phase conditions under which the two
+    Laplace peak terms of a frame cancel.  None where h or rho <= 0."""
+    b_h, b_h1, b_rho = maps
+    h, rho = 1.0 + b_h @ x, 1.0 + b_rho @ x
+    if min(np.min(h), np.min(rho)) <= 0.0:
+        return None
+    f = len(h) // 2
+    d_ln_h, d_ln_rho = b_h / h[:, None], b_rho / rho[:, None]
+    h1 = b_h1 @ x
+    r = np.concatenate([np.log(h[:f] / h[f:]), np.log(rho[:f] / rho[f:]),
+                        h1[:f] + h1[f:]])
+    jac = np.vstack([d_ln_h[:f] - d_ln_h[f:], d_ln_rho[:f] - d_ln_rho[f:],
+                     b_h1[:f] + b_h1[f:]])
+    return r, jac
+
+
+def _bracket_value(maps, x: np.ndarray) -> float:
+    res = _bracket_residuals(maps, x)
+    return math.inf if res is None else float(res[0] @ res[0])
+
+
+def objective_bracket(v: ShapeVector,
+                      directions: Optional[Sequence[float]] = None) -> float:
+    """Sum of squared bracket residuals (see _bracket_residuals) over the
+    frames, by default bracket_frames(K); zero iff a centred disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    directions = list(directions)
-    if not directions:
+    directions = bracket_frames(g.K) if directions is None else list(directions)
+    if len(directions) == 0:
         warnings.warn("empty direction set: bracket objective is vacuously 0",
                       stacklevel=2)
         return 0.0
-    j = _bracket_core(g, directions, m)
+    j = _bracket_value(_bracket_maps(g.K, g.pin_translation, directions),
+                       g.coefficients())
     if j == math.inf:
         raise MalformedSpec("bracket frames need h > 0 at their peak normals")
     return j
-
-
-def _penalized_bracket(g: ShapeVector) -> float:
-    _, rho = _grid_eval(g)
-    return (_bracket_core(g, DIRECTIONS, BRACKET_M, 0.5 * g.eps0)
-            + PENALTY_WEIGHT * max(0.0, g.eps0 - float(np.min(rho))) ** 2)
 
 
 def _feasible(g: ShapeVector) -> bool:
@@ -197,11 +205,15 @@ def circle_distance(v: ShapeVector) -> float:
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 
 
+# J at which a run stops: the bracket residuals are O(circle distance), so
+# their J <= 1e-20 leaves a circle distance near 1e-10, far above rounding
+TARGETS = {"kl": 1e-10, "bracket": 1e-20}
+
+
 @dataclass
 class OptOptions:
     max_iter: int = 5000
-    seed: int = 0
-    target: float = 1e-10
+    target: Optional[float] = None  # None: TARGETS[objective]
 
 
 @dataclass
@@ -215,16 +227,15 @@ class OptResult:
     evaluations: int  # objective values computed, line-search trials too
 
 
-def minimize(start: ShapeVector,
-             objective: Union[str, Callable] = "kl",
+def minimize(start: ShapeVector, objective: str = "kl",
              options: Optional[OptOptions] = None) -> OptResult:
-    """Descent over the start's free coefficients.
+    """Damped Newton descent over the start's free coefficients.
 
-    objective: "kl" (damped Newton), "bracket", or a callable on gauged
-    ShapeVectors (simplex descent with a convexity penalty, whose restarts
-    are all the seed drives).  Stops on objective <= target, no further
-    descent, or the iteration budget.  A point becomes the best only if it
-    decodes, so the result is always a valid curve.
+    objective: "kl" (Newton steps on the convex kappa*L residual) or
+    "bracket" (Gauss-Newton steps on the bracket residuals).  Stops on
+    objective <= target, no further descent, or the iteration budget.  A
+    point is accepted only if it decodes, so the result is always a valid
+    curve.
     """
     opts = options or OptOptions()
     try:
@@ -232,14 +243,15 @@ def minimize(start: ShapeVector,
     except Infeasible as exc:
         raise NoFeasibleStart(str(exc)) from exc
     gauged_start = start.gauged()
-    fun = _penalized_bracket if objective == "bracket" else objective
     if objective == "kl":
-        found = _newton_kl(gauged_start, opts)
-    elif callable(fun):
-        found = _nelder_mead(fun, gauged_start, opts)
+        problem = _kl_problem(gauged_start)
+    elif objective == "bracket":
+        problem = _bracket_problem(gauged_start)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    x_best, j_best, iterations, trace, evaluations = found
+    target = TARGETS[objective] if opts.target is None else opts.target
+    x_best, j_best, iterations, trace, evaluations = _damped_newton(
+        gauged_start, target, opts.max_iter, *problem)
     best_vec = gauged_start.with_coefficients(x_best)
     return OptResult(best=best_vec, objective=j_best, iterations=iterations,
                      trace=trace, circle_distance=circle_distance(best_vec),
@@ -247,27 +259,52 @@ def minimize(start: ShapeVector,
                      evaluations=evaluations)
 
 
-def _newton_kl(g: ShapeVector, opts: OptOptions):
-    """Newton descent on J = (2 pi / N) sum ell^2 / rho, convex as the
-    perspective of a square of affine maps (Boyd & Vandenberghe, 2004,
-    3.2.6 and 9.5).  A step goes BOUNDARY_FRACTION of the way to rho = eps0
-    at most, then halves until J falls at a point that decodes."""
+def _kl_problem(g: ShapeVector):
+    """(value, step) for Newton descent on J = (2 pi / N) sum ell^2 / rho,
+    convex as the perspective of a square of affine maps (Boyd &
+    Vandenberghe, 2004, 3.2.6 and 9.5)."""
     a_ell, a_rho = _kl_maps(g.K, g.pin_translation)
-    x = g.coefficients()
-    j = _kl_value(a_ell, a_rho, x)
-    _, rho_v = _grid_eval(g, VALIDATION_GRID)
-    trace, evaluations = [j], 1
-    while j > opts.target and len(trace) <= opts.max_iter:
+
+    def step(x):
         grad, hess = _kl_derivatives(a_ell, a_rho, x)
         # least squares: no step along an unpinned translation (zero columns)
-        p = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
+
+    return (lambda x: _kl_value(a_ell, a_rho, x)), step
+
+
+def _bracket_problem(g: ShapeVector):
+    """(value, step) for Gauss-Newton descent on the sum of squared bracket
+    residuals over bracket_frames(K) (Nocedal & Wright, 2006, 10.3)."""
+    maps = _bracket_maps(g.K, g.pin_translation, bracket_frames(g.K))
+    if _bracket_value(maps, g.coefficients()) == math.inf:
+        raise MalformedSpec("bracket frames need h > 0 at their peak normals")
+
+    def step(x):
+        r, jac = _bracket_residuals(maps, x)
+        return np.linalg.lstsq(jac, -r, rcond=None)[0]
+
+    return (lambda x: _bracket_value(maps, x)), step
+
+
+def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
+    """Descent on value(x) from g's free coefficients by the full steps
+    step(x).  A step goes BOUNDARY_FRACTION of the way to rho = eps0 at
+    most (rho is affine: one ratio test bounds it), then halves until the
+    value falls at a point that decodes."""
+    x = g.coefficients()
+    j = value(x)
+    _, rho_v = _grid_eval(g, VALIDATION_GRID)
+    trace, evaluations = [j], 1
+    while j > target and len(trace) <= max_iter:
+        p = step(x)
         _, rho_p = _grid_eval(replace(g.with_coefficients(p), a0=0.0),
                               VALIDATION_GRID)
-        falling = rho_p < 0.0  # rho is affine: one ratio test bounds the step
+        falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
             (rho_v[falling] - g.eps0) / -rho_p[falling], initial=math.inf)))
         for _ in range(MAX_HALVINGS):
-            j_t = _kl_value(a_ell, a_rho, x + t * p)
+            j_t = value(x + t * p)
             evaluations += 1
             if j_t < j and _feasible(g.with_coefficients(x + t * p)):
                 break
@@ -277,59 +314,3 @@ def _newton_kl(g: ShapeVector, opts: OptOptions):
         x, j, rho_v = x + t * p, j_t, rho_v + t * rho_p
         trace.append(j)
     return x, j, len(trace) - 1, trace, evaluations
-
-
-def _nelder_mead(fun: Callable, gauged_start: ShapeVector, opts: OptOptions):
-    """Nelder-Mead on fun, restarted from the best point; seeded."""
-    from scipy.optimize import minimize as scipy_minimize  # not at import
-
-    def f_of_x(x):
-        return fun(gauged_start.with_coefficients(x))
-
-    def feasible(x):
-        return _feasible(gauged_start.with_coefficients(x))
-
-    rng = np.random.default_rng(opts.seed)
-    x_best = gauged_start.coefficients()
-    j_best = f_of_x(x_best)
-    trace = [j_best]
-    iterations, evaluations = 0, 1
-    for attempt in range(RESTARTS + 1):
-        if j_best <= opts.target or iterations >= opts.max_iter:
-            break
-        scale = 0.05 if attempt == 0 else max(0.02 * 0.1 ** attempt, 1e-7)
-        init = np.tile(x_best, (len(x_best) + 1, 1))
-        for i in range(len(x_best)):
-            init[i + 1, i] += scale * (1.0 + 0.01 * rng.standard_normal())
-
-        run_best = [j_best, x_best, 0]  # value, point, iterations
-
-        def on_step(intermediate_result):
-            # scipy passes the simplex's best vertex and the value it scored
-            run_best[2] += 1
-            j, xk = float(intermediate_result.fun), intermediate_result.x
-            if j < run_best[0] and feasible(xk):
-                run_best[0], run_best[1] = j, np.array(xk)
-            trace.append(run_best[0])
-            if run_best[0] <= opts.target:
-                raise StopIteration  # scipy halts and returns its result
-
-        res = scipy_minimize(
-            f_of_x, x_best, method="Nelder-Mead", callback=on_step,
-            options={
-                "maxiter": opts.max_iter - iterations,
-                "initial_simplex": init,
-                "xatol": SIMPLEX_TOL,
-                "fatol": 1e-16,
-                "adaptive": len(x_best) > 6,
-            },
-        )
-        evaluations += res.nfev
-        # Nelder-Mead can stop inside an iteration, before a callback
-        if res.fun < run_best[0] and feasible(res.x):
-            run_best[0], run_best[1] = float(res.fun), res.x
-        iterations += run_best[2]
-        if run_best[0] < j_best:
-            j_best, x_best = run_best[0], run_best[1]
-        trace.append(j_best)
-    return x_best, j_best, iterations, trace, evaluations

@@ -146,11 +146,15 @@ def test_criterion_7_lemma2_machinery():
 def test_criterion_8_theorem_as_optimization():
     t0 = time.time()
     res = minimize(ShapeVector(cos=(0, 0, 0.1)), "kl",
-                   OptOptions(max_iter=5000, seed=0))
+                   OptOptions(max_iter=5000))
+    bracket = minimize(ShapeVector(cos=(0, 0, 0.1), sin=(0, 0.04)), "bracket")
     elapsed = time.time() - t0
     ok = res.objective <= 1e-8
     ok &= res.circle_distance <= 1e-4
     ok &= res.iterations <= 5000
     ok &= elapsed <= 60.0
     ok &= all(a >= b for a, b in zip(res.trace, res.trace[1:]))
-    report("8 theorem as optimization (J<=1e-8, circle_distance<=1e-4)", ok)
+    ok &= bracket.circle_distance <= 1e-8 and bracket.iterations <= 10
+    ok &= all(a >= b for a, b in zip(bracket.trace, bracket.trace[1:]))
+    report("8 theorem as optimization (kl: J<=1e-8, circle_distance<=1e-4; "
+           "bracket: circle_distance<=1e-8)", ok)

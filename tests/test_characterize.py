@@ -176,6 +176,18 @@ class TestInscribedDisc:
             assert math.hypot(cx - center[0], cy - center[1]) <= 1e-12 * a, (
                 k, center)
 
+    def test_no_gain_step_is_refused(self):
+        """From the exact centre of a 100 x 1 ellipse standing upright, the
+        KKT step is rounding along the major axis (9.8e-11 long) that
+        gains nothing; it is refused, not taken."""
+        for center in ELLIPSE_CENTERS:
+            curve = build_curve({"type": "ellipse", "a": 100.0, "b": 1.0,
+                                 "center": list(center),
+                                 "rotation": math.pi / 2})
+            (cx, cy), r = inscribed_disc(curve)
+            assert math.hypot(cx - center[0], cy - center[1]) <= 1e-14 * 100.0
+            assert r == pytest.approx(1.0, abs=1e-12)
+
     def test_chart_tables_built_on_first_use(self, three_lobe):
         chart = chord_chart(three_lobe, 0.3)
         constraint_residuals(chart)
@@ -244,6 +256,14 @@ CERTIFIED = (
     + [_fourier(k, w, 10 + k) for w in (0.2, 0.5, 0.79) for k in (3, 6)]
     + [{"type": "ellipse", "a": a, "b": 1.0, "center": [0.1, 0.05],
         "rotation": 0.5} for a in (1.6, 20.0)]
+    # two contacts merge into one valley of q: about the first the valley's
+    # minimum jumps across it for 21 Newton steps, about the second the
+    # contact set cycles between the valley's two ends
+    + [{"type": "support_fourier", "a0": 1.0, "cos": [0.0, -0.0234375, 0.0],
+        "sin": [0.0, 0.0434195739620252, 0.024702277434705086]},
+       {"type": "support_fourier", "a0": 1.0,
+        "cos": [0.0, -0.03883068253051293, -0.010607297750382863],
+        "sin": [0.0, -0.059322573474969525, 0.034657921802736046]}]
 )
 
 

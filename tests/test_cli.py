@@ -226,6 +226,19 @@ class TestOptimizeRoundTrip:
             assert run([cmd, "--shape", str(final),
                         "--out", str(tmp_path / "x.out")]) == 0
 
+    def test_bracket_seed_is_ignored(self, shape_file, tmp_path):
+        shape = shape_file(THREE_LOBE)
+        outs = []
+        for seed in ("7", "8"):
+            out, trace = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
+            assert run(["optimize", "--shape", shape, "--objective", "bracket",
+                        "--seed", seed, "--out", str(out),
+                        "--trace-out", str(trace)]) == 0
+            outs.append((out.read_bytes(), trace.read_bytes()))
+        assert outs[0] == outs[1]
+        rows = outs[0][1].decode().splitlines()
+        assert float(rows[-1].split(",")[2]) <= 1e-8  # circle distance
+
 
 class TestParserCache:
     def test_built_once(self):
@@ -263,7 +276,7 @@ def _fresh_python(code):
 
 
 class TestColdStart:
-    """scipy is imported only inside the routines that call it."""
+    """No subcommand imports scipy."""
 
     loaded = f"print([m for m in {SCIPY_MODULES!r} if m in sys.modules])\n"
 
@@ -291,6 +304,14 @@ class TestColdStart:
     def test_kl_optimize_skips_scipy(self, shape_file, tmp_path):
         argv = ["optimize", "--shape", shape_file(THREE_LOBE), "--objective",
                 "kl", "--out", str(tmp_path / "best.json")]
+        code = ("import sys\n"
+                "from discwitness.cli import main\n"
+                f"assert main({argv!r}) == 0\n" + self.loaded)
+        assert _fresh_python(code) == "[]\n"
+
+    def test_bracket_optimize_skips_scipy(self, shape_file, tmp_path):
+        argv = ["optimize", "--shape", shape_file(THREE_LOBE), "--objective",
+                "bracket", "--out", str(tmp_path / "best.json")]
         code = ("import sys\n"
                 "from discwitness.cli import main\n"
                 f"assert main({argv!r}) == 0\n" + self.loaded)

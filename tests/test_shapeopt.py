@@ -1,14 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from discwitness import chord_chart
 from discwitness.geometry import width_at
-from discwitness.asymptotics import bracket_main_term
-from discwitness.characterize import kl_profile
-from discwitness import shapeopt
+from discwitness.characterize import constraint_residuals, kl_profile
+from discwitness import cli, shapeopt
 from discwitness.errors import Infeasible, MalformedSpec, NoFeasibleStart
 from discwitness.shapeopt import (
     OptOptions,
@@ -37,39 +36,69 @@ class TestObjectiveKL:
         assert objective_kl(v) == pytest.approx(objective_kl(scaled), rel=1e-12)
 
 
+C8 = ShapeVector(cos=(0,) * 7 + (0.01,))  # sin 8 theta = 0 at pi j / 8
+
+
 class TestObjectiveBracket:
     def test_circle_is_zero(self):
-        dirs = [math.pi * k / 8 for k in range(8)]
-        assert objective_bracket(ShapeVector(a0=2.0), dirs, 50) <= 1e-12
+        assert objective_bracket(ShapeVector(a0=2.0)) <= 1e-30
 
     def test_asymmetric_positive(self):
-        dirs = [math.pi * k / 8 for k in range(8)]
         v = ShapeVector(cos=(0, 0.05), sin=(0, 0, 0.03))
-        assert objective_bracket(v, dirs, 50) > 0
+        assert objective_bracket(v) > 0
+
+    def test_frames_tied_to_k(self):
+        # K = 8 frames alias against cos 8 theta; F = 2K frames do not
+        assert objective_bracket(C8, [math.pi * k / 8 for k in range(8)]) <= 1e-28
+        assert len(shapeopt.bracket_frames(8)) == 16
+        assert objective_bracket(C8) > 1e-2
 
     def test_matches_chart_bracket_terms(self):
-        # oracle: one chord chart per frame, terms from the extremum fields
+        # oracle: one chord chart per frame, its extremum heights, curvatures
+        # and phase through constraint_residuals
         dirs = [0.0, 0.4, 1.3, 2.9, 4.4]
         v = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01))
-        curve = v.decode()
-        total = 0.0
-        for ang in dirs:
-            bt = bracket_main_term(chord_chart(curve, ang), 50)
-            ref = max(bt.term_f.log_scale, bt.term_g.log_scale)
-            bf = bt.term_f.mantissa * math.exp(bt.term_f.log_scale - ref)
-            bg = bt.term_g.mantissa * math.exp(bt.term_g.log_scale - ref)
-            total += abs(bf - bg) ** 2
-        assert total > 1e-3
-        assert objective_bracket(v, dirs, 50) == pytest.approx(total, rel=1e-12)
+        g = v.gauged()
+        r, _ = shapeopt._bracket_residuals(
+            shapeopt._bracket_maps(g.K, g.pin_translation, dirs),
+            g.coefficients())
+        r_h, r_rho, r_phase = r.reshape(3, -1)
+        curve = g.decode()
+        for j, ang in enumerate(dirs):
+            chart = chord_chart(curve, ang)
+            res = constraint_residuals(chart)
+            # f(x1) = h(up), g(x2) = -h(lo), f'' = -1/rho(up), g'' = 1/rho(lo)
+            height = abs(chart.g_x2) * abs(math.expm1(r_h[j]))
+            curv = abs(chart.g_pp_x2) * abs(math.expm1(-r_rho[j]))
+            assert res.p_nearest == 0
+            assert height == pytest.approx(res.r_height, rel=0, abs=1e-10)
+            assert curv == pytest.approx(res.r_curv, rel=0, abs=1e-10)
+            assert abs(r_phase[j]) == pytest.approx(res.r_phase, rel=0, abs=1e-10)
+        assert np.max(np.abs(r)) > 1e-2
+        assert objective_bracket(v, dirs) == pytest.approx(float(r @ r), rel=1e-14)
+
+    def test_jacobian_matches_central_differences(self):
+        g = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01)).gauged()
+        maps = shapeopt._bracket_maps(g.K, g.pin_translation,
+                                      shapeopt.bracket_frames(g.K))
+        x = g.coefficients()
+        _, jac = shapeopt._bracket_residuals(maps, x)
+        d = 1e-6
+        fd = np.array([(shapeopt._bracket_residuals(maps, x + d * e)[0]
+                        - shapeopt._bracket_residuals(maps, x - d * e)[0]) / (2 * d)
+                       for e in np.eye(len(x))]).T
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
 
     def test_origin_outside_a_peak_raises(self):
         v = ShapeVector(1.0, (2.0,), pin_translation=False)  # h(pi) = -1
         with pytest.raises(MalformedSpec):
-            objective_bracket(v, [math.pi / 2], 50)
+            objective_bracket(v, [math.pi / 2])
+        with pytest.raises(MalformedSpec):
+            minimize(v, "bracket")
 
     def test_empty_directions_warns(self):
         with pytest.warns(UserWarning):
-            assert objective_bracket(ShapeVector(a0=1.0), [], 50) == 0.0
+            assert objective_bracket(ShapeVector(a0=1.0), []) == 0.0
 
 
 class TestMinimize:
@@ -94,66 +123,63 @@ class TestMinimize:
         res = minimize(start, "bracket", OptOptions(max_iter=80))
         res.best.decode()
 
-    def test_best_point_always_decodes(self):
-        # an objective that rewards leaving the convex set
-        t = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    def test_best_point_always_decodes(self, monkeypatch):
+        # every point the bracket solve accepts passes decode(), from a
+        # start 0.0006 above the convexity floor
+        accepted = []
+        feasible = shapeopt._feasible
 
-        def min_rho(g):
-            k = np.arange(1, g.K + 1)
-            kt = np.outer(t, k)
-            rho = (g.a0 + np.cos(kt) @ ((1 - k * k) * np.asarray(g.cos))
-                   + np.sin(kt) @ ((1 - k * k) * np.asarray(g.sin)))
-            return float(np.min(rho))
+        def recorded(g):
+            ok = feasible(g)
+            if ok:
+                accepted.append(g)
+            return ok
 
-        res = minimize(ShapeVector(cos=(0, 0, 0.1)), min_rho,
-                       OptOptions(max_iter=200))
-        assert res.objective < 0.2  # it did descend
-        res.best.decode()
+        monkeypatch.setattr(shapeopt, "_feasible", recorded)
+        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "bracket")
+        assert len(accepted) == res.iterations == len(res.trace) - 1
+        for g in accepted:
+            g.decode()
+
+    @pytest.mark.parametrize("start", [ShapeVector(cos=(0, 0, 0.1), sin=(0, 0.04)),
+                                       ShapeVector(cos=(0, 0, 0.1)), C8],
+                             ids=["script", "three_lobe", "c8"])
+    def test_bracket_reaches_a_disc(self, start):
+        res = minimize(start, "bracket")
+        assert res.objective <= shapeopt.TARGETS["bracket"]
+        assert res.circle_distance <= 1e-8
+        assert res.iterations <= 10
+        assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
+        assert kl_profile(res.best.decode(), 512, tol=1e-3).verdict == "disc"
 
     def test_infeasible_start(self):
         with pytest.raises(NoFeasibleStart):
             minimize(ShapeVector(cos=(0, 0, 0.5)), "kl")
 
     def test_deterministic(self):
-        opts = OptOptions(max_iter=300, seed=7)
-        a = minimize(ShapeVector(cos=(0, 0, 0.08)), "kl", opts)
-        b = minimize(ShapeVector(cos=(0, 0, 0.08)), "kl", opts)
+        a = minimize(ShapeVector(cos=(0, 0, 0.08)), "bracket")
+        b = minimize(ShapeVector(cos=(0, 0, 0.08)), "bracket")
         assert a.trace == b.trace
         assert np.array_equal(a.best.coefficients(), b.best.coefficients())
 
     def test_each_point_scored_once(self, monkeypatch):
-        # the objective runs once at the start and otherwise only inside
-        # scipy, which reports every call it makes as nfev
+        # the bracket solve computes J once at the start and once per
+        # line-search trial, never again at an accepted point
         calls = [0]
-        nfev = [0]
+        bracket_value = shapeopt._bracket_value
 
-        def counted(g):
+        def counted(*args):
             calls[0] += 1
-            return shapeopt._penalized_bracket(g)
+            return bracket_value(*args)
 
-        def recorder(*args, **kwargs):
-            res = scipy_minimize(*args, **kwargs)
-            nfev[0] += res.nfev
-            return res
-
-        scipy_minimize = scipy.optimize.minimize
-        monkeypatch.setattr(scipy.optimize, "minimize", recorder)
-        res = minimize(ShapeVector(cos=(0, 0, 0.08)), counted,
-                       OptOptions(max_iter=100, seed=7))
+        monkeypatch.setattr(shapeopt, "_bracket_value", counted)
+        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "bracket")
         assert res.iterations > 0
-        assert calls[0] == 1 + nfev[0] == res.evaluations
+        assert calls[0] == 1 + res.evaluations  # one more: the start check
 
-    def test_penalized_bracket_builds_one_grid(self, monkeypatch):
-        grids = [0]
-        grid_eval = shapeopt._grid_eval
-
-        def counted(*args, **kwargs):
-            grids[0] += 1
-            return grid_eval(*args, **kwargs)
-
-        monkeypatch.setattr(shapeopt, "_grid_eval", counted)
-        shapeopt._penalized_bracket(ShapeVector(cos=(0, 0, 0.08)))
-        assert grids[0] == 1
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError):
+            minimize(ShapeVector(cos=(0, 0, 0.08)), "simplex")
 
     @pytest.mark.parametrize("objective", ["kl", "bracket"])
     def test_values_are_python_floats(self, objective):
@@ -246,11 +272,17 @@ class TestNewtonKL:
         assert res.iterations == 1
         assert len(res.trace) == 2
 
-    def test_seed_is_ignored(self):
-        a = minimize(_random_k8(3), "kl", OptOptions(seed=0))
-        b = minimize(_random_k8(3), "kl", OptOptions(seed=12345))
-        assert a.trace == b.trace
-        assert np.array_equal(a.best.coefficients(), b.best.coefficients())
+    def test_seed_is_ignored(self, tmp_path):
+        # --seed is accepted and read by nothing
+        spec = tmp_path / "start.json"
+        spec.write_text(json.dumps(_random_k8(3).decode().to_spec()))
+        outs = []
+        for seed in ("0", "12345"):
+            out, trace = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
+            assert cli.main(["optimize", "--shape", str(spec), "--seed", seed,
+                             "--out", str(out), "--trace-out", str(trace)]) == 0
+            outs.append(out.read_bytes() + trace.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_evaluations_count_every_j(self, monkeypatch):
         calls = [0]
