@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BracketNearZero
 from .geometry import ChordChart, SupportCurve, chord_chart
 from .logscale import LogComplex
-from .moments import _green_moments, peak_packing, trapezoid_sums
+from .moments import _boundary_moments, peak_packing, trapezoid_sums
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,12 @@ def arc_integral(chart: ChordChart, m: int, upper: bool, *,
     sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked.  A
     one-m call of the batched routine asymptotic_ratio uses; no chart
     inversion.
+
+    Raises QuadratureNoConvergence when the arc's peak |y| is below about
+    1e-7 (the origin that close to the lowest boundary point for the lower
+    arc, the highest for the upper): y = h sin(theta) + h' cos(theta) then
+    cancels from O(1) terms, and y^{2m} carries relative noise
+    ~2m 1e-16/|y| above the kernel's stopping test.
     """
     return _arc_integrals(chart, [m], upper, rel_tol)[0]
 
@@ -137,6 +143,8 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     None.  Every m comes from at most three trapezoid grids: one per arc
     in the normal angle, and green's round the curve for the moments, its
     nodes packed about both peak normals by the narrower peak's width.
+    Raises QuadratureNoConvergence where arc_integral does, with the origin
+    within about 1e-7 of the lowest or highest boundary point.
     """
     m_list = list(m_list)
     check_m_list(m_list)
@@ -155,7 +163,8 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     lower = _arc_integrals(chart, m_list, upper=False)
     moments = {}
     if live:
-        odd = _green_moments(curve, [2 * m - 1 for m in live], frame_angle)
+        odd = _boundary_moments(curve, [2 * m - 1 for m in live], frame_angle,
+                                 "green")
         moments = {m: r.as_logcomplex() for m, r in zip(live, odd)}
     rows = []
     for bt, f, g in zip(terms, upper, lower):

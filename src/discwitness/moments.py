@@ -5,23 +5,23 @@
              and f, g read from the chart.  f^{n+1} - g^{n+1} carries the
              factor sqrt((x-a)(b-x)) = half sin(tau), so the tau-integrand
              is even, periodic and analytic despite the square-root ends.
-  * green  — boundary integral -oint e^{ix} y^{n+1}/(n+1) dx by the
-             trapezoid rule round the support curve, its nodes packed about
-             the peak normals by the narrower peak's width.
-  * area   — the horizontal-chord reduction: integrating e^{ix} over the
-             chord a(y) <= x <= b(y) first leaves y^n psi(y) dy, with
-             psi = -i (e^{ib} - e^{ia}) = 2 e^{i(a+b)/2} sin((b-a)/2).  a and
-             b are -f and -g of the chart rotated by pi/2 (its x is this
-             frame's y), and psi has chord's square-root end factor, so it
-             takes chord's cosine map on that chart.  It shares
-             ChordChart._invert with chord, so the mpmath closed form for
-             ellipses (tests) is the independent reference.
+  * green  — Green's theorem in its dx-form, -oint e^{ix} y^{n+1}/(n+1) dx,
+             by the trapezoid rule round the support curve in the normal
+             angle, its nodes packed about the peak normals by the
+             narrower peak's width.
+  * area   — Green's theorem in its dy-form, -i oint e^{ix} y^n dy, on
+             green's nodes and boundary values with the weight
+             -i rho cos(t) dt in place of rho sin(t) dt.  The two forms
+             differ by an integration by parts, not a change of variable;
+             the mpmath closed form for ellipses (tests) is the
+             independent reference.
 
 trapezoid_sums, one kernel for all three and the arc integrals of
 asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
 Weideman, SIAM Review 2014), takes every requested power from one doubling
 grid.  chord and green differ in variable, grid and chart inversion, so
-their agreement is a cross-check.
+their agreement is a cross-check; the chart inversion theta(x) serves
+chord alone.
 """
 
 from __future__ import annotations
@@ -136,24 +136,6 @@ def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
                               "chord", rel_tol)
 
 
-def _area_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                  rel_tol: float = 1e-10) -> list:
-    """M_n = int y^n psi(y) dy on chord's cosine map y = mid - half cos(tau)
-    of the chart turned by pi/2, whose x is y and whose -f, -g are the
-    ends a, b of the chord at height y."""
-    turned = chord_chart(curve, frame_angle + 0.5 * math.pi)
-    mid, half = 0.5 * (turned.a + turned.b), 0.5 * (turned.b - turned.a)
-
-    def sample(tau):
-        y = mid - half * np.cos(tau)
-        psi = -1j * (np.exp(-1j * turned.g(y)) - np.exp(-1j * turned.f(y)))
-        return psi * (half * np.sin(tau)), y
-
-    ln_ref = math.log(max(-turned.a, turned.b))
-    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, frame_angle,
-                              "area", rel_tol, lift=0)
-
-
 def peak_packing(y: float, ypp: float) -> float:
     """min(1, sqrt(|y y''|)) = min(1, sqrt(|y| / rho)) at a peak of the
     height y over the normal angle: the factor by which node maps in the
@@ -161,16 +143,24 @@ def peak_packing(y: float, ypp: float) -> float:
     return min(1.0, math.sqrt(abs(y * ypp)))
 
 
-def _green_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                   rel_tol: float = 1e-10) -> list:
-    """Nodes t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, packed
+def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
+                      method: str, rel_tol: float = 1e-10) -> list:
+    """Green's theorem round the support curve (ccw), in its dx-form for
+    green, -oint e^{ix} y^{n+1}/(n+1) dx with dx = -rho sin(t) dt, and its
+    dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt.
+
+    Nodes t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, packed
     about the peak normals t = pi/2, 3pi/2 by 1/k, k the peak_packing of
     the narrower peak: as periodic and analytic as the uniform grid (k = 1),
     and flat shapes cost no more nodes than round ones."""
     top, bottom = 0.5 * math.pi + frame_angle, 1.5 * math.pi + frame_angle
     h_top, h_bottom = float(curve.h(top)), float(curve.h(bottom))
-    k = min(peak_packing(h_top, 1.0 / float(curve.rho(top))),
-            peak_packing(h_bottom, 1.0 / float(curve.rho(bottom))))
+    # a normal below half the top height adds at most 2^-n of ref^n: pack
+    # it as that high, or an origin near the curve there starves the other
+    h_max = max(h_top, h_bottom)
+    k = min(peak_packing(max(h, 0.5 * h_max), 1.0 / float(curve.rho(t)))
+            for h, t in ((h_top, top), (h_bottom, bottom)))
+    lift = int(method == "green")
 
     def sample(s):
         cs, ss = np.cos(s), np.sin(s)
@@ -178,14 +168,14 @@ def _green_moments(curve: SupportCurve, n_list, frame_angle: float = 0.0,
         dt = k / (cs * cs + (k * ss) ** 2)
         th = t + frame_angle
         hv, h1v = curve.h(th), curve.h1(th)
-        x = hv * np.cos(t) - h1v * np.sin(t)
-        y = hv * np.sin(t) + h1v * np.cos(t)
-        # dx = -rho sin(t) dt; M_n = -oint e^{ix} y^{n+1}/(n+1) dx (ccw)
-        return np.exp(1j * x) * curve.rho(th) * np.sin(t) * dt, y
+        ct, st = np.cos(t), np.sin(t)
+        x = hv * ct - h1v * st
+        y = hv * st + h1v * ct
+        w = np.exp(1j * x) * curve.rho(th)
+        return (w * st * dt if lift else -1j * w * ct * dt), y
 
-    ln_ref = math.log(max(h_top, h_bottom))
-    return _trapezoid_moments(sample, 2.0 * math.pi, n_list, ln_ref, frame_angle,
-                              "green", rel_tol)
+    return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),
+                              frame_angle, method, rel_tol, lift)
 
 
 def moment_chord(chart: ChordChart, n: int, *, rel_tol: float = 1e-10) -> MomentResult:
@@ -196,13 +186,14 @@ def moment_chord(chart: ChordChart, n: int, *, rel_tol: float = 1e-10) -> Moment
 def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                  rel_tol: float = 1e-10) -> MomentResult:
     """Boundary-integral evaluation over the support parameterization."""
-    return _green_moments(curve, [n], frame_angle, rel_tol)[0]
+    return _boundary_moments(curve, [n], frame_angle, "green", rel_tol)[0]
 
 
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                 rel_tol: float = 1e-10) -> MomentResult:
-    """Area integral by the horizontal-chord reduction (see _area_moments)."""
-    return _area_moments(curve, [n], frame_angle, rel_tol)[0]
+    """Area integral as Green's dy-form -i oint e^{ix} y^n dy, which the
+    dx-form of moment_green yields by parts (see _boundary_moments)."""
+    return _boundary_moments(curve, [n], frame_angle, "area", rel_tol)[0]
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
@@ -213,6 +204,4 @@ def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
     n_list = list(n_list)
     if method == "chord":
         return _chord_moments(chord_chart(curve, frame_angle), n_list)
-    if method == "green":
-        return _green_moments(curve, n_list, frame_angle)
-    return _area_moments(curve, n_list, frame_angle)
+    return _boundary_moments(curve, n_list, frame_angle, method)

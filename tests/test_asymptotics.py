@@ -12,7 +12,7 @@ from discwitness.asymptotics import (
     bracket_main_term,
 )
 from discwitness.logscale import LogComplex, relative_gap
-from discwitness.moments import _green_moments, moment_chord, trapezoid_sums
+from discwitness.moments import _boundary_moments, moment_chord, trapezoid_sums
 from discwitness.quadrature import adaptive_quad
 
 from conftest import exact_ellipse_moments
@@ -103,7 +103,7 @@ def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
     ch = chord_chart(curve, rot)
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
-    odd = _green_moments(curve, [2 * m - 1 for m in m_list], rot)
+    odd = _boundary_moments(curve, [2 * m - 1 for m in m_list], rot, "green")
     for m, res in zip(m_list, odd):
         got = res.as_logcomplex()
         chord = moment_chord(ch, 2 * m - 1).as_logcomplex()

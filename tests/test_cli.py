@@ -67,6 +67,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_origin_at_lowest_point_is_numerical_error(self, shape_file,
+                                                         capsys):
+        # the lower arc's y cancels to ~1e-8 there, so y^{2m} carries
+        # relative noise above the trapezoid kernel's stopping test
+        spec = {"type": "circle", "center": [0.0, 1.0 - 1e-8], "radius": 1.0}
+        assert run(["asymptotics", "--shape", shape_file(spec),
+                    "--m-list", "10,200"]) == 1
+        err = capsys.readouterr().err
+        assert "QuadratureNoConvergence" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["profile", "report", "moments"])
     @pytest.mark.parametrize("name", sorted(NON_FINITE))
     def test_non_finite_spec_is_validation_error(self, shape_file, tmp_path,

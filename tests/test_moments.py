@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwitness import build_curve, chord_chart, moments
-from discwitness.geometry import FourierCurve
+from discwitness.geometry import ChordChart, FourierCurve
 from discwitness.logscale import relative_gap
 from discwitness.moments import (
     moment_area,
@@ -72,6 +72,16 @@ class TestArea:
     def test_matches_green_on_ellipse(self, ellipse):
         assert _gap(moment_area(ellipse, 4), moment_green(ellipse, 4)) < 1e-6
 
+    def test_sweep_needs_no_chart_inversion(self, asymmetric, monkeypatch):
+        chords = moment_sweep(asymmetric, range(41), 0.3, "chord")
+
+        def no_inversion(self, x, upper):
+            raise AssertionError("area inverted a chord chart")
+
+        monkeypatch.setattr(ChordChart, "_invert", no_inversion)
+        areas = moment_sweep(asymmetric, range(41), 0.3, "area")
+        assert max(_gap(a, c) for a, c in zip(areas, chords)) < 1e-6
+
 
 class TestSweep:
     def test_disc_odd_all_zero(self, unit_disc):
@@ -80,6 +90,16 @@ class TestSweep:
 
     def test_empty(self, unit_disc):
         assert moment_sweep(unit_disc, []) == []
+
+    @pytest.mark.parametrize("method", ["green", "area"])
+    @pytest.mark.parametrize("cy", [-1.0, -(1.0 - 1e-8)])
+    def test_origin_at_the_top_of_the_curve(self, method, cy):
+        # the top normal's height is ~0: packing the nodes about it as about
+        # the peak would collapse them (cy = -1) or starve the bottom peak
+        curve = build_curve({"type": "circle", "center": [0, cy], "radius": 1})
+        results = moment_sweep(curve, range(401), 0.0, method)
+        assert results[0].value() == pytest.approx(DISC_M0, rel=1e-10)
+        assert results[1].value() == pytest.approx(cy * DISC_M0, rel=1e-10)
 
     def test_chord_vs_green_to_40(self, ellipse):
         ns = list(range(401))
@@ -127,14 +147,16 @@ def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
 
 
 def test_flat_ellipse_in_few_nodes(monkeypatch):
-    # on the 5 x 0.2 ellipse to n = 400 green's uniform grid takes 8192
-    # nodes; packed about the peak normals it takes 512 (chord and area 256)
+    # to n = 400 on the 5 x 0.2 (20 x 0.2) ellipse a uniform grid in the
+    # normal angle takes 8192 (32768) nodes for green; packed about the peak
+    # normals green takes 512 (1024), area 512 (512) and chord 256 (256)
     monkeypatch.setattr(moments, "_MAX_TRAPEZOID_NODES", 1024)
-    curve = build_curve({"type": "ellipse", "a": 5, "b": 0.2})
-    exact = exact_ellipse_moments(5.0, 0.2, 0.0, 400)
-    for method in ("chord", "green", "area"):
-        results = moment_sweep(curve, range(401), 0.0, method)
-        assert worst_exact_gap(results, exact, 0.2) <= 1e-10, method
+    for a in (5.0, 20.0):
+        curve = build_curve({"type": "ellipse", "a": a, "b": 0.2})
+        exact = exact_ellipse_moments(a, 0.2, 0.0, 400)
+        for method in ("chord", "green", "area"):
+            results = moment_sweep(curve, range(401), 0.0, method)
+            assert worst_exact_gap(results, exact, 0.2) <= 1e-10, (a, method)
 
 
 # --- properties ---
@@ -143,7 +165,8 @@ def test_flat_ellipse_in_few_nodes(monkeypatch):
 @settings(max_examples=10, deadline=None)
 @given(curve=small_fourier_curves(max_harmonic=3, scale=0.1),
        n=st.integers(0, 12))
-# Gauss in x converged only as N^-3 at this shape's square-root chart ends
+# plain Gauss in x converges only as N^-3 at this shape's square-root chart
+# ends; chord's cosine map must not
 @example(curve=FourierCurve(1.0, (0.0, -0.05405405405405406, 0.05405405405405406),
                             (0.0, 0.0, 0.010810810810810811)), n=1)
 def test_three_methods_agree(curve, n):
