@@ -18,10 +18,8 @@ from .geometry import (
     ChordChart,
     SupportCurve,
     point_at,
-    tangent_gap,
     width_at,
 )
-from .quadrature import adaptive_quad
 
 DISC_TOL_DEFAULT = 1e-6
 
@@ -62,9 +60,9 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     if sample_count < 16:
         raise ValueError("sample_count must be >= 16")
     thetas = np.linspace(0.0, 2.0 * math.pi, sample_count, endpoint=False)
-    rho = np.asarray(curve.rho(thetas), dtype=float)
+    h, _, rho = curve.jet(thetas)
     kappa = 1.0 / rho
-    L = np.asarray(width_at(curve, thetas), dtype=float)
+    L = h + curve.h(thetas + math.pi)
     kl = kappa * L
     # arc length accumulated on the same grid (trapezoid, periodic)
     dtheta = 2.0 * math.pi / sample_count
@@ -73,7 +71,6 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     verdict = "disc" if max_dev <= tol else "not_disc"
     fitted = None
     if verdict == "disc":
-        h = np.asarray(curve.h(thetas), dtype=float)
         radius = float(np.mean(h))
         cx = 2.0 * float(np.mean(h * np.cos(thetas)))
         cy = 2.0 * float(np.mean(h * np.sin(thetas)))
@@ -87,6 +84,8 @@ _GRID = 1024  # angle grid of the clearance polish and the fitted circle
 _NEWTON_STEPS = 50  # 26 at most over 30,000 random K = 3, 4 shapes
 _HALVINGS = 30
 _POOL = 32  # lowest contacts searched for a balanced triple
+_POLISH_STEPS = 30
+_FLAT_EPS = 64.0 * np.finfo(float).eps  # |q''| floor, per unit of scale
 _THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
 _COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
 
@@ -95,25 +94,31 @@ def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
     """(angles, values) of the local minima, or maxima, of the support
     function about `center`, q = h - center . u.  The grid's discrete
     extrema are Newton-polished together (q' = h' + cx sin - cy cos,
-    q'' = h'' + cx cos + cy sin); a candidate stops once its step is below
-    1e-14 or q'' has the wrong sign.  `h` is curve.h on the grid, if known.
+    q'' = rho - q), from one jet per step; a candidate stops once its step
+    is below 1e-14 or q'' has the wrong sign.  A candidate whose |q''| is
+    at the rounding floor of the curve's scale keeps its grid angle and
+    value: q is flat there, as about a circle's centre, where the grid's
+    extrema are rounding noise.  `h` is curve.h on the grid, if known.
     """
     cx, cy = center
-    h = curve.h(_THETAS) if h is None else h
+    h = curve.periodic_jet(_GRID)[0] if h is None else h
     sign = -1.0 if maximum else 1.0
     s = sign * (h - cx * _COS - cy * _SIN)
     t = _THETAS[(s <= np.roll(s, 1)) & (s <= np.roll(s, -1))]
+    flat = _FLAT_EPS * (float(np.max(np.abs(h))) + math.hypot(cx, cy))
     active = np.ones(t.shape, dtype=bool)
-    for _ in range(30):
-        d1 = curve.h1(t) + cx * np.sin(t) - cy * np.cos(t)
-        d2 = curve.h2(t) + cx * np.cos(t) + cy * np.sin(t)
-        active &= sign * d2 > 0.0
-        step = np.divide(d1, d2, out=np.zeros_like(t), where=active)
+    for step_no in range(_POLISH_STEPS + 1):
+        h_t, h1, rho = curve.jet(t)
+        cos, sin = np.cos(t), np.sin(t)
+        q = h_t - cx * cos - cy * sin
+        d2 = rho - q
+        active &= sign * d2 > flat
+        if step_no == _POLISH_STEPS or not active.any():
+            return t, q
+        step = np.divide(h1 + cx * sin - cy * cos, d2, out=np.zeros_like(t),
+                         where=active)
         t = t - step
         active &= np.abs(step) >= 1e-14
-        if not active.any():
-            break
-    return t, curve.h(t) - cx * np.cos(t) - cy * np.sin(t)
 
 
 def min_clearance(curve: SupportCurve, center) -> float:
@@ -147,26 +152,26 @@ def _balanced_triple(t, q, i):
     return (i3[b], w[b]) if dual[b] < np.inf else (None, None)
 
 
-def _kkt_step(curve, center, t, q, i, lam, a0, s, tol):
+def _kkt_step(curve, t, q, i, lam, a0, s, tol):
     """Newton step (d, r, i, lam) on the KKT system of max r s.t.
     r <= q_i(c) over the active contacts i with multipliers lam:
 
         W d + U lam = 0,   1.lam = 1,   q_i - u_i . d = r,
 
-    with W = sum lam_i u'_i u'_i^T / q''_i, exact by the envelope theorem
-    (grad q_i = -u_i, and d theta_i / dc = u'_i / q''_i).  It is solved in
-    units of s about a0, by least squares, which also serves a symmetric
-    shape's more than three contacts at one level.  When more than three
-    cannot sit at one level (beyond tol and the solve's rounding,
-    64 eps |KKT| |sol| s), their `_balanced_triple` replaces them.  A
-    contact leaves when its multiplier is negative, but never the last; an
-    outside contact joins, with multiplier 0, when its linearized value
-    falls below the predicted radius.  Where the set does not settle (two
-    contacts about to merge into one valley of q, whose linearizations
-    each pull in the other), the last step with multipliers >= 0 is
-    returned: the caller's halving on the exact clearance guards it."""
+    with W = sum lam_i u'_i u'_i^T / q''_i, q'' = rho - q, exact by the
+    envelope theorem (grad q_i = -u_i, and d theta_i / dc = u'_i / q''_i).
+    It is solved in units of s about a0, by least squares, which also serves
+    a symmetric shape's more than three contacts at one level.  When more
+    than three cannot sit at one level (beyond tol and the solve's rounding,
+    64 eps |KKT| |sol| s), their `_balanced_triple` replaces them.  A contact
+    leaves when its multiplier is negative, but never the last; an outside
+    contact joins, with multiplier 0, when its linearized value falls below
+    the predicted radius.  Where the set does not settle (two contacts about
+    to merge into one valley of q, whose linearizations each pull in the
+    other), the last step with multipliers >= 0 is returned: the caller's
+    halving on the exact clearance guards it."""
     cos, sin = np.cos(t), np.sin(t)
-    q2 = curve.h2(t) + center[0] * cos + center[1] * sin
+    q2 = curve.rho(t) - q
     for _ in range(2 * len(t) + 2):
         k = len(i)
         up = np.stack([-sin[i], cos[i]])
@@ -217,7 +222,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     1e-13 * a0 of its fitted circle is that disc.  Raises DiscSearchFailed
     rather than return an unconverged centre.
     """
-    h = curve.h(_THETAS)
+    h = curve.periodic_jet(_GRID)[0]
     a0 = float(np.mean(h))
     c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])
     dev = h - a0 - c1[0] * _COS - c1[1] * _SIN
@@ -230,7 +235,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     i = np.flatnonzero(q <= phi + s)
     lam = np.full(len(i), 1.0 / len(i))
     for _ in range(_NEWTON_STEPS):
-        d, r, i, lam = _kkt_step(curve, center, t, q, i, lam, a0, s, tol)
+        d, r, i, lam = _kkt_step(curve, t, q, i, lam, a0, s, tol)
         angles = t[i]
         for _ in range(_HALVINGS):
             t, q = _support_extrema(curve, center + d, h=h)
@@ -312,16 +317,17 @@ def identity_residuals(curve: SupportCurve, sample_count: int = 64,
     if sample_count < 16:
         raise ValueError("sample_count must be >= 16")
     thetas = np.linspace(0.0, 2.0 * math.pi, sample_count, endpoint=False)
-    rho = np.asarray(curve.rho(thetas), dtype=float)
-    kappa = 1.0 / rho
-    L = np.asarray(width_at(curve, thetas), dtype=float)
-    w = np.asarray(tangent_gap(curve, thetas), dtype=float)
-    dq_ds = np.asarray(curve.rho(thetas + math.pi), dtype=float) / rho
-    dth = step / rho
-    dw_ds = (np.asarray(tangent_gap(curve, thetas + dth))
-             - np.asarray(tangent_gap(curve, thetas - dth))) / (2.0 * step)
-    dL_ds = (np.asarray(width_at(curve, thetas + dth))
-             - np.asarray(width_at(curve, thetas - dth))) / (2.0 * step)
+
+    def antipodal(th):  # L, w = -(h'(th) + h'(th + pi)), rho, rho(th + pi)
+        (h, h1, rho), (hp, h1p, rho_p) = curve.jet(th), curve.jet(th + math.pi)
+        return h + hp, -(h1 + h1p), rho, rho_p
+
+    L, w, rho, rho_p = antipodal(thetas)
+    kappa, dq_ds, dth = 1.0 / rho, rho_p / rho, step / rho
+    L_up, w_up, _, _ = antipodal(thetas + dth)
+    L_dn, w_dn, _, _ = antipodal(thetas - dth)
+    dw_ds = (w_up - w_dn) / (2.0 * step)
+    dL_ds = (L_up - L_dn) / (2.0 * step)
     res_gap = np.abs(dw_ds - (kappa * L - 1.0 - dq_ds))
     res_width = np.abs(dL_ds + kappa * w)
     samples = list(zip(thetas.tolist(), res_gap.tolist(), res_width.tolist()))
@@ -342,17 +348,20 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
 
     A constant antipodal gap w = 2 pi p forces oint L'(s) ds =
     -2 pi p oint kappa ds = -4 pi^2 p; a periodic width therefore pins
-    p = 0.  oint L' ds is measured by quadrature; oint kappa ds is the
-    turning angle of the boundary polygon through the positions on the
-    validation grid, a discretization independent of rho.
+    p = 0.  Both come from one jet (h, h') on the validation grid.
+    oint L' ds = oint (h'(theta) + h'(theta + pi)) dtheta is the periodic
+    trapezoid sum there, theta + pi being the grid's exact N/2 roll;
+    oint kappa ds is the turning angle of the boundary polygon through the
+    positions z = (h + i h') e^{i theta}, a discretization independent of
+    rho.
     """
-    total_Lp, _ = adaptive_quad(lambda t: curve.h1(t) + curve.h1(t + math.pi),
-                                0.0, 2.0 * math.pi, abs_tol=1e-12)
     thetas = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
-    z = curve.position(thetas) @ np.array([1.0, 1j])
+    h, h1, _ = curve.periodic_jet(VALIDATION_GRID)
+    total_Lp = float(np.sum(h1 + np.roll(h1, -VALIDATION_GRID // 2))
+                     * (2.0 * math.pi / VALIDATION_GRID))
+    z = (h + 1j * h1) * np.exp(1j * thetas)
     e = np.roll(z, -1) - z  # polygon edges as complex numbers
     total_kappa = float(np.sum(np.angle(np.roll(e, -1) * np.conj(e))))
-    total_Lp = float(total_Lp.real)
     implied_p = -total_Lp / (2.0 * math.pi * total_kappa)
     return PZeroReport(total_Lp, total_kappa, implied_p,
                        abs(implied_p) <= tol)

@@ -42,17 +42,28 @@ def periodic_trig(n: int, K: int):
     return trig_table(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), K)
 
 
-def fourier_sums(a0, cos, sin, trig, deriv: int):
-    """d^deriv/dtheta^deriv of a0 + sum_k (c_k cos k theta + s_k sin k theta)
-    at the angles of a trig_table."""
-    coskt, sinkt, k = trig
+def fourier_coefficients(cos, sin, deriv: int):
+    """(c, s) of the deriv-th derivative of sum_k (c_k cos k theta +
+    s_k sin k theta), k = 1..K, for any order deriv >= 0: the factor
+    (ik)^deriv scales (c_k, s_k) by k^deriv and turns it a quarter turn,
+    (c, s) -> (s, -c), per order."""
     c = np.asarray(cos, dtype=float)
     s = np.asarray(sin, dtype=float)
-    if deriv == 0:
-        return a0 + coskt @ c + sinkt @ s
-    if deriv == 1:
-        return -sinkt @ (k * c) + coskt @ (k * s)
-    return -coskt @ (k * k * c) - sinkt @ (k * k * s)
+    if deriv:
+        kd = np.arange(1, len(c) + 1, dtype=float) ** deriv
+        c, s = kd * c, kd * s
+        for _ in range(deriv % 4):
+            c, s = s, -c
+    return c, s
+
+
+def fourier_sums(a0, cos, sin, trig, deriv: int):
+    """d^deriv/dtheta^deriv of a0 + sum_k (c_k cos k theta + s_k sin k theta)
+    at the angles of a trig_table, for any order deriv >= 0."""
+    coskt, sinkt, _ = trig
+    c, s = fourier_coefficients(cos, sin, deriv)
+    head = coskt @ c if deriv else a0 + coskt @ c
+    return head + sinkt @ s
 
 
 def _unit(theta):
@@ -64,28 +75,38 @@ def _unit_prime(theta):
 
 
 class SupportCurve:
-    """Base class; subclasses supply h and its first two derivatives."""
+    """Base class; subclasses supply jet, from which h, its first two
+    derivatives, rho and the boundary point are views."""
 
     eps0: float
 
-    def h(self, theta):
+    def jet(self, theta):
+        """(h, h', rho) at the normal angles theta, rho = h + h''."""
         raise NotImplementedError
+
+    def h(self, theta):
+        return self.jet(theta)[0]
 
     def h1(self, theta):
-        raise NotImplementedError
+        return self.jet(theta)[1]
 
     def h2(self, theta):
-        raise NotImplementedError
+        h, _, rho = self.jet(theta)
+        return rho - h
 
     def rho(self, theta):
         """Radius of curvature as a function of the normal angle."""
-        return self.h(theta) + self.h2(theta)
+        return self.jet(theta)[2]
+
+    def periodic_jet(self, n: int):
+        """jet on the periodic n-node grid of [0, 2 pi)."""
+        return self.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
 
     def position(self, theta):
         theta = np.asarray(theta, dtype=float)
-        h = np.asarray(self.h(theta))[..., None]
-        h1 = np.asarray(self.h1(theta))[..., None]
-        return h * _unit(theta) + h1 * _unit_prime(theta)
+        h, h1, _ = self.jet(theta)
+        return (np.asarray(h)[..., None] * _unit(theta)
+                + np.asarray(h1)[..., None] * _unit_prime(theta))
 
     def scaled(self, c: float) -> "SupportCurve":
         raise NotImplementedError
@@ -96,13 +117,6 @@ class SupportCurve:
     def to_spec(self) -> dict:
         raise NotImplementedError
 
-    def _validate(self):
-        thetas = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
-        rho = np.asarray(self.rho(thetas))
-        i = int(np.argmin(rho))
-        if rho[i] <= self.eps0:
-            raise NotStrictlyConvex(thetas[i], rho[i], self.eps0)
-
 
 @dataclass(frozen=True)
 class CircleCurve(SupportCurve):
@@ -111,22 +125,15 @@ class CircleCurve(SupportCurve):
     eps0: float = DEFAULT_EPS0
 
     def __post_init__(self):
-        self._validate()
+        if self.radius <= self.eps0:
+            raise NotStrictlyConvex(0.0, self.radius, self.eps0)
 
-    def h(self, theta):
+    def jet(self, theta):
+        theta = np.asarray(theta, dtype=float)
         cx, cy = self.center
-        return self.radius + cx * np.cos(theta) + cy * np.sin(theta)
-
-    def h1(self, theta):
-        cx, cy = self.center
-        return -cx * np.sin(theta) + cy * np.cos(theta)
-
-    def h2(self, theta):
-        cx, cy = self.center
-        return -(cx * np.cos(theta) + cy * np.sin(theta))
-
-    def rho(self, theta):
-        return np.full_like(np.asarray(theta, dtype=float), self.radius)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (self.radius + cx * cos + cy * sin, -cx * sin + cy * cos,
+                np.full_like(theta, self.radius))
 
     def scaled(self, c):
         return CircleCurve((self.center[0] * c, self.center[1] * c),
@@ -148,40 +155,26 @@ class EllipseCurve(SupportCurve):
     rotation: float = 0.0
     eps0: float = DEFAULT_EPS0
 
-    def __post_init__(self):
-        self._validate()
+    def __post_init__(self):  # least rho, at the normal of the longer axis
+        rho = min(self.a, self.b) ** 2 / max(self.a, self.b)
+        if rho <= self.eps0:
+            raise NotStrictlyConvex(self.rotation + 0.5 * math.pi * (self.a < self.b),
+                                    rho, self.eps0)
 
     # support function of the centered ellipse: sqrt(a^2 cos^2 + b^2 sin^2)
     def _w(self, psi):
         return (self.a * np.cos(psi)) ** 2 + (self.b * np.sin(psi)) ** 2
 
-    def h(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        cx, cy = self.center
-        psi = theta - self.rotation
-        return np.sqrt(self._w(psi)) + cx * np.cos(theta) + cy * np.sin(theta)
-
-    def h1(self, theta):
+    def jet(self, theta):
         theta = np.asarray(theta, dtype=float)
         cx, cy = self.center
         psi = theta - self.rotation
         w = self._w(psi)
+        root = np.sqrt(w)
         w1 = (self.b ** 2 - self.a ** 2) * np.sin(2.0 * psi)
-        return 0.5 * w1 / np.sqrt(w) - cx * np.sin(theta) + cy * np.cos(theta)
-
-    def h2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        cx, cy = self.center
-        psi = theta - self.rotation
-        w = self._w(psi)
-        w1 = (self.b ** 2 - self.a ** 2) * np.sin(2.0 * psi)
-        w2 = 2.0 * (self.b ** 2 - self.a ** 2) * np.cos(2.0 * psi)
-        h0_2 = 0.5 * w2 / np.sqrt(w) - 0.25 * w1 ** 2 / w ** 1.5
-        return h0_2 - cx * np.cos(theta) - cy * np.sin(theta)
-
-    def rho(self, theta):
-        psi = np.asarray(theta, dtype=float) - self.rotation
-        return (self.a * self.b) ** 2 / self._w(psi) ** 1.5
+        cos, sin = np.cos(theta), np.sin(theta)
+        return (root + cx * cos + cy * sin, 0.5 * w1 / root - cx * sin + cy * cos,
+                (self.a * self.b) ** 2 / w ** 1.5)
 
     def scaled(self, c):
         return EllipseCurve(self.a * c, self.b * c,
@@ -211,27 +204,29 @@ class FourierCurve(SupportCurve):
         kmax = max(len(self.cos), len(self.sin))
         object.__setattr__(self, "cos", tuple(self.cos) + (0.0,) * (kmax - len(self.cos)))
         object.__setattr__(self, "sin", tuple(self.sin) + (0.0,) * (kmax - len(self.sin)))
-        self._validate()
-
-    def _series(self, trig, deriv):
-        return fourier_sums(self.a0, self.cos, self.sin, trig, deriv)
-
-    def h(self, theta):
-        return self._series(trig_table(theta, len(self.cos)), 0)
-
-    def h1(self, theta):
-        return self._series(trig_table(theta, len(self.cos)), 1)
-
-    def h2(self, theta):
-        return self._series(trig_table(theta, len(self.cos)), 2)
-
-    def _validate(self):
-        trig = periodic_trig(VALIDATION_GRID, len(self.cos))
-        rho = self._series(trig, 0) + self._series(trig, 2)
+        rho = self.periodic_jet(VALIDATION_GRID)[2]
         i = int(np.argmin(rho))
         if rho[i] <= self.eps0:
             raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
                                     rho[i], self.eps0)
+
+    @functools.cached_property
+    def _coefficients(self):
+        """(c, s) of h, h' and h'': fourier_sums' coefficients, derived once."""
+        return [fourier_coefficients(self.cos, self.sin, d) for d in range(3)]
+
+    def _jet(self, trig):
+        """fourier_sums of orders 0, 1, 2 from one trig_table, rho = h + h''."""
+        coskt, sinkt, _ = trig
+        (c0, s0), (c1, s1), (c2, s2) = self._coefficients
+        h = self.a0 + coskt @ c0 + sinkt @ s0
+        return h, coskt @ c1 + sinkt @ s1, h + (coskt @ c2 + sinkt @ s2)
+
+    def jet(self, theta):
+        return self._jet(trig_table(theta, len(self.cos)))
+
+    def periodic_jet(self, n):
+        return self._jet(periodic_trig(n, len(self.cos)))
 
     def scaled(self, c):
         return FourierCurve(self.a0 * c,
@@ -309,11 +304,11 @@ def perimeter(curve: SupportCurve) -> float:
 
 def point_at(curve: SupportCurve, theta: float) -> BoundaryPoint:
     theta = float(theta)
-    rho = float(curve.rho(theta))
+    h, h1, rho = (float(v) for v in curve.jet(theta))
     s = arclength(curve, 0.0, theta) if theta >= 0 else -arclength(curve, theta, 0.0)
     return BoundaryPoint(
         theta=theta,
-        position=curve.position(theta),
+        position=h * _unit(theta) + h1 * _unit_prime(theta),
         tangent=_unit_prime(theta),
         inward_normal=-_unit(theta),
         curvature=1.0 / rho,
@@ -333,11 +328,6 @@ class AntipodalPair:
 
 def width_at(curve: SupportCurve, theta) -> float:
     return curve.h(theta) + curve.h(np.asarray(theta) + math.pi)
-
-
-def tangent_gap(curve: SupportCurve, theta) -> float:
-    """w(theta) = (r(q) - r(s)) . t(s); equals -(h'(theta) + h'(theta+pi))."""
-    return -(curve.h1(theta) + curve.h1(np.asarray(theta) + math.pi))
 
 
 def antipodal(curve: SupportCurve, theta: float) -> AntipodalPair:
@@ -369,38 +359,31 @@ class ChordChart:
     def __init__(self, curve: SupportCurve, frame_angle: float = 0.0):
         self.curve = curve
         self.frame_angle = float(frame_angle)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-        if np.min(self._h(thetas)) <= 0.0:
+        if np.min(curve.periodic_jet(1024)[0]) <= 0.0:
             raise MalformedSpec(
                 "chord chart requires the origin strictly inside the curve"
             )
         self.b = float(self._x(0.0))
         self.a = float(self._x(math.pi))
-        top, bottom = 0.5 * math.pi, 1.5 * math.pi
-        self.x1 = -float(self._h1(top))
-        self.f_x1 = float(self._h(top))
-        self.f_pp_x1 = -1.0 / float(self._rho(top))
-        self.x2 = float(self._h1(bottom))
-        self.g_x2 = -float(self._h(bottom))
-        self.g_pp_x2 = 1.0 / float(self._rho(bottom))
+        peaks = self._jet(np.array([0.5 * math.pi, 1.5 * math.pi]))
+        (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = (v.tolist() for v in peaks)
+        self.x1, self.f_x1, self.f_pp_x1 = -h1_t, h_t, -1.0 / rho_t
+        self.x2, self.g_x2, self.g_pp_x2 = h1_b, -h_b, 1.0 / rho_b
 
-    # rotated-frame support function and boundary coordinates
-    def _h(self, theta):
-        return self.curve.h(theta + self.frame_angle)
+    def _jet(self, theta):
+        """(h, h', rho) at the rotated frame's normal angles theta."""
+        return self.curve.jet(np.asarray(theta, dtype=float) + self.frame_angle)
 
-    def _h1(self, theta):
-        return self.curve.h1(theta + self.frame_angle)
-
-    def _rho(self, theta):
-        return self.curve.rho(theta + self.frame_angle)
+    def _xy(self, theta):
+        """(x, y, rho): the boundary point and radius of curvature at the
+        rotated frame's normal angles theta, from one jet."""
+        theta = np.asarray(theta, dtype=float)
+        h, h1, rho = self._jet(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return h * cos - h1 * sin, h * sin + h1 * cos, rho
 
     def _x(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self._h(theta) * np.cos(theta) - self._h1(theta) * np.sin(theta)
-
-    def _y(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self._h(theta) * np.sin(theta) + self._h1(theta) * np.cos(theta)
+        return self._xy(theta)[0]
 
     @functools.cached_property
     def _tables(self):
@@ -428,10 +411,11 @@ class ChordChart:
             lo, hi = math.pi, 2.0 * math.pi
         tol = 1e-13 * max(1.0, abs(self.b), abs(self.a))
         for _ in range(100):
-            fx = self._x(theta) - xc
+            x_t, _, rho = self._xy(theta)
+            fx = x_t - xc
             if np.all(np.abs(fx) <= tol):
                 break
-            d = -self._rho(theta) * np.sin(theta)
+            d = -rho * np.sin(theta)
             step = np.where(np.abs(d) > 1e-30, fx / np.where(d == 0, 1.0, d), 0.0)
             step = np.clip(step, -0.1, 0.1)
             theta = np.clip(theta - step, lo, hi)
@@ -452,10 +436,11 @@ class ChordChart:
         hi, t = lo + math.pi, lo + 0.5 * math.pi
         width = hi - lo
         for _ in range(100):
-            F = sign * (self._x(t) - x)
+            x_t, _, rho = self._xy(t)
+            F = sign * (x_t - x)
             lo, hi = np.where(F <= 0.0, t, lo), np.where(F >= 0.0, t, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                new = t + F / (sign * self._rho(t) * np.sin(t))
+                new = t + F / (sign * rho * np.sin(t))
             new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
             done = (new == t) | (hi - lo >= width)
             if np.all(done):
@@ -470,10 +455,10 @@ class ChordChart:
         return self._invert(x, upper=False)
 
     def f(self, x):
-        return self._y(self.theta_upper(x))
+        return self._xy(self.theta_upper(x))[1]
 
     def g(self, x):
-        return self._y(self.theta_lower(x))
+        return self._xy(self.theta_lower(x))[1]
 
     def f_prime(self, x):
         t = self.theta_upper(x)

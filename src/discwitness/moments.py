@@ -154,12 +154,12 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
     the narrower peak: as periodic and analytic as the uniform grid (k = 1),
     and flat shapes cost no more nodes than round ones."""
     top, bottom = 0.5 * math.pi + frame_angle, 1.5 * math.pi + frame_angle
-    h_top, h_bottom = float(curve.h(top)), float(curve.h(bottom))
+    peaks = [curve.jet(t) for t in (top, bottom)]
     # a normal below half the top height adds at most 2^-n of ref^n: pack
     # it as that high, or an origin near the curve there starves the other
-    h_max = max(h_top, h_bottom)
-    k = min(peak_packing(max(h, 0.5 * h_max), 1.0 / float(curve.rho(t)))
-            for h, t in ((h_top, top), (h_bottom, bottom)))
+    h_max = max(float(h) for h, _, _ in peaks)
+    k = min(peak_packing(max(float(h), 0.5 * h_max), 1.0 / float(rho))
+            for h, _, rho in peaks)
     lift = int(method == "green")
 
     def sample(s):
@@ -167,11 +167,11 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
         t = 0.5 * math.pi + np.arctan2(k * ss, cs)
         dt = k / (cs * cs + (k * ss) ** 2)
         th = t + frame_angle
-        hv, h1v = curve.h(th), curve.h1(th)
+        hv, h1v, rho = curve.jet(th)
         ct, st = np.cos(t), np.sin(t)
         x = hv * ct - h1v * st
         y = hv * st + h1v * ct
-        w = np.exp(1j * x) * curve.rho(th)
+        w = np.exp(1j * x) * rho
         return (w * st * dt if lift else -1j * w * ct * dt), y
 
     return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),

@@ -4,6 +4,9 @@ The integrator is a worst-interval-first adaptive scheme with an embedded
 Gauss pair (10 vs 20 nodes) for the error estimate.  Integrands are
 vectorized callables and may return complex values; subdivision can be
 seeded at known peak abscissas so narrow features are not missed.
+
+It serves only geometry.arclength and, in the tests, the references for
+the periodic trapezoid sums that compute every other integral.
 """
 
 from __future__ import annotations

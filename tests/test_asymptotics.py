@@ -152,11 +152,12 @@ def test_arc_integral_masks_the_wrong_sign_points(upper):
     ln_peak = math.log(abs(peak))
 
     def integrand(t):
-        v = sgn * ch._y(t)
+        x, y, rho = ch._xy(t)
+        v = sgn * y
         with np.errstate(divide="ignore"):
             expo = 2.0 * m * (np.log(np.where(v > 0, v, 1.0)) - ln_peak)
-        weight = np.where(v > 0, np.exp(expo), 0.0) * ch._rho(t) * np.abs(np.sin(t))
-        return np.exp(1j * ch._x(t)) * weight
+        weight = np.where(v > 0, np.exp(expo), 0.0) * rho * np.abs(np.sin(t))
+        return np.exp(1j * x) * weight
 
     ref, _ = adaptive_quad(integrand, lo, lo + math.pi, rel_tol=1e-12,
                            abs_tol=1e-16, seeds=(lo + 0.5 * math.pi,))

@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from discwitness import build_curve, characterize, chord_chart
+from discwitness import build_curve, characterize, chord_chart, quadrature
+from discwitness.geometry import CircleCurve
 from discwitness.errors import DiscSearchFailed
 from discwitness.characterize import (
     constraint_residuals,
@@ -96,7 +98,7 @@ class TestInscribedDisc:
     def test_step_lowering_the_clearance_raises(self, three_lobe, monkeypatch):
         """A step towards a contact lowers the clearance however it is
         halved, so the search raises instead of taking it."""
-        def towards_a_contact(curve, center, t, q, i, lam, *rest):
+        def towards_a_contact(curve, t, q, i, lam, *rest):
             d = 0.1 * np.array([math.cos(t[i[0]]), math.sin(t[i[0]])])
             return d, float(np.min(q)) + 1.0, i, lam
 
@@ -119,7 +121,7 @@ class TestInscribedDisc:
         for i in ([0, 1, 2, 3], [0, 1, 2], [1, 3]):
             lam = np.full(len(i), 1.0 / len(i))
             d, r, i, lam = characterize._kkt_step(
-                curve, (0.0, 0.0), t, q, np.array(i), lam, 1.0, 0.06, 1e-15)
+                curve, t, q, np.array(i), lam, 1.0, 0.06, 1e-15)
             assert sorted(q[i]) == pytest.approx([0.94, 0.94], abs=1e-15)
             assert r == pytest.approx(0.94, abs=1e-15)
             assert lam == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -138,7 +140,7 @@ class TestInscribedDisc:
         t, q = characterize._support_extrema(curve, center)
         assert len(t) == 2
         d, r, i, lam = characterize._kkt_step(
-            curve, center, t, q, np.arange(2), np.full(2, 0.5), a0, s,
+            curve, t, q, np.arange(2), np.full(2, 0.5), a0, s,
             1e-15 * a0)
         assert list(i) == [0, 1] and lam == pytest.approx([0.5, 0.5])
         assert r == pytest.approx(1.0, abs=1e-6)
@@ -158,7 +160,7 @@ class TestInscribedDisc:
         t, q = characterize._support_extrema(curve, c1)
         assert len(t) == 5 and np.ptp(q) < s
         d, r, i, lam = characterize._kkt_step(
-            curve, c1, t, q, np.arange(5), np.full(5, 0.2), a0, s, 1e-15)
+            curve, t, q, np.arange(5), np.full(5, 0.2), a0, s, 1e-15)
         assert len(i) == 3 and np.all(lam > 0.0)
         center, r = inscribed_disc(curve)
         assert _dual_bound(curve, center) - r <= 1e-12
@@ -300,6 +302,38 @@ def test_inscribed_radius_meets_the_dual_bound(spec):
     assert _dual_bound(curve, center) - r <= 1e-12 * max(1.0, r)
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.1), (6e-10, 8e-10)],
+                         ids=["origin", "offset", "1e-9_from_origin"])
+@pytest.mark.parametrize("about", ["centre", "fitted_centre"])
+def test_flat_support_function_is_not_polished(center, about, monkeypatch):
+    """About a unit circle's centre q = h - c . u is flat: its grid extrema
+    (hundreds of them) are rounding noise, and q'' = rho - q is too.  They
+    keep their grid angles and values, from the grid evaluation and one
+    jet at the candidates; a Newton polish of that noise runs all its 30
+    steps about the fitted centre that inscribed_disc takes, within 1e-16
+    of the centre."""
+    curve = build_curve({"type": "circle", "center": list(center), "radius": 1.0})
+    c = np.asarray(center)
+    if about == "fitted_centre":
+        h = curve.h(characterize._THETAS)
+        c = 2.0 * np.array([np.mean(h * characterize._COS),
+                            np.mean(h * characterize._SIN)])
+    jet = CircleCurve.jet
+    calls = []
+
+    def counted(self, theta):
+        calls.append(np.size(theta))
+        return jet(self, theta)
+
+    monkeypatch.setattr(CircleCurve, "jet", counted)
+    for maximum in (False, True):
+        calls.clear()
+        t, q = characterize._support_extrema(curve, c, maximum=maximum)
+        assert len(calls) <= 2
+        assert np.max(np.abs(q - 1.0)) <= 1e-15
+    assert lemma2_witness(curve) is None
+
+
 class TestWitness:
     def test_circles_have_none(self):
         for spec in ({"type": "circle", "center": [0, 0], "radius": 0.5},
@@ -388,6 +422,28 @@ class TestIdentities:
 
 
 class TestPZero:
+    @pytest.mark.parametrize("spec", [
+        {"type": "ellipse", "a": 20, "b": 0.2, "center": [0.0, 0.05]},
+        _fourier(8, 0.5, 3), _fourier(8, 0.79, 4),
+        {"type": "circle", "center": [0.0, -(1.0 - 1e-8)], "radius": 1.0},
+    ], ids=["ellipse_20x0.2", "fourier_K8", "fourier_K8_near_floor",
+            "origin_1e-8_inside"])
+    def test_periodic_grid_without_adaptive_quad(self, spec, monkeypatch):
+        """oint L' is the periodic trapezoid sum of one jet on the
+        validation grid: no adaptive quadrature, and 0 to rounding."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive_quad called")
+
+        original = quadrature.adaptive_quad
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("discwitness") and mod is not None and (
+                    getattr(mod, "adaptive_quad", None) is original):
+                monkeypatch.setattr(mod, "adaptive_quad", refuse)
+        rep = p_zero_check(build_curve(spec))
+        assert abs(rep.total_L_prime) <= 1e-12
+        assert abs(rep.total_curvature - 2.0 * math.pi) <= 1e-12
+        assert rep.p_zero_consistent
+
     def test_circle(self, unit_disc):
         rep = p_zero_check(unit_disc)
         assert rep.total_L_prime == pytest.approx(0.0, abs=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import brentq
 
+from discwitness import geometry
 from discwitness import (
     MalformedSpec,
     NotStrictlyConvex,
@@ -29,6 +30,124 @@ INVERSION_SHAPES = {
                    "cos": [0.02, 0.03, 0.01, 0.005, 0.004],
                    "sin": [0.01, -0.02, 0.01, 0.0, -0.006]},
 }
+
+
+JET_SHAPES = {
+    "circle": {"type": "circle", "center": [0.3, -0.2], "radius": 1.1},
+    "ellipse_2x1": {"type": "ellipse", "a": 2, "b": 1, "center": [0.3, -0.1],
+                    "rotation": 0.7},
+    "ellipse_20x0.2": {"type": "ellipse", "a": 20, "b": 0.2,
+                       "center": [-0.4, 0.05], "rotation": 1.1},
+    "fourier_K8": {"type": "support_fourier", "a0": 1,
+                   "cos": [0.1, 0.01, -0.006, 0.003, 0.0, 0.002, -0.001, 0.0008],
+                   "sin": [-0.05, 0.008, 0.0, -0.004, 0.002, 0.0, 0.001, -0.0005]},
+}
+
+
+def _separate_jet(curve, theta):
+    """(h, h', rho) from each curve's per-derivative formulas, evaluated
+    separately.  jet must reproduce their bits: byte-identical moment
+    outputs rest on them."""
+    theta = np.asarray(theta, dtype=float)
+    if isinstance(curve, geometry.FourierCurve):
+        trig = geometry.trig_table(theta, len(curve.cos))
+        coskt, sinkt, k = trig
+        c, s = np.asarray(curve.cos), np.asarray(curve.sin)
+        h = curve.a0 + coskt @ c + sinkt @ s
+        h1 = -sinkt @ (k * c) + coskt @ (k * s)
+        return h, h1, h + (-coskt @ (k * k * c) - sinkt @ (k * k * s))
+    cx, cy = curve.center
+    if isinstance(curve, geometry.CircleCurve):
+        return (curve.radius + cx * np.cos(theta) + cy * np.sin(theta),
+                -cx * np.sin(theta) + cy * np.cos(theta),
+                np.full_like(theta, curve.radius))
+    psi = theta - curve.rotation
+    w = (curve.a * np.cos(psi)) ** 2 + (curve.b * np.sin(psi)) ** 2
+    w1 = (curve.b ** 2 - curve.a ** 2) * np.sin(2.0 * psi)
+    return (np.sqrt(w) + cx * np.cos(theta) + cy * np.sin(theta),
+            0.5 * w1 / np.sqrt(w) - cx * np.sin(theta) + cy * np.cos(theta),
+            (curve.a * curve.b) ** 2 / w ** 1.5)
+
+
+class TestJet:
+    THETAS = (0.3, np.float64(4.0), np.linspace(0.0, 7.0, 37),
+              np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+
+    @pytest.mark.parametrize("name", sorted(JET_SHAPES))
+    def test_views_are_the_jet_bit_for_bit(self, name):
+        curve = build_curve(JET_SHAPES[name])
+        for theta in self.THETAS:
+            h, h1, rho = curve.jet(theta)
+            for got, want in zip((h, h1, rho), _separate_jet(curve, theta)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(curve.h(theta), h)
+            assert np.array_equal(curve.h1(theta), h1)
+            assert np.array_equal(curve.rho(theta), rho)
+            assert np.array_equal(curve.h2(theta), rho - h)
+        grid = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+        for got, want in zip(curve.periodic_jet(1024), curve.jet(grid)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(JET_SHAPES))
+    def test_derivatives_meet_central_differences(self, name):
+        """h' and rho = h + h'' against central differences of h, relative
+        to max(1, |value|).  The bounds are set by the 20 x 0.2 ellipse,
+        whose third and fourth derivatives reach 1.7e5 and 6e7 (1.9e-9 and
+        2.0e-5 there, at most 3e-10 and 1.2e-7 on the other shapes)."""
+        curve = build_curve(JET_SHAPES[name])
+        theta = np.linspace(0.0, 2.0 * math.pi, 97)
+        h, h1, rho = curve.jet(theta)
+        d = 1e-6
+        fd1 = (curve.h(theta + d) - curve.h(theta - d)) / (2.0 * d)
+        assert np.max(np.abs(fd1 - h1) / np.maximum(1.0, np.abs(h1))) <= 1e-8
+        d = 1e-4
+        fd2 = (curve.h(theta + d) - 2.0 * h + curve.h(theta - d)) / (d * d)
+        assert np.max(np.abs(h + fd2 - rho) / np.maximum(1.0, rho)) <= 1e-4
+
+    def test_fourier_jet_builds_one_trig_table(self, monkeypatch):
+        curve = build_curve(JET_SHAPES["fourier_K8"])
+        calls = []
+        table = geometry.trig_table
+
+        def counted(theta, K):
+            calls.append(K)
+            return table(theta, K)
+
+        monkeypatch.setattr(geometry, "trig_table", counted)
+        for theta in self.THETAS:
+            calls.clear()
+            curve.jet(theta)
+            assert calls == [8]
+
+
+class TestFourierSums:
+    def test_orders_0_to_2_keep_their_bits(self):
+        rng = np.random.default_rng(7)
+        for K in (1, 3, 8):
+            c, s = rng.standard_normal((2, K))
+            trig = geometry.trig_table(rng.uniform(0.0, 7.0, 33), K)
+            coskt, sinkt, k = trig
+            want = (0.4 + coskt @ c + sinkt @ s,
+                    -sinkt @ (k * c) + coskt @ (k * s),
+                    -coskt @ (k * k * c) - sinkt @ (k * k * s))
+            for d, w in enumerate(want):
+                assert np.array_equal(geometry.fourier_sums(0.4, c, s, trig, d), w)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_orders_3_and_4_on_one_harmonic(self, k):
+        """d^3 and d^4 of c cos k theta + s sin k theta are
+        k^3 (c sin - s cos) and k^4 (c cos + s sin)."""
+        c, s = 0.3, -0.7
+        cos, sin = np.zeros(5), np.zeros(5)
+        cos[k - 1], sin[k - 1] = c, s
+        theta = np.linspace(0.0, 2.0 * math.pi, 41)
+        trig = geometry.trig_table(theta, 5)
+        ck, sk = np.cos(k * theta), np.sin(k * theta)
+        tol = 1e-14 * k ** 4
+        assert np.max(np.abs(geometry.fourier_sums(9.0, cos, sin, trig, 3)
+                             - k ** 3 * (c * sk - s * ck))) <= tol
+        assert np.max(np.abs(geometry.fourier_sums(9.0, cos, sin, trig, 4)
+                             - k ** 4 * (c * ck + s * sk))) <= tol
 
 
 class TestBuildCurve:
@@ -134,15 +253,15 @@ class TestChordChart:
         ch = chord_chart(asymmetric, frame)
         # oracle: dense theta scan of the rotated upper/lower arcs
         t = np.linspace(0, math.pi, 400_001)
-        x = ch._x(t)
-        y = ch._y(t)
+        x, y, _ = ch._xy(t)
         i = np.argmax(y)
         assert ch.f_x1 == pytest.approx(y[i], abs=1e-9)
         assert ch.x1 == pytest.approx(x[i], abs=1e-4)
         t = np.linspace(math.pi, 2 * math.pi, 400_001)
-        j = np.argmin(ch._y(t))
-        assert ch.g_x2 == pytest.approx(ch._y(t)[j], abs=1e-9)
-        assert ch.x2 == pytest.approx(ch._x(t)[j], abs=1e-4)
+        x, y, _ = ch._xy(t)
+        j = np.argmin(y)
+        assert ch.g_x2 == pytest.approx(y[j], abs=1e-9)
+        assert ch.x2 == pytest.approx(x[j], abs=1e-4)
         assert abs(ch.x1 - ch.x2) > 1e-3  # genuinely asymmetric in this frame
 
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
@@ -158,7 +277,7 @@ class TestChordChart:
         scale = max(1.0, abs(ch.a), abs(ch.b))
         lo, hi = (0.0, math.pi) if upper else (math.pi, 2 * math.pi)
         window = math.sqrt(32 * np.finfo(float).eps * scale
-                           / min(ch._rho(lo), ch._rho(hi)))
+                           / min(ch._jet(lo)[2], ch._jet(hi)[2]))
         ends = np.array([ch.a, ch.a + 1e-15, ch.a + 1e-14,
                          ch.b - 1e-14, ch.b - 1e-15, ch.b])
         inside = ch.a + (ch.b - ch.a) * np.array([1e-3, 0.3, 0.5, 0.9])
@@ -176,7 +295,8 @@ class TestChordChart:
         x = np.linspace(ch.a, ch.b, 41)[1:-1]
         want = ch.theta_upper(x), ch.theta_lower(x)
         # a vanishing x' makes every damped Newton step zero
-        monkeypatch.setattr(ch, "_rho", lambda t: np.full(np.shape(t), 1e-40))
+        jet = ch._jet
+        monkeypatch.setattr(ch, "_jet", lambda t: (*jet(t)[:2], np.full(np.shape(t), 1e-40)))
         for theta, ref in zip((ch.theta_upper(x), ch.theta_lower(x)), want):
             assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13
             assert np.max(np.abs(theta - ref)) <= 1e-12
@@ -239,7 +359,7 @@ def test_width_symmetry(curve, theta):
 def test_chart_consistency(curve, frame):
     ch = chord_chart(curve, frame)
     t = np.linspace(0, math.pi, 20_001)
-    assert float(np.max(ch._y(t))) == pytest.approx(ch.f_x1, abs=1e-10)
+    assert float(np.max(ch._xy(t)[1])) == pytest.approx(ch.f_x1, abs=1e-10)
     # curvature consistency: |f''(x1)| equals kappa at the top point
     t_top = ch.theta_upper(ch.x1)
     kappa = 1.0 / float(curve.rho(t_top + frame))
