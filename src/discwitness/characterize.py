@@ -95,10 +95,11 @@ def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
     function about `center`, q = h - center . u.  The grid's discrete
     extrema are Newton-polished together (q' = h' + cx sin - cy cos,
     q'' = rho - q), from one jet per step; a candidate stops once its step
-    is below 1e-14 or q'' has the wrong sign.  A candidate whose |q''| is
-    at the rounding floor of the curve's scale keeps its grid angle and
-    value: q is flat there, as about a circle's centre, where the grid's
-    extrema are rounding noise.  `h` is curve.h on the grid, if known.
+    is below 1e-14, q'' has the wrong sign, or |q'| is at the rounding
+    floor of the curve's scale, where a step is noise.  A candidate whose
+    |q''| is at that floor keeps its grid angle and value: q is flat there,
+    as about a circle's centre, where the grid's extrema are rounding
+    noise.  `h` is curve.h on the grid, if known.
     """
     cx, cy = center
     h = curve.periodic_jet(_GRID)[0] if h is None else h
@@ -111,12 +112,11 @@ def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
         h_t, h1, rho = curve.jet(t)
         cos, sin = np.cos(t), np.sin(t)
         q = h_t - cx * cos - cy * sin
-        d2 = rho - q
-        active &= sign * d2 > flat
+        d1, d2 = h1 + cx * sin - cy * cos, rho - q
+        active &= (sign * d2 > flat) & (np.abs(d1) > flat)
         if step_no == _POLISH_STEPS or not active.any():
             return t, q
-        step = np.divide(h1 + cx * sin - cy * cos, d2, out=np.zeros_like(t),
-                         where=active)
+        step = np.divide(d1, d2, out=np.zeros_like(t), where=active)
         t = t - step
         active &= np.abs(step) >= 1e-14
 

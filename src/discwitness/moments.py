@@ -18,10 +18,10 @@
 
 trapezoid_sums, one kernel for all three and the arc integrals of
 asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
-Weideman, SIAM Review 2014), takes every requested power from one doubling
-grid.  chord and green differ in variable, grid and chart inversion, so
-their agreement is a cross-check; the chart inversion theta(x) serves
-chord alone.
+Weideman, SIAM Review 2014), takes every power from one doubling grid and
+one baby-step/giant-step product per level, O(sqrt(P) N) exp calls.  chord
+and green differ in variable, grid and chart inversion, so their agreement
+is a cross-check; the chart inversion theta(x) serves chord alone.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ class MomentResult:
         return self.as_logcomplex().abs_log()
 
 
-def _result(raw: complex, log_scale: float, n: int, frame_angle: float,
-            method: str) -> MomentResult:
-    lc = LogComplex(complex(raw), log_scale).normalized()
-    return MomentResult(lc.mantissa, lc.log_scale, n, frame_angle, method)
-
-
 def check_orders(n_list) -> None:
     if any(n < 0 for n in n_list):
         raise ValueError("moment order must be >= 0")
@@ -75,25 +69,34 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
     powers, from one doubling grid.
 
     ``sample(t)`` returns (c, v) at the nodes t; each level samples every
-    new node once and takes one matrix product for all powers, with
-    sign(v)^p kept for odd p.  N doubles, keeping the old nodes, until no
+    new node once.  Baby-step/giant-step (Paterson & Stockmeyer 1973):
+    p = g b + r with an even block b ~ sqrt(max p), and one product
+    baby @ (giant c)^T of the rows sign(v)^r |v/ref|^r and |v/ref|^(g b),
+    exactly 1 at r = 0 or g = 0 (also at v = 0), gives every power from
+    O(sqrt(P) N) exp calls.  N doubles, keeping the old nodes, until no
     sum moves by more than rel_tol of itself or the rounding floor, 1e-14
     of the sum of |c| (which bounds the scaled integrand)."""
-    ps = np.asarray(powers, dtype=float)
-    odd = (ps % 2 == 1)[:, None]
-    flat = ps == 0  # v^0 = 1, also at v = 0
+    ps = np.asarray(powers, dtype=np.int64)
+    b = 2 * max(1, math.isqrt(int(ps.max(initial=0))) // 2)
+    rs, ri = np.unique(ps % b, return_inverse=True)
+    gs, gi = np.unique(ps // b * b, return_inverse=True)
+
+    def rows(ks, lv):  # exp(k lv) for each k, exactly 1 at k = 0
+        out = np.ones((len(ks), len(lv)))
+        out[ks > 0] = np.exp(np.multiply.outer(ks[ks > 0], lv))
+        return out
 
     def level_sum(t):
         c, v = sample(t)
-        cs = np.stack([c.real, c.imag], axis=1)
-        s = np.zeros((len(ps), 2))
-        for i in range(0, len(v), _NODE_BLOCK):  # bounds the power matrix
-            vb = v[i:i + _NODE_BLOCK]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pw = np.exp(np.multiply.outer(ps, np.log(np.abs(vb)) - ln_ref))
-            pw[flat] = 1.0
-            s += np.where(odd, np.sign(vb) * pw, pw) @ cs[i:i + _NODE_BLOCK]
-        return s[:, 0] + 1j * s[:, 1], np.sum(np.abs(c))
+        s = np.zeros((len(rs), 2 * len(gs)))
+        for i in range(0, len(v), _NODE_BLOCK):  # bounds the power rows
+            vb, cb = v[i:i + _NODE_BLOCK], c[i:i + _NODE_BLOCK]
+            with np.errstate(divide="ignore"):
+                lv = np.log(np.abs(vb)) - ln_ref
+            baby, giant = rows(rs, lv), rows(gs, lv)
+            baby[rs % 2 == 1] *= np.sign(vb)  # g b is even: giants need none
+            s += baby @ np.concatenate([giant * cb.real, giant * cb.imag]).T
+        return s[ri, gi] + 1j * s[ri, len(gs) + gi], np.sum(np.abs(c))
 
     n = 64
     total, mass = level_sum(period * np.arange(n) / n)
@@ -118,9 +121,16 @@ def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
     check_orders(n_list)
     sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
                           f"{method} moments", rel_tol)
-    return [_result(z, (n + lift) * ln_ref - lift * math.log(n + 1), n,
-                    frame_angle, method)
-            for z, n in zip(sums, n_list)]
+    ns = np.asarray(n_list, dtype=float)
+    log_scale = (ns + lift) * ln_ref - lift * np.log(ns + 1)
+    # LogComplex.normalized, vectorized: |mantissa| = 1, or exactly (0j, 0.0)
+    mag = np.abs(sums)
+    live = mag != 0.0
+    shift = np.log(mag, out=np.zeros_like(mag), where=live)
+    mantissa = np.where(live, sums / np.exp(shift), 0j)
+    log_scale = np.where(live, log_scale + shift, 0.0)
+    return [MomentResult(z, ls, n, frame_angle, method)
+            for z, ls, n in zip(mantissa.tolist(), log_scale.tolist(), n_list)]
 
 
 def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:

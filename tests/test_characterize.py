@@ -302,10 +302,24 @@ def test_inscribed_radius_meets_the_dual_bound(spec):
     assert _dual_bound(curve, center) - r <= 1e-12 * max(1.0, r)
 
 
+@pytest.fixture
+def circle_jet_calls(monkeypatch):
+    """Sizes of the angle sets that CircleCurve.jet is called with."""
+    jet = CircleCurve.jet
+    calls = []
+
+    def counted(self, theta):
+        calls.append(np.size(theta))
+        return jet(self, theta)
+
+    monkeypatch.setattr(CircleCurve, "jet", counted)
+    return calls
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, 0.1), (6e-10, 8e-10)],
                          ids=["origin", "offset", "1e-9_from_origin"])
 @pytest.mark.parametrize("about", ["centre", "fitted_centre"])
-def test_flat_support_function_is_not_polished(center, about, monkeypatch):
+def test_flat_support_function_is_not_polished(center, about, circle_jet_calls):
     """About a unit circle's centre q = h - c . u is flat: its grid extrema
     (hundreds of them) are rounding noise, and q'' = rho - q is too.  They
     keep their grid angles and values, from the grid evaluation and one
@@ -318,20 +332,25 @@ def test_flat_support_function_is_not_polished(center, about, monkeypatch):
         h = curve.h(characterize._THETAS)
         c = 2.0 * np.array([np.mean(h * characterize._COS),
                             np.mean(h * characterize._SIN)])
-    jet = CircleCurve.jet
-    calls = []
-
-    def counted(self, theta):
-        calls.append(np.size(theta))
-        return jet(self, theta)
-
-    monkeypatch.setattr(CircleCurve, "jet", counted)
     for maximum in (False, True):
-        calls.clear()
+        circle_jet_calls.clear()
         t, q = characterize._support_extrema(curve, c, maximum=maximum)
-        assert len(calls) <= 2
+        assert len(circle_jet_calls) <= 2
         assert np.max(np.abs(q - 1.0)) <= 1e-15
     assert lemma2_witness(curve) is None
+
+
+def test_small_real_curvature_stops_at_the_rounding_floor(circle_jet_calls):
+    """About (6e-10, 8e-10) off a unit circle's centre q has one minimum
+    and one maximum with q'' ~ 1e-9: real, but the Newton step q'/q'' is
+    rounding noise once q' is.  Each stops one step after the grid."""
+    curve = build_curve({"type": "circle", "center": [0.3, 0.1], "radius": 1.0})
+    c = np.array([0.3 + 6e-10, 0.1 + 8e-10])
+    for maximum, expect in ((False, 1.0 - 1e-9), (True, 1.0 + 1e-9)):
+        circle_jet_calls.clear()
+        t, q = characterize._support_extrema(curve, c, maximum=maximum)
+        assert len(circle_jet_calls) <= 3
+        assert len(q) == 1 and abs(q[0] - expect) <= 1e-15
 
 
 class TestWitness:

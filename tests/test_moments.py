@@ -13,6 +13,7 @@ from discwitness.moments import (
     moment_chord,
     moment_green,
     moment_sweep,
+    trapezoid_sums,
 )
 
 from conftest import exact_ellipse_moments, small_fourier_curves, worst_exact_gap
@@ -101,6 +102,31 @@ class TestSweep:
         assert results[0].value() == pytest.approx(DISC_M0, rel=1e-10)
         assert results[1].value() == pytest.approx(cy * DISC_M0, rel=1e-10)
 
+    @pytest.mark.parametrize("frame", [0.0, 0.7])
+    def test_orders_map_back_in_request_order(self, asymmetric, frame):
+        # unsorted, with a duplicate: each result is the single-order one
+        ns = [399, 0, 57, 57, 200]
+        single = {"chord": lambda n: moment_chord(chord_chart(asymmetric, frame), n),
+                  "green": lambda n: moment_green(asymmetric, n, frame),
+                  "area": lambda n: moment_area(asymmetric, n, frame)}
+        for method, one in single.items():
+            results = moment_sweep(asymmetric, ns, frame, method)
+            assert [r.n for r in results] == ns
+            for r, n in zip(results, ns):
+                assert type(r.mantissa) is complex and type(r.log_scale) is float
+                gap = relative_gap(r.as_logcomplex(), one(n).as_logcomplex())
+                assert gap <= 1e-12, (method, n)
+
+    def test_zero_sum_is_exact_zero(self):
+        def sample(t):
+            return np.zeros(t.shape, dtype=complex), np.cos(t)
+
+        results = moments._trapezoid_moments(sample, 2.0 * math.pi, [0, 3],
+                                             0.0, 0.0, "green", 1e-10)
+        for r in results:
+            assert (r.mantissa, r.log_scale) == (0j, 0.0)
+            assert type(r.mantissa) is complex and type(r.log_scale) is float
+
     def test_chord_vs_green_to_40(self, ellipse):
         ns = list(range(401))
         chords = moment_sweep(ellipse, ns, method="chord")
@@ -157,6 +183,36 @@ def test_flat_ellipse_in_few_nodes(monkeypatch):
         for method in ("chord", "green", "area"):
             results = moment_sweep(curve, range(401), 0.0, method)
             assert worst_exact_gap(results, exact, 0.2) <= 1e-10, (a, method)
+
+
+@pytest.mark.parametrize("powers", [list(range(401)), [100, 200, 400],
+                                    [0, 399], [57], [], [399, 0, 57, 57, 200]],
+                         ids=["dense", "sparse", "ends", "single", "empty",
+                              "unsorted"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trapezoid_sums_match_direct_powers(powers, seed):
+    # one doubling (rel_tol = inf) over 128 random nodes with v = 0,
+    # negative v and |v/ref| up to 1.05; the direct sum takes
+    # sign(v)^p exp(p ln|v/ref|) power by power, v^0 = 1 also at v = 0
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=128) + 1j * rng.normal(size=128)
+    v = rng.uniform(-1.05, 1.05, size=128) * 2.0
+    v[rng.choice(128, size=8, replace=False)] = 0.0
+    ln_ref = math.log(2.0)
+
+    def sample(t):
+        i = np.rint(t * (128 / math.pi)).astype(int)
+        return c[i], v[i]
+
+    got = trapezoid_sums(sample, math.pi, powers, ln_ref, "test", np.inf)
+    assert got.shape == (len(powers),)
+    with np.errstate(divide="ignore"):
+        lv = np.log(np.abs(v)) - ln_ref
+    for s, p in zip(got, powers):
+        term = np.sign(v) ** p * np.exp(p * lv) if p else np.ones(128)
+        direct = math.pi / 128 * np.sum(c * term)
+        size = math.pi / 128 * np.sum(np.abs(c) * np.maximum(1.0, np.abs(term)))
+        assert abs(s - direct) <= 1e-13 * size, p
 
 
 # --- properties ---
