@@ -163,9 +163,10 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     lower = _arc_integrals(chart, m_list, upper=False)
     moments = {}
     if live:
-        odd = _boundary_moments(curve, [2 * m - 1 for m in live], frame_angle,
-                                 "green")
-        moments = {m: r.as_logcomplex() for m, r in zip(live, odd)}
+        mantissa, log_scale = _boundary_moments(
+            curve, [2 * m - 1 for m in live], frame_angle, "green")
+        moments = {m: LogComplex(z, ls) for m, z, ls
+                   in zip(live, mantissa.tolist(), log_scale.tolist())}
     rows = []
     for bt, f, g in zip(terms, upper, lower):
         combined = None

@@ -22,10 +22,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import characterize, shapeopt
 from .asymptotics import asymptotic_ratio, check_m_list
 from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import build_curve, chord_chart
+from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
 VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
@@ -109,16 +112,21 @@ def cmd_moments(args):
     curve = _load_curve(args)
     frame = math.radians(args.frame_deg)
     n_list = args.n_list or list(range(args.n_max + 1))
-    rows = []
-    for method in args.methods:
-        for r in moment_sweep(curve, n_list, frame, method):
-            lc = r.as_logcomplex()
-            val = lc.value()
-            rows.append((r.n, args.frame_deg, r.method, val.real, val.imag,
-                         r.log_scale, abs(val)))
-    rows.sort(key=lambda row: (row[0], row[2]))
-    _emit(args.out, _csv(rows, ["n", "frame_deg", "method", "re", "im",
-                                "log_scale", "abs"]))
+    sweeps = [moment_sweep(curve, n_list, frame, m) for m in args.methods]
+    ns = np.tile(n_list, len(args.methods))
+    methods = np.repeat(args.methods, len(n_list))
+    order = np.lexsort((methods, ns))  # stable: repeated rows keep their order
+    mantissa, log_scale = (np.concatenate(a)[order] for a in zip(*sweeps))
+    # np.exp and np.abs(complex) differ from math.exp and abs() in the last
+    # bit; complex * float and np.hypot match Python, inf and nan included
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = mantissa * np.array([exp_or_inf(x) for x in log_scale.tolist()])
+    row = "%d," + _fmt(args.frame_deg) + ",%s,%.17g,%.17g,%.17g,%.17g\n"
+    _emit(args.out, "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
+        row % r for r in zip(ns[order].tolist(), methods[order].tolist(),
+                             val.real.tolist(), val.imag.tolist(),
+                             log_scale.tolist(),
+                             np.hypot(val.real, val.imag).tolist())))
     return 0
 
 

@@ -287,7 +287,6 @@ class BoundaryPoint:
     inward_normal: np.ndarray
     curvature: float
     radius_of_curvature: float
-    arclength: float
 
 
 def arclength(curve: SupportCurve, theta0: float, theta1: float) -> float:
@@ -305,7 +304,6 @@ def perimeter(curve: SupportCurve) -> float:
 def point_at(curve: SupportCurve, theta: float) -> BoundaryPoint:
     theta = float(theta)
     h, h1, rho = (float(v) for v in curve.jet(theta))
-    s = arclength(curve, 0.0, theta) if theta >= 0 else -arclength(curve, theta, 0.0)
     return BoundaryPoint(
         theta=theta,
         position=h * _unit(theta) + h1 * _unit_prime(theta),
@@ -313,7 +311,6 @@ def point_at(curve: SupportCurve, theta: float) -> BoundaryPoint:
         inward_normal=-_unit(theta),
         curvature=1.0 / rho,
         radius_of_curvature=rho,
-        arclength=s,
     )
 
 

@@ -11,6 +11,14 @@ import math
 from dataclasses import dataclass
 
 
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LogComplex:
     mantissa: complex
@@ -25,10 +33,7 @@ class LogComplex:
 
     def value(self) -> complex:
         """Plain complex value; may overflow to inf for extreme scales."""
-        try:
-            return self.mantissa * math.exp(self.log_scale)
-        except OverflowError:
-            return self.mantissa * math.inf
+        return self.mantissa * exp_or_inf(self.log_scale)
 
     def abs_log(self) -> float:
         """log of the magnitude; -inf for zero."""

@@ -20,8 +20,8 @@ trapezoid_sums, one kernel for all three and the arc integrals of
 asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
 Weideman, SIAM Review 2014), takes every power from one doubling grid and
 one baby-step/giant-step product per level, O(sqrt(P) N) exp calls.  chord
-and green differ in variable, grid and chart inversion, so their agreement
-is a cross-check; the chart inversion theta(x) serves chord alone.
+is green under x -> theta, so their agreement checks only the node maps and
+the chart inversion theta(x), which serves chord alone: not a cross-check.
 """
 
 from __future__ import annotations
@@ -113,11 +113,10 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
 
 
 def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
-                       frame_angle: float, method: str, rel_tol: float,
-                       lift: int = 1) -> list:
-    """M_n for every n in n_list: the trapezoid sum of c v^{n+lift} in units
-    of ref^{n+lift}/(n+1)^lift.  lift = 1 where the integrand is the
-    y-antiderivative (chord, green), 0 where it is y^n itself (area)."""
+                       method: str, rel_tol: float, lift: int = 1) -> tuple:
+    """M_n for every n in n_list as (mantissa, log_scale) arrays: the sum of
+    c v^{n+lift} in units of ref^{n+lift}/(n+1)^lift.  lift = 1 where the
+    integrand is the y-antiderivative (chord, green), 0 for y^n (area)."""
     check_orders(n_list)
     sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
                           f"{method} moments", rel_tol)
@@ -128,12 +127,15 @@ def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
     live = mag != 0.0
     shift = np.log(mag, out=np.zeros_like(mag), where=live)
     mantissa = np.where(live, sums / np.exp(shift), 0j)
-    log_scale = np.where(live, log_scale + shift, 0.0)
-    return [MomentResult(z, ls, n, frame_angle, method)
-            for z, ls, n in zip(mantissa.tolist(), log_scale.tolist(), n_list)]
+    return mantissa, np.where(live, log_scale + shift, 0.0)
 
 
-def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
+def _one(sweep: tuple, n: int, frame_angle: float, method: str) -> MomentResult:
+    """The MomentResult of a one-order sweep."""
+    return MomentResult(complex(sweep[0][0]), float(sweep[1][0]), n, frame_angle, method)
+
+
+def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> tuple:
     mid, half = 0.5 * (chart.a + chart.b), 0.5 * (chart.b - chart.a)
 
     def sample(tau):
@@ -142,8 +144,7 @@ def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> list:
         return np.concatenate([c, -c]), np.concatenate([chart.f(x), chart.g(x)])
 
     ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
-    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, chart.frame_angle,
-                              "chord", rel_tol)
+    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, "chord", rel_tol)
 
 
 def peak_packing(y: float, ypp: float) -> float:
@@ -154,7 +155,7 @@ def peak_packing(y: float, ypp: float) -> float:
 
 
 def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
-                      method: str, rel_tol: float = 1e-10) -> list:
+                      method: str, rel_tol: float = 1e-10) -> tuple:
     """Green's theorem round the support curve (ccw), in its dx-form for
     green, -oint e^{ix} y^{n+1}/(n+1) dx with dx = -rho sin(t) dt, and its
     dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt.
@@ -185,30 +186,34 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
         return (w * st * dt if lift else -1j * w * ct * dt), y
 
     return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),
-                              frame_angle, method, rel_tol, lift)
+                              method, rel_tol, lift)
 
 
 def moment_chord(chart: ChordChart, n: int, *, rel_tol: float = 1e-10) -> MomentResult:
     """Chord-chart integral of e^{ix} (f^{n+1} - g^{n+1}) / (n+1)."""
-    return _chord_moments(chart, [n], rel_tol)[0]
+    return _one(_chord_moments(chart, [n], rel_tol), n, chart.frame_angle, "chord")
 
 
 def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                  rel_tol: float = 1e-10) -> MomentResult:
     """Boundary-integral evaluation over the support parameterization."""
-    return _boundary_moments(curve, [n], frame_angle, "green", rel_tol)[0]
+    return _one(_boundary_moments(curve, [n], frame_angle, "green", rel_tol), n,
+                frame_angle, "green")
 
 
 def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
                 rel_tol: float = 1e-10) -> MomentResult:
     """Area integral as Green's dy-form -i oint e^{ix} y^n dy, which the
     dx-form of moment_green yields by parts (see _boundary_moments)."""
-    return _boundary_moments(curve, [n], frame_angle, "area", rel_tol)[0]
+    return _one(_boundary_moments(curve, [n], frame_angle, "area", rel_tol), n,
+                frame_angle, "area")
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                 method: str = "chord") -> list:
-    """Batch moments, order preserved, every order from one kernel call."""
+                 method: str = "chord") -> tuple:
+    """(mantissa, log_scale) arrays of M_n = mantissa e^log_scale for every
+    n in n_list, in n_list order, from one kernel call; |mantissa| is 1 up
+    to rounding, or (0j, 0.0) exactly where the sum vanishes."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}")
     n_list = list(n_list)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from discwitness import build_curve
+from discwitness.logscale import LogComplex
 
 
 @pytest.fixture
@@ -79,12 +80,19 @@ def exact_ellipse_moments(a, b, cx, n_max):
         return out
 
 
-def worst_exact_gap(results, exact, b):
-    """max over n of |M - M_exact| / max(|M_exact|, b^{n+1}/(n+1))."""
+def logcomplexes(sweep):
+    """The LogComplex of each order of a (mantissa, log_scale) sweep."""
+    mantissa, log_scale = sweep
+    return [LogComplex(z, s) for z, s in zip(mantissa.tolist(), log_scale.tolist())]
+
+
+def worst_exact_gap(sweep, exact, b):
+    """max over n of |M - M_exact| / max(|M_exact|, b^{n+1}/(n+1)), for the
+    (mantissa, log_scale) arrays of a sweep over n = 0, 1, 2, ..."""
     with mpmath.workdps(30):
         worst = mpmath.mpf(0)
-        for r, m in zip(results, exact):
+        for n, (r, m) in enumerate(zip(logcomplexes(sweep), exact)):
             got = mpmath.mpc(r.mantissa) * mpmath.exp(r.log_scale)
-            floor = mpmath.mpf(b) ** (r.n + 1) / (r.n + 1)
+            floor = mpmath.mpf(b) ** (n + 1) / (n + 1)
             worst = max(worst, abs(got - m) / max(abs(m), floor))
         return float(worst)

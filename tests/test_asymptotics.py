@@ -15,7 +15,7 @@ from discwitness.logscale import LogComplex, relative_gap
 from discwitness.moments import _boundary_moments, moment_chord, trapezoid_sums
 from discwitness.quadrature import adaptive_quad
 
-from conftest import exact_ellipse_moments
+from conftest import exact_ellipse_moments, logcomplexes
 
 
 class TestBracket:
@@ -104,8 +104,7 @@ def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
     odd = _boundary_moments(curve, [2 * m - 1 for m in m_list], rot, "green")
-    for m, res in zip(m_list, odd):
-        got = res.as_logcomplex()
+    for m, got in zip(m_list, logcomplexes(odd)):
         chord = moment_chord(ch, 2 * m - 1).as_logcomplex()
         assert relative_gap(got, chord) <= 1e-10
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)

@@ -9,11 +9,16 @@ import pytest
 import discwitness
 from discwitness import characterize
 from discwitness.cli import build_parser, main
+from discwitness.logscale import LogComplex
+from discwitness.moments import moment_sweep
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
 ELLIPSE = {"type": "ellipse", "a": 2, "b": 1, "center": [0, 0], "rotation": 0}
 NONCONVEX = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.5]}
 THREE_LOBE = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]}
+SWEEP_FOURIER = {"type": "support_fourier", "a0": 1.0, "cos": [0.0, 0.05],
+                 "sin": [0.0, 0.0, 0.03]}
+CIRCLE_10 = {"type": "circle", "center": [0, 0], "radius": 10}
 NON_FINITE = {
     "nan_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.nan},
     "inf_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.inf},
@@ -153,7 +158,71 @@ class TestFlags:
         assert "error:" in err and "Traceback" not in err
 
 
+def per_row_csv(spec, n_list, frame_deg, methods):
+    """The moments CSV written one field at a time from the same sweeps:
+    LogComplex.value, Python abs and format(x, ".17g") on every row, rows
+    sorted by (n, method) with ties in request order."""
+    curve = discwitness.build_curve(spec)
+    rows = []
+    for method in methods:
+        mantissa, log_scale = moment_sweep(curve, n_list,
+                                           math.radians(frame_deg), method)
+        for n, z, ls in zip(n_list, mantissa.tolist(), log_scale.tolist()):
+            val = LogComplex(z, ls).value()
+            rows.append((n, frame_deg, method, val.real, val.imag, ls, abs(val)))
+    rows.sort(key=lambda row: (row[0], row[2]))
+    return "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                 for v in row) + "\n" for row in rows)
+
+
 class TestMoments:
+    @staticmethod
+    def stdout(shape_file, capsys, spec, argv):
+        assert run(["moments", "--shape", shape_file(spec)] + argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def test_csv_matches_per_row_fields(self, shape_file, capsys):
+        # the array writer against field-by-field Python formatting: any
+        # last-bit change (np.exp for math.exp, np.abs for abs) shows here
+        out = self.stdout(shape_file, capsys, SWEEP_FOURIER,
+                          ["--n-max", "400", "--methods", "chord,green,area",
+                           "--frame-deg", "45"])
+        assert out == per_row_csv(SWEEP_FOURIER, list(range(401)), 45.0,
+                                  ["chord", "green", "area"])
+
+    def test_overflow_rows(self, shape_file, capsys):
+        # radius 10: |M_n| passes the largest float between n = 300 and 320;
+        # re, im and abs read inf there, log_scale stays finite
+        out = self.stdout(shape_file, capsys, CIRCLE_10,
+                          ["--n-list", "0,300,320,400", "--methods", "green,area"])
+        assert out == per_row_csv(CIRCLE_10, [0, 300, 320, 400], 0.0,
+                                  ["green", "area"])
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [(int(r[0]), r[2]) for r in rows] == [
+            (n, m) for n in (0, 300, 320, 400) for m in ("area", "green")]
+        for n, _, _, re, im, log_scale, mag in rows:
+            assert math.isfinite(float(log_scale))
+            big = [abs(float(v)) for v in (re, im, mag)]
+            assert all(map(math.isinf, big)) if int(n) >= 320 else all(
+                map(math.isfinite, big))
+        assert float(rows[5][5]) == pytest.approx(734.2305982341612, rel=1e-12)
+
+    def test_rows_sorted_by_order_then_method(self, shape_file, capsys):
+        # unsorted orders and a repeated order and method: a stable sort on
+        # (n, method), every repeat kept
+        argv = ["--n-list", "5,0,5,399,57", "--methods", "green,chord,area,green"]
+        out = self.stdout(shape_file, capsys, SWEEP_FOURIER, argv)
+        assert out == per_row_csv(SWEEP_FOURIER, [5, 0, 5, 399, 57], 0.0,
+                                  ["green", "chord", "area", "green"])
+        rows = [row.split(",")[:3] for row in out.splitlines()[1:]]
+        per_n = {0: 1, 5: 2, 57: 1, 399: 1}
+        assert rows == [[str(n), "0", m] for n in sorted(per_n)
+                        for m, k in (("area", 1), ("chord", 1), ("green", 2))
+                        for _ in range(k * per_n[n])]
+
     def test_row_count_and_header(self, shape_file, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["moments", "--shape", shape_file(ELLIPSE),

@@ -16,7 +16,12 @@ from discwitness.moments import (
     trapezoid_sums,
 )
 
-from conftest import exact_ellipse_moments, small_fourier_curves, worst_exact_gap
+from conftest import (
+    exact_ellipse_moments,
+    logcomplexes,
+    small_fourier_curves,
+    worst_exact_gap,
+)
 
 # frozen: independent 200x200 Gauss polar quadrature of the unit-disc
 # integral (equals 2 pi J1(1))
@@ -26,6 +31,12 @@ DISC_M0 = 2.764919374768337
 def _gap(r1, r2, abs_floor=1e-8):
     return relative_gap(r1.as_logcomplex(), r2.as_logcomplex(),
                         abs_floor_log=math.log(abs_floor))
+
+
+def _worst_sweep_gap(s1, s2, abs_floor=1e-8):
+    """_gap's worst over two sweeps' (mantissa, log_scale) arrays."""
+    return max(relative_gap(a, b, abs_floor_log=math.log(abs_floor))
+               for a, b in zip(logcomplexes(s1), logcomplexes(s2)))
 
 
 class TestChord:
@@ -81,16 +92,17 @@ class TestArea:
 
         monkeypatch.setattr(ChordChart, "_invert", no_inversion)
         areas = moment_sweep(asymmetric, range(41), 0.3, "area")
-        assert max(_gap(a, c) for a, c in zip(areas, chords)) < 1e-6
+        assert _worst_sweep_gap(areas, chords) < 1e-6
 
 
 class TestSweep:
     def test_disc_odd_all_zero(self, unit_disc):
-        for r in moment_sweep(unit_disc, [1, 3, 5]):
+        for r in logcomplexes(moment_sweep(unit_disc, [1, 3, 5])):
             assert r.abs_log() <= math.log(1e-10)
 
     def test_empty(self, unit_disc):
-        assert moment_sweep(unit_disc, []) == []
+        mantissa, log_scale = moment_sweep(unit_disc, [])
+        assert mantissa.shape == log_scale.shape == (0,)
 
     @pytest.mark.parametrize("method", ["green", "area"])
     @pytest.mark.parametrize("cy", [-1.0, -(1.0 - 1e-8)])
@@ -98,7 +110,7 @@ class TestSweep:
         # the top normal's height is ~0: packing the nodes about it as about
         # the peak would collapse them (cy = -1) or starve the bottom peak
         curve = build_curve({"type": "circle", "center": [0, cy], "radius": 1})
-        results = moment_sweep(curve, range(401), 0.0, method)
+        results = logcomplexes(moment_sweep(curve, range(401), 0.0, method))
         assert results[0].value() == pytest.approx(DISC_M0, rel=1e-10)
         assert results[1].value() == pytest.approx(cy * DISC_M0, rel=1e-10)
 
@@ -110,29 +122,30 @@ class TestSweep:
                   "green": lambda n: moment_green(asymmetric, n, frame),
                   "area": lambda n: moment_area(asymmetric, n, frame)}
         for method, one in single.items():
-            results = moment_sweep(asymmetric, ns, frame, method)
-            assert [r.n for r in results] == ns
-            for r, n in zip(results, ns):
+            mantissa, log_scale = moment_sweep(asymmetric, ns, frame, method)
+            assert mantissa.shape == log_scale.shape == (len(ns),)
+            assert mantissa.dtype == complex and log_scale.dtype == float
+            for got, n in zip(logcomplexes((mantissa, log_scale)), ns):
+                r = one(n)
+                assert r.n == n and r.method == method
                 assert type(r.mantissa) is complex and type(r.log_scale) is float
-                gap = relative_gap(r.as_logcomplex(), one(n).as_logcomplex())
+                gap = relative_gap(got, r.as_logcomplex())
                 assert gap <= 1e-12, (method, n)
 
     def test_zero_sum_is_exact_zero(self):
         def sample(t):
             return np.zeros(t.shape, dtype=complex), np.cos(t)
 
-        results = moments._trapezoid_moments(sample, 2.0 * math.pi, [0, 3],
-                                             0.0, 0.0, "green", 1e-10)
-        for r in results:
-            assert (r.mantissa, r.log_scale) == (0j, 0.0)
-            assert type(r.mantissa) is complex and type(r.log_scale) is float
+        mantissa, log_scale = moments._trapezoid_moments(
+            sample, 2.0 * math.pi, [0, 3], 0.0, "green", 1e-10)
+        assert list(zip(mantissa.tolist(), log_scale.tolist())) == [(0j, 0.0)] * 2
+        assert mantissa.dtype == complex and log_scale.dtype == float
 
     def test_chord_vs_green_to_40(self, ellipse):
         ns = list(range(401))
         chords = moment_sweep(ellipse, ns, method="chord")
         greens = moment_sweep(ellipse, ns, method="green")
-        worst = max(_gap(a, b) for a, b in zip(chords, greens))
-        assert worst < 1e-6
+        assert _worst_sweep_gap(chords, greens) < 1e-6
 
 
 # (a, b, centre, rotation, frame): read in frame = rotation, the ellipse
