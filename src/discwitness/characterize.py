@@ -17,6 +17,7 @@ from .geometry import (
     BoundaryPoint,
     ChordChart,
     SupportCurve,
+    arclength,
     point_at,
     width_at,
 )
@@ -56,7 +57,8 @@ class KLReport:
 
 def kl_profile(curve: SupportCurve, sample_count: int = 1000,
                tol: float = DISC_TOL_DEFAULT) -> KLReport:
-    """kappa * width profile on a uniform normal-angle grid."""
+    """kappa * width profile on a uniform normal-angle grid, with the
+    exact arc length s from theta = 0 to each sample."""
     if sample_count < 16:
         raise ValueError("sample_count must be >= 16")
     thetas = np.linspace(0.0, 2.0 * math.pi, sample_count, endpoint=False)
@@ -64,9 +66,7 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     kappa = 1.0 / rho
     L = h + curve.h(thetas + math.pi)
     kl = kappa * L
-    # arc length accumulated on the same grid (trapezoid, periodic)
-    dtheta = 2.0 * math.pi / sample_count
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (rho[:-1] + rho[1:]) * dtheta)])
+    s = arclength(curve, 0.0, thetas)
     max_dev = float(np.max(np.abs(kl - 2.0)))
     verdict = "disc" if max_dev <= tol else "not_disc"
     fitted = None
@@ -353,7 +353,10 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
     trapezoid sum there, theta + pi being the grid's exact N/2 roll;
     oint kappa ds is the turning angle of the boundary polygon through the
     positions z = (h + i h') e^{i theta}, a discretization independent of
-    rho.
+    rho.  oint (h'(theta) + h'(theta + pi)) dtheta = 0 holds for every
+    periodic h, and a closed convex polygon turns by 2 pi, so
+    p_zero_consistent is true by construction: a sanity check of the jet
+    and the grid, not evidence about the curve.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
     h, h1, _ = curve.periodic_jet(VALIDATION_GRID)

@@ -23,7 +23,7 @@ class NotStrictlyConvex(DiscWitnessError):
 
 
 class QuadratureNoConvergence(DiscWitnessError):
-    """Adaptive quadrature did not meet tolerance within the subdivision budget."""
+    """An integral did not converge within its node budget."""
 
 
 class DiscSearchFailed(DiscWitnessError):

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedSpec, NotStrictlyConvex
-from .quadrature import adaptive_quad
+from .errors import MalformedSpec, NotStrictlyConvex, QuadratureNoConvergence
 
 DEFAULT_EPS0 = 1e-3
 VALIDATION_GRID = 4096
+ARCLENGTH_NODE_BUDGET = 1 << 20  # largest FFT grid of h that arclength reads
 
 
 def trig_table(theta, K: int):
@@ -289,12 +289,43 @@ class BoundaryPoint:
     radius_of_curvature: float
 
 
-def arclength(curve: SupportCurve, theta0: float, theta1: float) -> float:
-    """Arc length between normal angles theta0 <= theta1 (integral of rho)."""
-    if theta1 < theta0:
+def arclength(curve: SupportCurve, theta0: float, theta1):
+    """Arc length from normal angle theta0 to theta1 >= theta0 (an array
+    gives an array): h'(theta1) - h'(theta0) + int h, the integral of
+    rho = h + h'', with int h term by term from h's spectrum (Trefethen &
+    Weideman, SIAM Review 56, 2014).  h's FFT grid doubles from 64 nodes
+    until |h_k| <= 1e-15 max|h| for k >= n/4 (rounding keeps a Fourier
+    shape's upper spectrum near 2e-16 max|h| at every n); the modes below
+    n/4 are summed by baby and giant steps, e^{ik t} = e^{igBt} e^{irt}.
+    A 2 x 1 ellipse takes 256 nodes, 100 x 1 16,384, 10,000 x 10 65,536;
+    an aspect ratio near 1e5 exceeds ARCLENGTH_NODE_BUDGET and raises
+    QuadratureNoConvergence."""
+    theta1 = np.asarray(theta1, dtype=float)
+    t = np.append(float(theta0), theta1)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("arclength bounds must be finite")
+    if np.any(t[1:] < t[0]):
         raise ValueError("theta1 must be >= theta0")
-    val, _ = adaptive_quad(curve.rho, theta0, theta1)
-    return float(val.real)
+    n = 64
+    while True:
+        h = curve.periodic_jet(n)[0]
+        c = np.fft.rfft(h) / n  # h = c_0 + sum_k 2 Re(c_k e^{ik theta})
+        if np.max(np.abs(c[n // 4:])) <= 1e-15 * np.max(np.abs(h)):
+            break
+        n *= 2
+        if n > ARCLENGTH_NODE_BUDGET:
+            raise QuadratureNoConvergence(
+                f"spectrum of h above 1e-15 at {ARCLENGTH_NODE_BUDGET} nodes")
+    K = n // 4  # modes at and above n/4 are below the floor and dropped
+    b = c[:K] / (1j * np.maximum(np.arange(K), 1))  # antiderivative's periodic part
+    b[0] = 0.0
+    B = 1 << (K.bit_length() // 2)  # k = g B + r: exp for B baby and K/B giant steps
+    baby = np.exp(1j * np.multiply.outer(t, np.arange(B)))
+    giant = np.exp(1j * np.multiply.outer(t, np.arange(0, K, B)))
+    periodic = np.sum(giant * (baby @ b.reshape(-1, B).T), axis=1)
+    F = curve.jet(t)[1] + c[0].real * t + 2.0 * periodic.real  # h' + int h
+    s = (F[1:] - F[0]).reshape(theta1.shape)
+    return float(s) if s.ndim == 0 else s
 
 
 def perimeter(curve: SupportCurve) -> float:

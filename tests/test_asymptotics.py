@@ -13,7 +13,6 @@ from discwitness.asymptotics import (
 )
 from discwitness.logscale import LogComplex, relative_gap
 from discwitness.moments import _boundary_moments, moment_chord, trapezoid_sums
-from discwitness.quadrature import adaptive_quad
 
 from conftest import exact_ellipse_moments, logcomplexes
 
@@ -64,13 +63,13 @@ class TestAsymptoticRatio:
 
 
 def test_arc_integral_matches_direct_quadrature(ellipse):
-    ch = chord_chart(ellipse)
+    """The 2 x 1 ellipse's upper arc is f(x) = (1 - x^2/4)^(1/2); the
+    reference is mpmath's quadrature of e^{ix} f^{2m} in closed form."""
     m = 30
-    val = arc_integral(ch, m, upper=True)
-    direct, _ = adaptive_quad(
-        lambda x: np.exp(1j * x) * np.asarray(ch.f(x)) ** (2 * m),
-        ch.a + 1e-9, ch.b - 1e-9, rel_tol=1e-12, seeds=(ch.x1,))
-    assert val.value() == pytest.approx(direct, rel=1e-8)
+    val = arc_integral(chord_chart(ellipse), m, upper=True)
+    direct = mpmath.quad(lambda x: mpmath.expj(x) * (1 - x * x / 4) ** m,
+                         [-2, 0, 2])
+    assert val.value() == pytest.approx(complex(direct), rel=1e-8)
 
 
 # --- the batched arc grid ---
@@ -143,8 +142,8 @@ def test_green_derives_its_packing(a, b, cx, cy, rot, k):
 def test_arc_integral_masks_the_wrong_sign_points(upper):
     """Tilted 100:1 ellipse: each arc dips across y = 0, and its wrong-sign
     points outweigh the peak (unmasked, the lower arc's ratio at m = 2000
-    is ~2e25 instead of 7.3e-3).  Reference: adaptive Gauss in theta with
-    the same mask."""
+    is ~2e25 instead of 7.3e-3).  Reference: mpmath's quadrature in theta
+    with the same mask, split about the peak normal."""
     ch = chord_chart(build_curve(TILTED_FLAT), 0.3)
     m = 2000
     lo, peak, sgn = (0.0, ch.f_x1, 1.0) if upper else (math.pi, ch.g_x2, -1.0)
@@ -158,8 +157,12 @@ def test_arc_integral_masks_the_wrong_sign_points(upper):
         weight = np.where(v > 0, np.exp(expo), 0.0) * rho * np.abs(np.sin(t))
         return np.exp(1j * x) * weight
 
-    ref, _ = adaptive_quad(integrand, lo, lo + math.pi, rel_tol=1e-12,
-                           abs_tol=1e-16, seeds=(lo + 0.5 * math.pi,))
+    mid = lo + 0.5 * math.pi
+    cuts = [lo, *(mid + d for d in (-0.3, -0.03, -0.003, 0.0, 0.003, 0.03, 0.3)),
+            lo + math.pi]
+    ref, err = mpmath.quad(lambda t: mpmath.mpc(complex(integrand(float(t)))), cuts,
+                           error=True)
+    assert err <= 1e-12 * abs(ref)
     got = arc_integral(ch, m, upper)
     assert got.ratio(LogComplex(complex(ref), 2.0 * m * ln_peak)) == pytest.approx(
         1.0, abs=1e-8)

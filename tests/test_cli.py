@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import discwitness
@@ -124,6 +125,25 @@ class TestFlags:
         lines = out.read_text().splitlines()
         assert lines[0] == "s,theta,kappa,L,kappaL"
         assert len(lines) > 1
+
+    def test_profile_arc_length_of_a_flat_ellipse(self, shape_file, capsys):
+        """s is exact arc length from theta = 0, even where rho's narrow
+        peak (a^2/b = 2000) falls between samples."""
+        a, b = 20, 0.2
+        assert run(["profile", "--shape", shape_file({"type": "ellipse", "a": a, "b": b}),
+                    "--format", "csv", "--samples", "64"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        s, theta = zip(*((float(v) for v in r.split(",")[:2]) for r in rows))
+        with mpmath.workdps(20):
+            rho = lambda t: (a * b) ** 2 / (  # noqa: E731
+                (a * mpmath.cos(t)) ** 2 + (b * mpmath.sin(t)) ** 2) ** 1.5
+            length = float(4 * a * mpmath.ellipe(1 - (b / a) ** 2))
+            ref = [0.0]
+            for t0, t1 in zip(theta, theta[1:]):
+                ref.append(ref[-1] + float(mpmath.quad(rho, [t0, t1])))
+        assert len(s) == 64 and all(lo < hi for lo, hi in zip(s, s[1:]))
+        assert s[-1] < length
+        assert max(abs(x - y) for x, y in zip(s, ref)) <= 1e-12 * length
 
     def test_profile_keeps_every_sample(self, shape_file, capsys):
         assert run(["profile", "--shape", shape_file(CIRCLE), "--samples",

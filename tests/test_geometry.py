@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from discwitness import geometry
 from discwitness import (
     MalformedSpec,
     NotStrictlyConvex,
+    QuadratureNoConvergence,
     antipodal,
     arclength,
     build_curve,
@@ -30,6 +32,40 @@ INVERSION_SHAPES = {
                    "cos": [0.02, 0.03, 0.01, 0.005, 0.004],
                    "sin": [0.01, -0.02, 0.01, 0.0, -0.006]},
 }
+
+ARC_SHAPES = {
+    "circle": {"type": "circle", "center": [0.3, -0.2], "radius": 1.1},
+    "ellipse_2x1": {"type": "ellipse", "a": 2, "b": 1, "rotation": 0.3},
+    "fourier_K3": {"type": "support_fourier", "a0": 1,
+                   "cos": [0.02, 0.05, 0.03], "sin": [-0.01, 0.0, 0.02]},
+    "ellipse_30x1": {"type": "ellipse", "a": 30, "b": 1},
+    "ellipse_20x0.2": {"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]},
+    "ellipse_100x1": {"type": "ellipse", "a": 100, "b": 1},
+}
+ARC_SPANS = [(0.0, 2 * math.pi), (0.3, 2.9), (-1.0, 9.0)]
+
+
+def _mp_arclength(spec, theta0, theta1):
+    """Integral of rho from theta0 to theta1 by mpmath at 30 digits, split
+    at an ellipse's peaks of rho (rotation +- pi/2)."""
+    with mpmath.workdps(30):
+        t0, t1 = mpmath.mpf(theta0), mpmath.mpf(theta1)
+        cuts = [t0, t1]
+        if spec["type"] == "circle":
+            rho = lambda t: mpmath.mpf(spec["radius"])  # noqa: E731
+        elif spec["type"] == "ellipse":
+            a, b = mpmath.mpf(spec["a"]), mpmath.mpf(spec["b"])
+            rot = mpmath.mpf(spec.get("rotation", 0))
+            rho = lambda t: (a * b) ** 2 / (  # noqa: E731
+                (a * mpmath.cos(t - rot)) ** 2 + (b * mpmath.sin(t - rot)) ** 2) ** 1.5
+            peaks = (rot + mpmath.pi / 2 + j * mpmath.pi for j in range(-2, 4))
+            cuts = sorted({t0, t1, *(p for p in peaks if t0 < p < t1)})
+        else:
+            terms = list(enumerate(zip(spec["cos"], spec["sin"]), start=1))
+            rho = lambda t: spec["a0"] + sum(  # noqa: E731
+                (1 - k * k) * (c * mpmath.cos(k * t) + s * mpmath.sin(k * t))
+                for k, (c, s) in terms)
+        return float(mpmath.quad(rho, cuts))
 
 
 JET_SHAPES = {
@@ -228,6 +264,51 @@ class TestArclength:
     def test_additivity(self, ellipse):
         assert (arclength(ellipse, 0, 1) + arclength(ellipse, 1, 2.5)
                 == pytest.approx(arclength(ellipse, 0, 2.5)))
+
+    @pytest.mark.parametrize("name", sorted(ARC_SHAPES))
+    @pytest.mark.parametrize("span", ARC_SPANS, ids=["turn", "arc", "past_turn"])
+    def test_matches_mpmath(self, name, span):
+        curve = build_curve(ARC_SHAPES[name])
+        ref = _mp_arclength(ARC_SHAPES[name], *span)
+        assert arclength(curve, *span) == pytest.approx(ref, rel=1e-13, abs=0)
+        if span == ARC_SPANS[0]:
+            assert perimeter(curve) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_array_bound_equals_scalar_calls(self):
+        curve = build_curve(ARC_SHAPES["ellipse_30x1"])
+        theta1 = np.array([[0.3, 1.0, 2.9], [4.0, 6.5, 9.0]])
+        got = arclength(curve, 0.3, theta1)
+        assert got.shape == theta1.shape
+        assert got.tolist() == [[arclength(curve, 0.3, t) for t in row]
+                                for row in theta1.tolist()]
+
+    def test_node_budget(self, monkeypatch):
+        curve = build_curve(ARC_SHAPES["ellipse_30x1"])
+        monkeypatch.setattr(geometry, "ARCLENGTH_NODE_BUDGET", 256)
+        with pytest.raises(QuadratureNoConvergence):
+            arclength(curve, 0.0, 1.0)
+
+    def test_fourier_shape_on_the_first_grid(self, monkeypatch):
+        """A trig polynomial of degree K < 16 is resolved on 64 nodes,
+        though rounding holds its upper spectrum near 2e-16 max|h|: this
+        shape's exceeds 1e-16 on every grid up to 2^20 nodes."""
+        curve = build_curve({
+            "type": "support_fourier", "a0": 1.0077711375349987,
+            "cos": [0.0, -0.007893307379773508, 0.005986215403318993,
+                    0.006944452512174714],
+            "sin": [0.0, 0.006079906916630243, 0.00046707923534111364,
+                    0.004637098589441351]})
+        monkeypatch.setattr(geometry, "ARCLENGTH_NODE_BUDGET", 64)
+        assert perimeter(curve) == pytest.approx(2 * math.pi * curve.a0, rel=1e-15)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound(self, ellipse, bound):
+        with pytest.raises(ValueError, match="finite"):
+            arclength(ellipse, 0.0, bound)
+        with pytest.raises(ValueError, match="finite"):
+            arclength(ellipse, bound, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            arclength(ellipse, 0.0, np.array([1.0, bound]))
 
 
 class TestChordChart:
