@@ -6,12 +6,13 @@ Usage: python3 scripts/moment_decay_sweep.py [shape.json] [n_max]
 """
 
 import json
-import math
 import sys
+
+import numpy as np
 
 from discwitness import build_curve, chord_chart
 from discwitness.asymptotics import bracket_main_term
-from discwitness.moments import moment_chord
+from discwitness.moments import moment_sweep
 
 DEFAULT_SHAPE = {"type": "support_fourier", "a0": 1,
                  "cos": [0, 0.05], "sin": [0, 0, 0.03]}
@@ -24,17 +25,19 @@ def main():
     else:
         spec = DEFAULT_SHAPE
     n_max = int(sys.argv[2]) if len(sys.argv) > 2 else 401
-    chart = chord_chart(build_curve(spec))
+    curve = build_curve(spec)
+    ns = np.arange(19, n_max, 40)
+    z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, "chord")
+    _, _, (z_b, ls_b) = bracket_main_term(chord_chart(curve), (ns + 1) // 2)
+    ls_b = ls_b - np.log(ns + 1.0)  # bracket / (n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_m = np.log(np.abs(z_m)) + ls_m
+        log_b = np.log(np.abs(z_b)) + ls_b
+        err = np.where(log_b > -1e30,
+                       np.abs(z_m / z_b * np.exp(ls_m - ls_b) - 1.0), np.nan)
     print(f"{'n':>5} {'log|M_n|':>12} {'log|bracket/(n+1)|':>20} {'ratio_err':>10}")
-    for n in range(19, n_max, 40):
-        m = (n + 1) // 2
-        moment = moment_chord(chart, n)
-        bt = bracket_main_term(chart, m)
-        rhs = bt.bracket.shifted(-math.log(n + 1.0))
-        err = (abs(moment.as_logcomplex().ratio(rhs) - 1.0)
-               if rhs.abs_log() > -1e30 else float("nan"))
-        print(f"{n:>5} {moment.abs_log():>12.4f} {rhs.abs_log():>20.4f} "
-              f"{err:>10.2e}")
+    for row in zip(ns.tolist(), log_m.tolist(), log_b.tolist(), err.tolist()):
+        print("{:>5} {:>12.4f} {:>20.4f} {:>10.2e}".format(*row))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ leading-term asymptotics, width/curvature constraints, the inscribed-disc
 argument, and shape optimization toward the disc."""
 
 from .errors import (
-    BracketNearZero,
     DiscSearchFailed,
     DiscWitnessError,
     Infeasible,
@@ -14,20 +13,17 @@ from .errors import (
     QuadratureNoConvergence,
 )
 from .geometry import (
-    AntipodalPair,
     BoundaryPoint,
     ChordChart,
     CircleCurve,
     EllipseCurve,
     FourierCurve,
     SupportCurve,
-    antipodal,
     arclength,
     build_curve,
     chord_chart,
     perimeter,
     point_at,
 )
-from .logscale import LogComplex
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,9 @@ At a non-degenerate interior maximum y_peak of an arc y(x) the leading
 term of int e^{ix} y^{2m} dx is e^{ix_peak} (pi |y_peak| / (m |y''_peak|))^{1/2}
 y_peak^{2m}.  The chart's extrema are closed forms at the normal angles
 pi/2 and 3pi/2, so the two peak terms, and the bracket (their difference)
-that must vanish when the moments do, need no search.
+that must vanish when the moments do, need no search.  Peak terms, arc
+integrals and moments all come as (mantissa, log_scale) arrays over m
+(see logscale), one entry per requested m.
 """
 
 from __future__ import annotations
@@ -16,18 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketNearZero
 from .geometry import ChordChart, SupportCurve, chord_chart
-from .logscale import LogComplex
+from .logscale import normalized
 from .moments import _boundary_moments, peak_packing, trapezoid_sums
-
-
-@dataclass(frozen=True)
-class BracketTerm:
-    m: int
-    term_f: LogComplex
-    term_g: LogComplex
-    bracket: LogComplex
 
 
 def peak_log_magnitude(y, ypp, m):
@@ -38,16 +31,22 @@ def peak_log_magnitude(y, ypp, m):
     return 0.5 * np.log(math.pi * ay / (m * np.abs(ypp))) + 2.0 * m * np.log(ay)
 
 
-def bracket_main_term(chart: ChordChart, m: int) -> BracketTerm:
+def bracket_main_term(chart: ChordChart, m_list) -> tuple:
     """Peak terms e^{ix} (pi |y_peak| / (m |y''_peak|))^{1/2} with log scale
-    2m ln|y_peak|, for the upper (f, x1) and lower (g, x2) arcs."""
-    if m < 1:
+    2m ln|y_peak| for the upper (f, x1) and lower (g, x2) arcs, and the
+    bracket term_f - term_g, for every m in m_list: three
+    (mantissa, log_scale) pairs of arrays over m."""
+    ms = np.asarray(m_list, dtype=float)
+    if np.any(ms < 1):
         raise ValueError("m must be >= 1")
-    ln_f, ln_g = peak_log_magnitude(np.array([chart.f_x1, chart.g_x2]),
-                                    np.array([chart.f_pp_x1, chart.g_pp_x2]), m)
-    term_f = LogComplex(complex(np.exp(1j * chart.x1)), float(ln_f)).normalized()
-    term_g = LogComplex(complex(np.exp(1j * chart.x2)), float(ln_g)).normalized()
-    return BracketTerm(m, term_f, term_g, term_f - term_g)
+    ln_f, ln_g = peak_log_magnitude(np.array([[chart.f_x1], [chart.g_x2]]),
+                                    np.array([[chart.f_pp_x1], [chart.g_pp_x2]]), ms)
+    term_f = normalized(np.exp(1j * chart.x1), ln_f)
+    term_g = normalized(np.exp(1j * chart.x2), ln_g)
+    ref = np.maximum(term_f[1], term_g[1])
+    bracket = normalized(term_f[0] * np.exp(term_f[1] - ref)
+                         - term_g[0] * np.exp(term_g[1] - ref), ref)
+    return term_f, term_g, bracket
 
 
 def _packing(chart: ChordChart, upper: bool) -> float:
@@ -87,27 +86,16 @@ def _arc_sample(chart: ChordChart, upper: bool):
     return sample
 
 
-def _arc_integrals(chart: ChordChart, m_list, upper: bool,
-                   rel_tol: float = 1e-10) -> list:
-    """arc_integral for every m in m_list from one trapezoid grid."""
-    ln_peak = math.log(abs(chart.f_x1 if upper else chart.g_x2))
-    sums = trapezoid_sums(_arc_sample(chart, upper), math.pi,
-                          [2 * m for m in m_list], ln_peak, "arc integrals", rel_tol)
-    return [LogComplex(complex(z), 2.0 * m * ln_peak).normalized()
-            for z, m in zip(sums, m_list)]
-
-
-def arc_integral(chart: ChordChart, m: int, upper: bool, *,
-                 rel_tol: float = 1e-10) -> LogComplex:
-    """int e^{ix} (arc)^{2m} dx over the arc, log-scaled by the peak:
-    exp(2m ln|arc| - 2m ln|peak|).
+def arc_integrals(chart: ChordChart, m_list, upper: bool) -> tuple:
+    """int e^{ix} (arc)^{2m} dx over the arc for every m in m_list, as
+    (mantissa, log_scale) arrays from one trapezoid grid.
 
     Integrated in the normal angle, dx = -rho sin(theta) dtheta, over
     [0, pi] (upper) or [pi, 2pi] (lower), by the trapezoid rule in tau of
-    a cosine map (see _arc_sample); points where the arc has the wrong
-    sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked.  A
-    one-m call of the batched routine asymptotic_ratio uses; no chart
-    inversion.
+    a cosine map (see _arc_sample), log-scaled by the peak: the kernel sums
+    exp(2m ln|arc| - 2m ln|peak|).  Points where the arc has the wrong
+    sign (y <= 0 on the upper arc, y >= 0 on the lower) are masked; no
+    chart inversion.
 
     Raises QuadratureNoConvergence when the arc's peak |y| is below about
     1e-7 (the origin that close to the lowest boundary point for the lower
@@ -115,7 +103,15 @@ def arc_integral(chart: ChordChart, m: int, upper: bool, *,
     cancels from O(1) terms, and y^{2m} carries relative noise
     ~2m 1e-16/|y| above the kernel's stopping test.
     """
-    return _arc_integrals(chart, [m], upper, rel_tol)[0]
+    ln_peak = math.log(abs(chart.f_x1 if upper else chart.g_x2))
+    sums = trapezoid_sums(_arc_sample(chart, upper), math.pi,
+                          [2 * m for m in m_list], ln_peak, "arc integrals")
+    return normalized(sums, 2.0 * np.asarray(m_list, dtype=float) * ln_peak)
+
+
+def _ratio(a, b):
+    """a / b of two (mantissa, log_scale) pairs, as plain complex values."""
+    return a[0] / b[0] * np.exp(a[1] - b[1])
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,7 @@ def check_m_list(m_list) -> None:
         raise ValueError("m_list must be ascending")
 
 
-def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
-                     *, raise_on_zero_bracket: bool = False) -> list:
+def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list) -> list:
     """Per-arc and combined ratios of true integrals to their leading terms.
 
     The combined entry compares the moment of order n = 2m-1 (which
@@ -143,36 +138,26 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list,
     None.  Every m comes from at most three trapezoid grids: one per arc
     in the normal angle, and green's round the curve for the moments, its
     nodes packed about both peak normals by the narrower peak's width.
-    Raises QuadratureNoConvergence where arc_integral does, with the origin
-    within about 1e-7 of the lowest or highest boundary point.
+    Raises QuadratureNoConvergence where arc_integrals does, with the
+    origin within about 1e-7 of the lowest or highest boundary point.
     """
     m_list = list(m_list)
     check_m_list(m_list)
     chart = chord_chart(curve, frame_angle)
-    terms = [bracket_main_term(chart, m) for m in m_list]
+    term_f, term_g, bracket = bracket_main_term(chart, m_list)
     # the bracket is a closed form: decide which rows get a combined entry
     # before integrating anything
-    live = []
-    for bt in terms:
-        scale = max(bt.term_f.abs_log(), bt.term_g.abs_log())
-        if bt.bracket.abs_log() > math.log(1e-12) + scale:
-            live.append(bt.m)
-        elif raise_on_zero_bracket:
-            raise BracketNearZero(f"bracket vanishes to tolerance at m={bt.m}")
-    upper = _arc_integrals(chart, m_list, upper=True)
-    lower = _arc_integrals(chart, m_list, upper=False)
-    moments = {}
-    if live:
-        mantissa, log_scale = _boundary_moments(
-            curve, [2 * m - 1 for m in live], frame_angle, "green")
-        moments = {m: LogComplex(z, ls) for m, z, ls
-                   in zip(live, mantissa.tolist(), log_scale.tolist())}
-    rows = []
-    for bt, f, g in zip(terms, upper, lower):
-        combined = None
-        if bt.m in moments:
-            rhs = bt.bracket.shifted(-math.log(2.0 * bt.m))
-            combined = abs(moments[bt.m].ratio(rhs) - 1.0)
-        rows.append(RatioRow(bt.m, abs(f.ratio(bt.term_f) - 1.0),
-                             abs(g.ratio(bt.term_g) - 1.0), combined))
-    return rows
+    with np.errstate(divide="ignore"):
+        abs_log = [np.log(np.abs(z)) + ls for z, ls in (term_f, term_g, bracket)]
+    live = abs_log[2] > math.log(1e-12) + np.maximum(abs_log[0], abs_log[1])
+    ratio_f = np.abs(_ratio(arc_integrals(chart, m_list, True), term_f) - 1.0)
+    ratio_g = np.abs(_ratio(arc_integrals(chart, m_list, False), term_g) - 1.0)
+    combined = [None] * len(m_list)
+    if live.any():
+        ms = np.asarray(m_list)[live]
+        moments = _boundary_moments(curve, (2 * ms - 1).tolist(), frame_angle, "green")
+        rhs = bracket[0][live], bracket[1][live] - np.log(2.0 * ms)
+        for i, err in zip(np.flatnonzero(live), np.abs(_ratio(moments, rhs) - 1.0)):
+            combined[i] = float(err)
+    return [RatioRow(m, f, g, c) for m, f, g, c
+            in zip(m_list, ratio_f.tolist(), ratio_g.tolist(), combined)]

@@ -240,6 +240,17 @@ def _int_list(check):
     return parse
 
 
+def _finite(text):
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def _methods(text):
     names = [v.strip() for v in text.split(",")]
     unknown = [v for v in names if v not in METHODS]
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {  # each subcommand takes only the ones it reads
         "--format": dict(choices=["csv", "json"], default="json"),
-        "--frame-deg": dict(type=float, default=0.0),
+        "--frame-deg": dict(type=_finite, default=0.0),
         "--tol": dict(type=float, default=1e-6),
         "--samples": dict(type=int, default=64),
         "--seed": dict(type=int, default=0,
@@ -309,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.exit(2, "tol must be positive\n")
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        parser.exit(2, "tol must be positive and finite\n")
     if getattr(args, "samples", 16) < 16:
         parser.exit(2, "samples must be >= 16\n")
     if getattr(args, "n_max", 0) < 0:

@@ -30,10 +30,6 @@ class DiscSearchFailed(DiscWitnessError):
     """The inscribed-disc Newton search did not converge."""
 
 
-class BracketNearZero(DiscWitnessError):
-    """Main-term bracket vanishes to tolerance; the combined ratio is undefined."""
-
-
 class Infeasible(DiscWitnessError):
     """Decoded shape vector violates strict convexity."""
 

@@ -345,26 +345,8 @@ def point_at(curve: SupportCurve, theta: float) -> BoundaryPoint:
     )
 
 
-@dataclass(frozen=True)
-class AntipodalPair:
-    s_point: BoundaryPoint
-    q_point: BoundaryPoint
-    width: float
-    w: float
-    dq_ds: float
-
-
 def width_at(curve: SupportCurve, theta) -> float:
     return curve.h(theta) + curve.h(np.asarray(theta) + math.pi)
-
-
-def antipodal(curve: SupportCurve, theta: float) -> AntipodalPair:
-    sp = point_at(curve, theta)
-    qp = point_at(curve, theta + math.pi)
-    width = float(curve.h(theta) + curve.h(theta + math.pi))
-    w = float((qp.position - sp.position) @ sp.tangent)
-    dq_ds = float(curve.rho(theta + math.pi) / curve.rho(theta))
-    return AntipodalPair(sp, qp, width, w, dq_ds)
 
 
 class ChordChart:

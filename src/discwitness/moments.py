@@ -22,40 +22,25 @@ Weideman, SIAM Review 2014), takes every power from one doubling grid and
 one baby-step/giant-step product per level, O(sqrt(P) N) exp calls.  chord
 is green under x -> theta, so their agreement checks only the node maps and
 the chart inversion theta(x), which serves chord alone: not a cross-check.
+
+moment_sweep is the one entry point: M_n for any list of orders as
+(mantissa, log_scale) arrays (see logscale); a single order is
+moment_sweep(curve, [n], frame_angle, method).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureNoConvergence
 from .geometry import ChordChart, SupportCurve, chord_chart
-from .logscale import LogComplex
+from .logscale import normalized
 
 METHODS = ("chord", "green", "area")
 _MAX_TRAPEZOID_NODES = 1 << 16
 _NODE_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    mantissa: complex
-    log_scale: float
-    n: int
-    frame_angle: float
-    method: str
-
-    def as_logcomplex(self) -> LogComplex:
-        return LogComplex(self.mantissa, self.log_scale)
-
-    def value(self) -> complex:
-        return self.as_logcomplex().value()
-
-    def abs_log(self) -> float:
-        return self.as_logcomplex().abs_log()
 
 
 def check_orders(n_list) -> None:
@@ -113,29 +98,18 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
 
 
 def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
-                       method: str, rel_tol: float, lift: int = 1) -> tuple:
+                       method: str, lift: int = 1) -> tuple:
     """M_n for every n in n_list as (mantissa, log_scale) arrays: the sum of
     c v^{n+lift} in units of ref^{n+lift}/(n+1)^lift.  lift = 1 where the
     integrand is the y-antiderivative (chord, green), 0 for y^n (area)."""
     check_orders(n_list)
     sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
-                          f"{method} moments", rel_tol)
+                          f"{method} moments")
     ns = np.asarray(n_list, dtype=float)
-    log_scale = (ns + lift) * ln_ref - lift * np.log(ns + 1)
-    # LogComplex.normalized, vectorized: |mantissa| = 1, or exactly (0j, 0.0)
-    mag = np.abs(sums)
-    live = mag != 0.0
-    shift = np.log(mag, out=np.zeros_like(mag), where=live)
-    mantissa = np.where(live, sums / np.exp(shift), 0j)
-    return mantissa, np.where(live, log_scale + shift, 0.0)
+    return normalized(sums, (ns + lift) * ln_ref - lift * np.log(ns + 1))
 
 
-def _one(sweep: tuple, n: int, frame_angle: float, method: str) -> MomentResult:
-    """The MomentResult of a one-order sweep."""
-    return MomentResult(complex(sweep[0][0]), float(sweep[1][0]), n, frame_angle, method)
-
-
-def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> tuple:
+def _chord_moments(chart: ChordChart, n_list) -> tuple:
     mid, half = 0.5 * (chart.a + chart.b), 0.5 * (chart.b - chart.a)
 
     def sample(tau):
@@ -144,7 +118,7 @@ def _chord_moments(chart: ChordChart, n_list, rel_tol: float = 1e-10) -> tuple:
         return np.concatenate([c, -c]), np.concatenate([chart.f(x), chart.g(x)])
 
     ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
-    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, "chord", rel_tol)
+    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, "chord")
 
 
 def peak_packing(y: float, ypp: float) -> float:
@@ -155,7 +129,7 @@ def peak_packing(y: float, ypp: float) -> float:
 
 
 def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
-                      method: str, rel_tol: float = 1e-10) -> tuple:
+                      method: str) -> tuple:
     """Green's theorem round the support curve (ccw), in its dx-form for
     green, -oint e^{ix} y^{n+1}/(n+1) dx with dx = -rho sin(t) dt, and its
     dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt.
@@ -186,27 +160,7 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
         return (w * st * dt if lift else -1j * w * ct * dt), y
 
     return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),
-                              method, rel_tol, lift)
-
-
-def moment_chord(chart: ChordChart, n: int, *, rel_tol: float = 1e-10) -> MomentResult:
-    """Chord-chart integral of e^{ix} (f^{n+1} - g^{n+1}) / (n+1)."""
-    return _one(_chord_moments(chart, [n], rel_tol), n, chart.frame_angle, "chord")
-
-
-def moment_green(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
-                 rel_tol: float = 1e-10) -> MomentResult:
-    """Boundary-integral evaluation over the support parameterization."""
-    return _one(_boundary_moments(curve, [n], frame_angle, "green", rel_tol), n,
-                frame_angle, "green")
-
-
-def moment_area(curve: SupportCurve, n: int, frame_angle: float = 0.0, *,
-                rel_tol: float = 1e-10) -> MomentResult:
-    """Area integral as Green's dy-form -i oint e^{ix} y^n dy, which the
-    dx-form of moment_green yields by parts (see _boundary_moments)."""
-    return _one(_boundary_moments(curve, [n], frame_angle, "area", rel_tol), n,
-                frame_angle, "area")
+                              method, lift)
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,

@@ -18,10 +18,10 @@ from discwitness.characterize import (
     min_clearance,
     p_zero_check,
 )
-from discwitness.moments import moment_chord, moment_sweep
+from discwitness.moments import moment_sweep
 from discwitness.shapeopt import OptOptions, ShapeVector, minimize
 
-from conftest import exact_ellipse_moments, worst_exact_gap
+from conftest import abs_log, exact_ellipse_moments, one_order, value, worst_exact_gap
 
 # frozen: independent 200-node Gauss polar quadrature (= 2 pi J1(1))
 DISC_M0 = 2.764919374768337
@@ -66,10 +66,9 @@ def test_criterion_3_moment_oracle_agreement():
                              exact, 1.0) <= 1e-10
              for method in ("chord", "green", "area"))
     disc = build_curve({"type": "circle", "center": [0, 0], "radius": 1})
-    m0 = moment_chord(chord_chart(disc), 0).value()
-    ok &= abs(m0 - DISC_M0) <= 1e-6
+    ok &= abs(value(one_order(disc, 0)) - DISC_M0) <= 1e-6
     for n in (1, 3, 5):
-        ok &= moment_chord(chord_chart(disc), n).abs_log() <= math.log(1e-10)
+        ok &= abs_log(one_order(disc, n)) <= math.log(1e-10)
     report("3 moment oracle agreement (3 methods vs mpmath, n<=400; disc M0; odd-n=0)",
            ok)
 

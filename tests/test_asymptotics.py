@@ -5,32 +5,43 @@ import numpy as np
 import pytest
 
 from discwitness import ChordChart, asymptotics, build_curve, chord_chart, moments
-from discwitness.asymptotics import (
-    BracketNearZero,
-    arc_integral,
-    asymptotic_ratio,
-    bracket_main_term,
-)
-from discwitness.logscale import LogComplex, relative_gap
-from discwitness.moments import _boundary_moments, moment_chord, trapezoid_sums
+from discwitness.asymptotics import arc_integrals, asymptotic_ratio, bracket_main_term
+from discwitness.moments import _boundary_moments, trapezoid_sums
 
-from conftest import exact_ellipse_moments, logcomplexes
+from conftest import abs_log, exact_ellipse_moments, one_order, ratio, relative_gap
 
 
 class TestBracket:
     def test_disc_bracket_vanishes(self, unit_disc):
-        ch = chord_chart(unit_disc)
-        for m in (10, 50, 200):
-            bt = bracket_main_term(ch, m)
-            assert bt.bracket.abs_log() <= bt.term_f.abs_log() + math.log(1e-12)
+        term_f, _, bracket = bracket_main_term(chord_chart(unit_disc), [10, 50, 200])
+        assert np.all(abs_log(bracket) <= abs_log(term_f) + math.log(1e-12))
 
     def test_centered_ellipse_bracket_vanishes(self, ellipse):
-        bt = bracket_main_term(chord_chart(ellipse), 50)
-        assert bt.bracket.abs_log() <= bt.term_f.abs_log() + math.log(1e-12)
+        term_f, _, bracket = bracket_main_term(chord_chart(ellipse), [50])
+        assert abs_log(bracket) <= abs_log(term_f) + math.log(1e-12)
 
     def test_asymmetric_bracket_nonzero(self, asymmetric):
-        bt = bracket_main_term(chord_chart(asymmetric), 50)
-        assert bt.bracket.abs_log() > bt.term_f.abs_log() + math.log(1e-6)
+        term_f, _, bracket = bracket_main_term(chord_chart(asymmetric), [50])
+        assert abs_log(bracket) > abs_log(term_f) + math.log(1e-6)
+
+    def test_terms_and_bracket_for_every_m(self, asymmetric):
+        """One call for every m, against the closed form in plain complex
+        arithmetic (|y_peak|^{2m} stays in range here)."""
+        ch = chord_chart(asymmetric)
+        ms = np.array([10, 50, 50, 200])
+        pairs = bracket_main_term(ch, ms.tolist())
+        for mantissa, log_scale in pairs:
+            assert mantissa.shape == log_scale.shape == ms.shape
+            assert mantissa.dtype == complex and log_scale.dtype == float
+        f, g, bracket = (z * np.exp(ls) for z, ls in pairs)
+        for got, x, y, ypp in ((f, ch.x1, ch.f_x1, ch.f_pp_x1),
+                               (g, ch.x2, ch.g_x2, ch.g_pp_x2)):
+            want = (np.exp(1j * x) * np.sqrt(math.pi * abs(y) / (ms * abs(ypp)))
+                    * abs(y) ** (2 * ms))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.all(np.abs(bracket - (f - g)) <= 1e-13 * np.maximum(abs(f), abs(g)))
+        with pytest.raises(ValueError):
+            bracket_main_term(ch, [10, 0])
 
 
 class TestAsymptoticRatio:
@@ -44,9 +55,9 @@ class TestAsymptoticRatio:
         # symmetric: combined ratio unavailable
         assert all(r.combined_abs_err is None for r in rows)
 
-    def test_zero_bracket_raises_when_asked(self, ellipse):
-        with pytest.raises(BracketNearZero):
-            asymptotic_ratio(ellipse, 0.0, [50], raise_on_zero_bracket=True)
+    def test_zero_bracket_gets_no_combined_entry(self, ellipse):
+        [row] = asymptotic_ratio(ellipse, 0.0, [50])
+        assert row.combined_abs_err is None
 
     def test_asymmetric_combined(self, asymmetric):
         rows = asymptotic_ratio(asymmetric, 0.0, [50, 100])
@@ -66,10 +77,11 @@ def test_arc_integral_matches_direct_quadrature(ellipse):
     """The 2 x 1 ellipse's upper arc is f(x) = (1 - x^2/4)^(1/2); the
     reference is mpmath's quadrature of e^{ix} f^{2m} in closed form."""
     m = 30
-    val = arc_integral(chord_chart(ellipse), m, upper=True)
+    mantissa, log_scale = arc_integrals(chord_chart(ellipse), [m], upper=True)
     direct = mpmath.quad(lambda x: mpmath.expj(x) * (1 - x * x / 4) ** m,
                          [-2, 0, 2])
-    assert val.value() == pytest.approx(complex(direct), rel=1e-8)
+    assert mantissa[0] * math.exp(log_scale[0]) == pytest.approx(complex(direct),
+                                                                rel=1e-8)
 
 
 # --- the batched arc grid ---
@@ -99,16 +111,14 @@ def _ellipse_in_frame(a, b, cx, cy, rot):
 
 def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
     """green's M_{2m-1}, m = 50, 100, 200, against chord and mpmath."""
-    ch = chord_chart(curve, rot)
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
     odd = _boundary_moments(curve, [2 * m - 1 for m in m_list], rot, "green")
-    for m, got in zip(m_list, logcomplexes(odd)):
-        chord = moment_chord(ch, 2 * m - 1).as_logcomplex()
-        assert relative_gap(got, chord) <= 1e-10
+    for m, got in zip(m_list, zip(*odd)):
+        assert relative_gap(got, one_order(curve, 2 * m - 1, rot)) <= 1e-10
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
         with mpmath.workdps(30):
-            value = mpmath.mpc(got.mantissa) * mpmath.exp(got.log_scale)
+            value = mpmath.mpc(complex(got[0])) * mpmath.exp(float(got[1]))
             assert float(abs(value - exact) / abs(exact)) <= 1e-10
 
 
@@ -163,11 +173,11 @@ def test_arc_integral_masks_the_wrong_sign_points(upper):
     ref, err = mpmath.quad(lambda t: mpmath.mpc(complex(integrand(float(t)))), cuts,
                            error=True)
     assert err <= 1e-12 * abs(ref)
-    got = arc_integral(ch, m, upper)
-    assert got.ratio(LogComplex(complex(ref), 2.0 * m * ln_peak)) == pytest.approx(
+    got = arc_integrals(ch, [m], upper)
+    assert ratio(got, (complex(ref), 2.0 * m * ln_peak))[0] == pytest.approx(
         1.0, abs=1e-8)
-    term = bracket_main_term(ch, m)
-    assert abs(got.ratio(term.term_f if upper else term.term_g) - 1.0) < 0.01
+    term_f, term_g, _ = bracket_main_term(ch, [m])
+    assert abs(ratio(got, term_f if upper else term_g)[0] - 1.0) < 0.01
 
 
 @pytest.mark.parametrize("m_list", [[50], [50, 100, 200],
@@ -202,22 +212,24 @@ def test_flat_ellipse_arcs_match_closed_form():
             scaled = (a * mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1)
                       * (2 / mpmath.mpf(a)) ** (m + mpmath.mpf(1) / 2)
                       * mpmath.besselj(m + mpmath.mpf(1) / 2, a))
-        exact = LogComplex(complex(scaled), 2.0 * m * math.log(b))
+        exact = complex(scaled), 2.0 * m * math.log(b)
         for upper in (True, False):
-            assert arc_integral(ch, m, upper).ratio(exact) == pytest.approx(
+            assert ratio(arc_integrals(ch, [m], upper), exact)[0] == pytest.approx(
                 1.0, abs=1e-9)
 
 
 def test_flat_combined_column_matches_chord():
     """On the 20 x 0.2 ellipse centred at (0, 0.05) the y^{4000} peaks span
     ~1e-4 of the normal angle; green's uniform grid does not resolve them
-    in 65536 nodes, its packed grid does.  Reference: moment_chord."""
+    in 65536 nodes, its packed grid does.  Reference: chord's one-order
+    sweeps."""
     curve = build_curve({"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]})
     ch = chord_chart(curve)
     for row in asymptotic_ratio(curve, 0.0, [200, 2000]):
-        rhs = bracket_main_term(ch, row.m).bracket.shifted(-math.log(2.0 * row.m))
-        chord = moment_chord(ch, 2 * row.m - 1).as_logcomplex()
-        assert row.combined_abs_err == pytest.approx(abs(chord.ratio(rhs) - 1.0),
+        _, _, (z, log_scale) = bracket_main_term(ch, [row.m])
+        rhs = z[0], log_scale[0] - math.log(2.0 * row.m)
+        chord = one_order(curve, 2 * row.m - 1)
+        assert row.combined_abs_err == pytest.approx(abs(ratio(chord, rhs) - 1.0),
                                                      abs=1e-9)
 
 
@@ -243,5 +255,6 @@ def test_each_arc_grid_fits_its_own_peak(eps, upper):
             scaled = mpmath.quad(
                 lambda x: mpmath.cos(x) * ((cy_mp + sgn * mpmath.sqrt(1 - x * x)) / peak)
                 ** (2 * m), [-end, -end / 2, 0, end / 2, end])
-        exact = LogComplex(complex(scaled), 2.0 * m * math.log(abs(float(peak))))
-        assert arc_integral(ch, m, upper).ratio(exact) == pytest.approx(1.0, abs=1e-9)
+        exact = complex(scaled), 2.0 * m * math.log(abs(float(peak)))
+        assert ratio(arc_integrals(ch, [m], upper), exact)[0] == pytest.approx(
+            1.0, abs=1e-9)

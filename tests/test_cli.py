@@ -10,7 +10,7 @@ import pytest
 import discwitness
 from discwitness import characterize
 from discwitness.cli import build_parser, main
-from discwitness.logscale import LogComplex
+from discwitness.logscale import exp_or_inf
 from discwitness.moments import moment_sweep
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
@@ -156,6 +156,19 @@ class TestFlags:
             run([command, "--shape", shape_file(CIRCLE), "--tol", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        *([command, f"--frame-deg={v}"] for command in
+          ("moments", "asymptotics", "residuals", "report")
+          for v in ("nan", "inf", "-inf")),
+        *([command, "--tol", v] for command in ("profile", "report")
+          for v in ("nan", "inf")),
+    ])
+    def test_non_finite_float_is_usage_error(self, shape_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--shape", shape_file(CIRCLE)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["profile", "identities", "report"])
     def test_few_samples_is_usage_error(self, shape_file, command):
         with pytest.raises(SystemExit) as exc:
@@ -180,7 +193,8 @@ class TestFlags:
 
 def per_row_csv(spec, n_list, frame_deg, methods):
     """The moments CSV written one field at a time from the same sweeps:
-    LogComplex.value, Python abs and format(x, ".17g") on every row, rows
+    z * exp_or_inf(log_scale) in Python complex arithmetic, Python abs and
+    format(x, ".17g") on every row, rows
     sorted by (n, method) with ties in request order."""
     curve = discwitness.build_curve(spec)
     rows = []
@@ -188,7 +202,7 @@ def per_row_csv(spec, n_list, frame_deg, methods):
         mantissa, log_scale = moment_sweep(curve, n_list,
                                            math.radians(frame_deg), method)
         for n, z, ls in zip(n_list, mantissa.tolist(), log_scale.tolist()):
-            val = LogComplex(z, ls).value()
+            val = z * exp_or_inf(ls)
             rows.append((n, frame_deg, method, val.real, val.imag, ls, abs(val)))
     rows.sort(key=lambda row: (row[0], row[2]))
     return "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(

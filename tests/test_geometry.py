@@ -11,13 +11,13 @@ from discwitness import (
     MalformedSpec,
     NotStrictlyConvex,
     QuadratureNoConvergence,
-    antipodal,
     arclength,
     build_curve,
     chord_chart,
     perimeter,
     point_at,
 )
+from discwitness.geometry import width_at
 
 from conftest import angles, small_fourier_curves
 
@@ -233,21 +233,17 @@ class TestPointAt:
         assert point_at(c, 0.0).curvature == pytest.approx(5.0)
 
 
-class TestAntipodal:
+class TestWidthAt:
     def test_circle(self, unit_disc):
-        pair = antipodal(unit_disc, 0.0)
-        assert pair.q_point.theta == pytest.approx(math.pi)
-        assert pair.width == pytest.approx(2.0)
-        assert pair.w == pytest.approx(0.0, abs=1e-14)
-        assert pair.dq_ds == pytest.approx(1.0)
+        assert width_at(unit_disc, 0.0) == pytest.approx(2.0)
 
     def test_ellipse_major_width(self, ellipse):
-        assert antipodal(ellipse, 0.0).width == pytest.approx(4.0)
+        assert width_at(ellipse, 0.0) == pytest.approx(4.0)
 
     def test_odd_harmonic_constant_width(self):
         c = build_curve({"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.05]})
         for theta in np.linspace(0, 2 * math.pi, 17):
-            assert antipodal(c, theta).width == pytest.approx(2.0)
+            assert width_at(c, theta) == pytest.approx(2.0)
 
 
 class TestArclength:
@@ -418,14 +414,6 @@ def test_total_curvature(curve):
     rho = np.asarray(curve.rho(thetas))
     total = np.mean((1.0 / rho) * rho) * 2 * math.pi
     assert total == pytest.approx(2 * math.pi, abs=1e-8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(curve=small_fourier_curves(), theta=angles())
-def test_antipodal_involution(curve, theta):
-    pair = antipodal(curve, theta)
-    back = antipodal(curve, pair.q_point.theta)
-    assert np.allclose(back.q_point.position, pair.s_point.position, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
