@@ -233,8 +233,11 @@ class TestPointAt:
         assert point_at(c, 0.0).curvature == pytest.approx(5.0)
 
 
-class TestWidthAt:
+class TestAntipodal:
+    """Widths between the support lines at theta and its antipode theta + pi."""
+
     def test_circle(self, unit_disc):
+        assert point_at(unit_disc, math.pi).position == pytest.approx([-1, 0])
         assert width_at(unit_disc, 0.0) == pytest.approx(2.0)
 
     def test_ellipse_major_width(self, ellipse):
