@@ -13,7 +13,6 @@ from .errors import (
     QuadratureNoConvergence,
 )
 from .geometry import (
-    BoundaryPoint,
     ChordChart,
     CircleCurve,
     EllipseCurve,
@@ -23,7 +22,6 @@ from .geometry import (
     build_curve,
     chord_chart,
     perimeter,
-    point_at,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

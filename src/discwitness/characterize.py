@@ -1,6 +1,7 @@
 """Geometric consequences of vanishing moments: chart constraint residuals,
 the kappa*L = 2 profile, the maximal inscribed disc and its contradiction
-witness, and the width/antipodal differential identities."""
+witness, and the width/antipodal differential identities.  The result
+records' field names are the CLI's JSON keys."""
 
 from __future__ import annotations
 
@@ -14,11 +15,9 @@ import numpy as np
 from .errors import DiscSearchFailed
 from .geometry import (
     VALIDATION_GRID,
-    BoundaryPoint,
     ChordChart,
     SupportCurve,
     arclength,
-    point_at,
     width_at,
 )
 
@@ -27,10 +26,10 @@ DISC_TOL_DEFAULT = 1e-6
 
 @dataclass(frozen=True)
 class ConstraintResiduals:
-    r_height: float
-    r_curv: float
-    r_phase: float
-    p_nearest: int
+    height: float
+    curv: float
+    phase: float
+    p: int  # the nearest integer to (x1 - x2) / 2 pi
 
 
 def constraint_residuals(chart: ChordChart) -> ConstraintResiduals:
@@ -39,10 +38,10 @@ def constraint_residuals(chart: ChordChart) -> ConstraintResiduals:
     d = chart.x1 - chart.x2
     p = int(round(d / (2.0 * math.pi)))
     return ConstraintResiduals(
-        r_height=abs(abs(chart.f_x1) - abs(chart.g_x2)),
-        r_curv=abs(abs(chart.f_pp_x1) - abs(chart.g_pp_x2)),
-        r_phase=abs(d - 2.0 * math.pi * p),
-        p_nearest=p,
+        height=abs(abs(chart.f_x1) - abs(chart.g_x2)),
+        curv=abs(abs(chart.f_pp_x1) - abs(chart.g_pp_x2)),
+        phase=abs(d - 2.0 * math.pi * p),
+        p=p,
     )
 
 
@@ -219,17 +218,18 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     step that neither predicts nor makes a gain above that, which is
     refused (along a flat direction, as along an ellipse's major axis, the
     step is rounding that the curvature amplifies).  A curve within
-    1e-13 * a0 of its fitted circle is that disc.  Raises DiscSearchFailed
-    rather than return an unconverged centre.
+    1e-13 * (a0 + |c1|) of its fitted circle, the rounding of h, is that
+    disc.  Raises DiscSearchFailed rather than return an unconverged centre.
     """
     h = curve.periodic_jet(_GRID)[0]
     a0 = float(np.mean(h))
     c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])
     dev = h - a0 - c1[0] * _COS - c1[1] * _SIN
     s = float(np.max(np.abs(dev)))
-    if s <= 1e-13 * a0:
+    scale = a0 + float(np.hypot(*c1))
+    if s <= 1e-13 * scale:
         return (float(c1[0]), float(c1[1])), min_clearance(curve, c1)
-    center, tol = c1, 1e-15 * (a0 + float(np.hypot(*c1)))
+    center, tol = c1, 1e-15 * scale
     t, q = _support_extrema(curve, center, h=h)
     phi = float(np.min(q))
     i = np.flatnonzero(q <= phi + s)
@@ -259,44 +259,44 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
 class Witness:
     K_center: tuple
     K_radius: float
-    x_prime: BoundaryPoint
+    x_prime_theta: float
     rho: float
     L_dir: float
     inequality_report: dict
 
 
-def lemma2_witness(curve: SupportCurve, tol: float = 1e-6, *,
+def lemma2_witness(curve: SupportCurve, *,
                    disc: Optional[tuple] = None) -> Optional[Witness]:
     """Inscribed-disc contradiction data for non-discs.
 
-    None when every boundary point lies on the maximal inscribed disc.
-    Otherwise x' is the boundary point farthest from the disc's center c:
-    the maximum of q = h - c . u, since d|r - c|^2/dtheta = 2 rho q' and
-    r - c = q u where q' = 0.  Its support line is therefore orthogonal to
-    the center ray.  Records x', its radius of curvature, and the width in
-    the ray direction.  Maxima within 1e-9 * max(1, r) of the largest tie
-    (an ellipse has two), and the one with the smallest angle in (-pi, pi]
+    None when every boundary point lies on the maximal inscribed disc, to
+    DISC_TOL_DEFAULT * max(1, r).  Otherwise x' is the boundary point
+    farthest from the disc's center c: the maximum of q = h - c . u, since
+    d|r - c|^2/dtheta = 2 rho q' and r - c = q u where q' = 0.  Its support
+    line is therefore orthogonal to the center ray.  Records the normal
+    angle of x', its radius of curvature, and the width in the ray
+    direction.  Maxima within 1e-9 * max(1, r) of the largest tie (an
+    ellipse has two), and the one with the smallest angle in (-pi, pi]
     is taken.  `disc` is the curve's inscribed_disc result when the caller
     already has it.
     """
     (cx, cy), r = disc if disc is not None else inscribed_disc(curve)
     t, q = _support_extrema(curve, (cx, cy), maximum=True)
     q_max = float(np.max(q))
-    if q_max - r <= tol * max(1.0, r):
+    if q_max - r <= DISC_TOL_DEFAULT * max(1.0, r):
         return None
     t = math.pi - (math.pi - t) % (2.0 * math.pi)  # in (-pi, pi]
     theta_prime = float(np.min(t[q >= q_max - 1e-9 * max(1.0, r)]))
-    xp = point_at(curve, theta_prime)
-    rho = xp.radius_of_curvature
+    rho = float(curve.rho(theta_prime))
     L_dir = float(width_at(curve, theta_prime))
     report = {
         "L_dir": float(L_dir),
         "two_r": float(2.0 * r),
         "two_rho": float(2.0 * rho),
         "L_gt_two_r": bool(L_dir > 2.0 * r),
-        "two_rho_le_two_r": bool(2.0 * rho <= 2.0 * r + tol),
+        "two_rho_le_two_r": bool(2.0 * rho <= 2.0 * r + DISC_TOL_DEFAULT),
     }
-    return Witness((cx, cy), r, xp, rho, L_dir, report)
+    return Witness((cx, cy), r, theta_prime, rho, L_dir, report)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class PZeroReport:
     p_zero_consistent: bool
 
 
-def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
+def p_zero_check(curve: SupportCurve) -> PZeroReport:
     """Periodicity of the width vs total curvature.
 
     A constant antipodal gap w = 2 pi p forces oint L'(s) ds =
@@ -353,7 +353,8 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
     trapezoid sum there, theta + pi being the grid's exact N/2 roll;
     oint kappa ds is the turning angle of the boundary polygon through the
     positions z = (h + i h') e^{i theta}, a discretization independent of
-    rho.  oint (h'(theta) + h'(theta + pi)) dtheta = 0 holds for every
+    rho.  p_zero_consistent is |implied p| <= 1e-8.
+    oint (h'(theta) + h'(theta + pi)) dtheta = 0 holds for every
     periodic h, and a closed convex polygon turns by 2 pi, so
     p_zero_consistent is true by construction: a sanity check of the jet
     and the grid, not evidence about the curve.
@@ -367,4 +368,4 @@ def p_zero_check(curve: SupportCurve, tol: float = 1e-8) -> PZeroReport:
     total_kappa = float(np.sum(np.angle(np.roll(e, -1) * np.conj(e))))
     implied_p = -total_Lp / (2.0 * math.pi * total_kappa)
     return PZeroReport(total_Lp, total_kappa, implied_p,
-                       abs(implied_p) <= tol)
+                       abs(implied_p) <= 1e-8)

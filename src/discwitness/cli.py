@@ -14,6 +14,7 @@ non-convex shape, bad arguments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -27,7 +28,7 @@ import numpy as np
 from . import characterize, shapeopt
 from .asymptotics import asymptotic_ratio, check_m_list
 from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import build_curve, chord_chart
+from .geometry import FourierCurve, build_curve, chord_chart
 from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
@@ -168,22 +169,16 @@ def cmd_residuals(args):
     curve = _load_curve(args)
     res = characterize.constraint_residuals(
         chord_chart(curve, math.radians(args.frame_deg)))
-    _emit(args.out, _json({
-        "height": res.r_height,
-        "curv": res.r_curv,
-        "phase": res.r_phase,
-        "p": res.p_nearest,
-    }))
+    _emit(args.out, _json(dataclasses.asdict(res)))
     return 0
 
 
 def cmd_optimize(args):
     curve = _load_curve(args)
-    spec = curve.to_spec()
-    if spec["type"] != "support_fourier":
+    if not isinstance(curve, FourierCurve):
         raise MalformedSpec("optimize requires a support_fourier shape")
-    k = max(shapeopt.DEFAULT_K, len(spec["cos"]), len(spec["sin"]))
-    start = shapeopt.ShapeVector(spec["a0"], spec["cos"], spec["sin"], K=k)
+    k = max(shapeopt.DEFAULT_K, len(curve.cos))  # cos and sin share a length
+    start = shapeopt.ShapeVector(curve.a0, curve.cos, curve.sin, K=k)
     # the objective's own stopping J, passed as a float as callers that
     # read options.target (perfbench's tracer) expect
     opts = shapeopt.OptOptions(max_iter=args.max_iter,
@@ -209,20 +204,12 @@ def cmd_report(args):
     ident = characterize.identity_residuals(curve, args.samples)
     witness = characterize.lemma2_witness(curve, disc=disc)
     out = _profile_dict(profile)
-    out["residuals"] = {"height": res.r_height, "curv": res.r_curv,
-                        "phase": res.r_phase, "p": res.p_nearest}
+    out["residuals"] = dataclasses.asdict(res)
     out["inscribed"] = {"center": [cx, cy], "radius": r}
     out["identities"] = {"max_res_gap": ident.max_res_gap,
                          "max_res_width": ident.max_res_width}
     if witness is not None:
-        out["witness"] = {
-            "K_center": list(witness.K_center),
-            "K_radius": witness.K_radius,
-            "x_prime_theta": witness.x_prime.theta,
-            "rho": witness.rho,
-            "L_dir": witness.L_dir,
-            "inequality_report": witness.inequality_report,
-        }
+        out["witness"] = dataclasses.asdict(witness)
     _emit(args.out, _json(out))
     return 0
 

@@ -10,7 +10,7 @@ class MalformedSpec(DiscWitnessError):
 
 
 class NotStrictlyConvex(DiscWitnessError):
-    """Support function fails the strict-convexity margin h + h'' > eps0."""
+    """Support function fails the strict-convexity margin h + h'' > EPS0."""
 
     def __init__(self, theta, value, eps0):
         self.theta = float(theta)

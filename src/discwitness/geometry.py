@@ -7,10 +7,10 @@ The boundary point with that normal is
     r(theta) = h u + h' u',
 
 the tangent is u', the inward normal is -u, and the radius of curvature is
-rho = h + h''.  Strict convexity is the pointwise condition rho > eps0 > 0,
-validated on a dense grid at construction.  This parameterization makes the
-antipodal map exact (theta -> theta + pi) and the width a two-point formula
-L(theta) = h(theta) + h(theta + pi).
+rho = h + h''.  Strict convexity is the pointwise condition rho > EPS0 > 0,
+one constant for every curve, validated on a dense grid at construction.
+This parameterization makes the antipodal map exact (theta -> theta + pi)
+and the width a two-point formula L(theta) = h(theta) + h(theta + pi).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MalformedSpec, NotStrictlyConvex, QuadratureNoConvergence
 
-DEFAULT_EPS0 = 1e-3
+EPS0 = 1e-3  # least radius of curvature a curve may have
 VALIDATION_GRID = 4096
 ARCLENGTH_NODE_BUDGET = 1 << 20  # largest FFT grid of h that arclength reads
 
@@ -66,19 +66,8 @@ def fourier_sums(a0, cos, sin, trig, deriv: int):
     return head + sinkt @ s
 
 
-def _unit(theta):
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
-def _unit_prime(theta):
-    return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-
-
 class SupportCurve:
-    """Base class; subclasses supply jet, from which h, its first two
-    derivatives, rho and the boundary point are views."""
-
-    eps0: float
+    """Base class; subclasses supply jet, of which h and rho are views."""
 
     def jet(self, theta):
         """(h, h', rho) at the normal angles theta, rho = h + h''."""
@@ -86,13 +75,6 @@ class SupportCurve:
 
     def h(self, theta):
         return self.jet(theta)[0]
-
-    def h1(self, theta):
-        return self.jet(theta)[1]
-
-    def h2(self, theta):
-        h, _, rho = self.jet(theta)
-        return rho - h
 
     def rho(self, theta):
         """Radius of curvature as a function of the normal angle."""
@@ -102,31 +84,16 @@ class SupportCurve:
         """jet on the periodic n-node grid of [0, 2 pi)."""
         return self.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
 
-    def position(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        h, h1, _ = self.jet(theta)
-        return (np.asarray(h)[..., None] * _unit(theta)
-                + np.asarray(h1)[..., None] * _unit_prime(theta))
-
-    def scaled(self, c: float) -> "SupportCurve":
-        raise NotImplementedError
-
-    def translated(self, dx: float, dy: float) -> "SupportCurve":
-        raise NotImplementedError
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class CircleCurve(SupportCurve):
     center: tuple
     radius: float
-    eps0: float = DEFAULT_EPS0
 
     def __post_init__(self):
-        if self.radius <= self.eps0:
-            raise NotStrictlyConvex(0.0, self.radius, self.eps0)
+        if self.radius <= EPS0:
+            raise NotStrictlyConvex(0.0, self.radius, EPS0)
 
     def jet(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -135,16 +102,6 @@ class CircleCurve(SupportCurve):
         return (self.radius + cx * cos + cy * sin, -cx * sin + cy * cos,
                 np.full_like(theta, self.radius))
 
-    def scaled(self, c):
-        return CircleCurve((self.center[0] * c, self.center[1] * c),
-                           self.radius * c, self.eps0)
-
-    def translated(self, dx, dy):
-        return CircleCurve((self.center[0] + dx, self.center[1] + dy),
-                           self.radius, self.eps0)
-
-    def to_spec(self):
-        return {"type": "circle", "center": list(self.center), "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -153,13 +110,12 @@ class EllipseCurve(SupportCurve):
     b: float
     center: tuple = (0.0, 0.0)
     rotation: float = 0.0
-    eps0: float = DEFAULT_EPS0
 
     def __post_init__(self):  # least rho, at the normal of the longer axis
         rho = min(self.a, self.b) ** 2 / max(self.a, self.b)
-        if rho <= self.eps0:
+        if rho <= EPS0:
             raise NotStrictlyConvex(self.rotation + 0.5 * math.pi * (self.a < self.b),
-                                    rho, self.eps0)
+                                    rho, EPS0)
 
     # support function of the centered ellipse: sqrt(a^2 cos^2 + b^2 sin^2)
     def _w(self, psi):
@@ -176,20 +132,6 @@ class EllipseCurve(SupportCurve):
         return (root + cx * cos + cy * sin, 0.5 * w1 / root - cx * sin + cy * cos,
                 (self.a * self.b) ** 2 / w ** 1.5)
 
-    def scaled(self, c):
-        return EllipseCurve(self.a * c, self.b * c,
-                            (self.center[0] * c, self.center[1] * c),
-                            self.rotation, self.eps0)
-
-    def translated(self, dx, dy):
-        return EllipseCurve(self.a, self.b,
-                            (self.center[0] + dx, self.center[1] + dy),
-                            self.rotation, self.eps0)
-
-    def to_spec(self):
-        return {"type": "ellipse", "a": self.a, "b": self.b,
-                "center": list(self.center), "rotation": self.rotation}
-
 
 @dataclass(frozen=True)
 class FourierCurve(SupportCurve):
@@ -198,7 +140,6 @@ class FourierCurve(SupportCurve):
     a0: float
     cos: tuple = ()
     sin: tuple = ()
-    eps0: float = DEFAULT_EPS0
 
     def __post_init__(self):
         kmax = max(len(self.cos), len(self.sin))
@@ -206,9 +147,9 @@ class FourierCurve(SupportCurve):
         object.__setattr__(self, "sin", tuple(self.sin) + (0.0,) * (kmax - len(self.sin)))
         rho = self.periodic_jet(VALIDATION_GRID)[2]
         i = int(np.argmin(rho))
-        if rho[i] <= self.eps0:
+        if rho[i] <= EPS0:
             raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
-                                    rho[i], self.eps0)
+                                    rho[i], EPS0)
 
     @functools.cached_property
     def _coefficients(self):
@@ -228,18 +169,6 @@ class FourierCurve(SupportCurve):
     def periodic_jet(self, n):
         return self._jet(periodic_trig(n, len(self.cos)))
 
-    def scaled(self, c):
-        return FourierCurve(self.a0 * c,
-                            tuple(x * c for x in self.cos),
-                            tuple(x * c for x in self.sin), self.eps0)
-
-    def translated(self, dx, dy):
-        cos = list(self.cos) or [0.0]
-        sin = list(self.sin) or [0.0]
-        cos[0] += dx
-        sin[0] += dy
-        return FourierCurve(self.a0, tuple(cos), tuple(sin), self.eps0)
-
     def to_spec(self):
         return {"type": "support_fourier", "a0": self.a0,
                 "cos": list(self.cos), "sin": list(self.sin)}
@@ -252,7 +181,7 @@ def _finite(v) -> float:
     return x
 
 
-def build_curve(spec: dict, eps0: float = DEFAULT_EPS0) -> SupportCurve:
+def build_curve(spec: dict) -> SupportCurve:
     """Construct a validated curve from a shape-spec dictionary."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise MalformedSpec("shape spec must be a dict with a 'type' field")
@@ -263,30 +192,20 @@ def build_curve(spec: dict, eps0: float = DEFAULT_EPS0) -> SupportCurve:
             r = _finite(spec["radius"])
             if r <= 0:
                 raise MalformedSpec("circle radius must be positive")
-            return CircleCurve((cx, cy), r, eps0)
+            return CircleCurve((cx, cy), r)
         if kind == "ellipse":
             cx, cy = (_finite(v) for v in spec.get("center", (0.0, 0.0)))
             a, b = _finite(spec["a"]), _finite(spec["b"])
             if a <= 0 or b <= 0:
                 raise MalformedSpec("ellipse semi-axes must be positive")
-            return EllipseCurve(a, b, (cx, cy), _finite(spec.get("rotation", 0.0)), eps0)
+            return EllipseCurve(a, b, (cx, cy), _finite(spec.get("rotation", 0.0)))
         if kind == "support_fourier":
             return FourierCurve(_finite(spec["a0"]),
                                 tuple(_finite(v) for v in spec.get("cos", ())),
-                                tuple(_finite(v) for v in spec.get("sin", ())), eps0)
+                                tuple(_finite(v) for v in spec.get("sin", ())))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSpec(f"bad shape spec: {exc}") from exc
     raise MalformedSpec(f"unknown shape type {kind!r}")
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    theta: float
-    position: np.ndarray
-    tangent: np.ndarray
-    inward_normal: np.ndarray
-    curvature: float
-    radius_of_curvature: float
 
 
 def arclength(curve: SupportCurve, theta0: float, theta1):
@@ -330,19 +249,6 @@ def arclength(curve: SupportCurve, theta0: float, theta1):
 
 def perimeter(curve: SupportCurve) -> float:
     return arclength(curve, 0.0, 2.0 * math.pi)
-
-
-def point_at(curve: SupportCurve, theta: float) -> BoundaryPoint:
-    theta = float(theta)
-    h, h1, rho = (float(v) for v in curve.jet(theta))
-    return BoundaryPoint(
-        theta=theta,
-        position=h * _unit(theta) + h1 * _unit_prime(theta),
-        tangent=_unit_prime(theta),
-        inward_normal=-_unit(theta),
-        curvature=1.0 / rho,
-        radius_of_curvature=rho,
-    )
 
 
 def width_at(curve: SupportCurve, theta) -> float:
@@ -469,14 +375,6 @@ class ChordChart:
 
     def g(self, x):
         return self._xy(self.theta_lower(x))[1]
-
-    def f_prime(self, x):
-        t = self.theta_upper(x)
-        return -np.cos(t) / np.sin(t)
-
-    def g_prime(self, x):
-        t = self.theta_lower(x)
-        return -np.cos(t) / np.sin(t)
 
 
 def chord_chart(curve: SupportCurve, frame_angle: float = 0.0) -> ChordChart:

@@ -6,20 +6,20 @@ terms), drives strictly convex shapes to discs, which is the numerical face
 of the symmetry theorem.  Both take damped Newton steps in one loop: exact
 Newton on the convex kappa*L residual, Gauss-Newton on the bracket.  Scale
 is gauged out by normalizing the mean width to 2 at every evaluation;
-translation is gauged out by pinning the first harmonics.
+translation by always pinning the first harmonics, which puts the Steiner
+point, inside the body, at the origin, so h > 0.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import (DEFAULT_EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
+from .geometry import (EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
                        periodic_trig, trig_table)
 
 DEFAULT_K = 8
@@ -33,8 +33,6 @@ class ShapeVector:
     a0: float = 1.0
     cos: tuple = ()
     sin: tuple = ()
-    pin_translation: bool = True
-    eps0: float = DEFAULT_EPS0
     K: int = DEFAULT_K
 
     def __post_init__(self):
@@ -42,34 +40,29 @@ class ShapeVector:
         object.__setattr__(self, "sin", _pad(self.sin, self.K))
 
     def coefficients(self) -> np.ndarray:
-        """Free coordinates of the search space (gauged harmonics excluded)."""
-        k0 = 1 if self.pin_translation else 0
-        return np.concatenate([self.cos[k0:], self.sin[k0:]]).astype(float)
+        """Free coordinates of the search space (the pinned first harmonics
+        excluded)."""
+        return np.concatenate([self.cos[1:], self.sin[1:]]).astype(float)
 
     def with_coefficients(self, x: np.ndarray) -> "ShapeVector":
-        k0 = 1 if self.pin_translation else 0
-        ncoef = self.K - k0
-        cos = (0.0,) * k0 + tuple(x[:ncoef])
-        sin = (0.0,) * k0 + tuple(x[ncoef:])
-        return replace(self, cos=cos, sin=sin)
+        ncoef = self.K - 1
+        return replace(self, cos=(0.0,) + tuple(x[:ncoef]),
+                       sin=(0.0,) + tuple(x[ncoef:]))
 
     def gauged(self) -> "ShapeVector":
-        """Mean width normalized to 2 (a0 = 1); translation pinned if set."""
+        """Mean width normalized to 2 (a0 = 1), translation pinned."""
         if self.a0 <= 0.0:
             raise Infeasible("a0 must be positive")
         c = 1.0 / self.a0
-        cos = tuple(v * c for v in self.cos)
-        sin = tuple(v * c for v in self.sin)
-        if self.pin_translation:
-            cos = (0.0,) + cos[1:]
-            sin = (0.0,) + sin[1:]
-        return replace(self, a0=1.0, cos=cos, sin=sin)
+        return replace(self, a0=1.0,
+                       cos=(0.0,) + tuple(v * c for v in self.cos[1:]),
+                       sin=(0.0,) + tuple(v * c for v in self.sin[1:]))
 
     def decode(self) -> FourierCurve:
         """Validated curve for the gauged vector; raises Infeasible."""
         g = self.gauged()
         try:
-            return FourierCurve(g.a0, g.cos, g.sin, g.eps0)
+            return FourierCurve(g.a0, g.cos, g.sin)
         except NotStrictlyConvex as exc:
             raise Infeasible(str(exc)) from exc
 
@@ -83,21 +76,20 @@ def _pad(vals, K):
 
 def _grid_eval(v: ShapeVector, n: int = _GRID):
     """h, rho on the periodic n-node grid for the vector (no validation).
-    These are FourierCurve's sums, so on the validation grid min rho > eps0
+    These are FourierCurve's sums, so on the validation grid min rho > EPS0
     iff decode() succeeds."""
     trig = periodic_trig(n, v.K)
     h = fourier_sums(v.a0, v.cos, v.sin, trig, 0)
     return h, h + fourier_sums(v.a0, v.cos, v.sin, trig, 2)
 
 
-def _kl_maps(K: int, pin_translation: bool):
+def _kl_maps(K: int):
     """A_ell, A_rho: ell = L - 2 rho = A_ell x and rho = 1 + A_rho x on the
     grid for the free coefficients x of a gauged vector."""
     coskt, sinkt, k = periodic_trig(_GRID, K)
-    k0 = 1 if pin_translation else 0
-    basis = np.hstack([coskt[:, k0:], sinkt[:, k0:]])
-    w_ell = np.where(k % 2 == 0, 2.0 * k * k, 2.0 * (k * k - 1.0))[k0:]
-    return basis * np.tile(w_ell, 2), basis * np.tile(1.0 - k[k0:] ** 2, 2)
+    basis = np.hstack([coskt[:, 1:], sinkt[:, 1:]])
+    w_ell = np.where(k % 2 == 0, 2.0 * k * k, 2.0 * (k * k - 1.0))[1:]
+    return basis * np.tile(w_ell, 2), basis * np.tile(1.0 - k[1:] ** 2, 2)
 
 
 def _kl_value(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray) -> float:
@@ -121,7 +113,7 @@ def objective_kl(v: ShapeVector) -> float:
     """Integral of (kappa L - 2)^2 ds over the gauged shape; zero iff disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    return _kl_value(*_kl_maps(g.K, g.pin_translation), g.coefficients())
+    return _kl_value(*_kl_maps(g.K), g.coefficients())
 
 
 def bracket_frames(K: int) -> np.ndarray:
@@ -131,15 +123,14 @@ def bracket_frames(K: int) -> np.ndarray:
     return np.pi * np.arange(2 * K) / (2 * K)
 
 
-def _bracket_maps(K: int, pin_translation: bool, directions):
+def _bracket_maps(K: int, directions):
     """B_h, B_h1, B_rho: h = 1 + B_h x, h' = B_h1 x and rho = 1 + B_rho x
     for the free coefficients x of a gauged vector, at the peak normals
     pi/2 + phi of the frames phi (first half of the rows), then 3pi/2 + phi."""
     phi = np.asarray(directions, dtype=float)
     coskt, sinkt, k = trig_table(
         np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), K)
-    k0 = 1 if pin_translation else 0
-    cos, sin, k = coskt[:, k0:], sinkt[:, k0:], k[k0:]
+    cos, sin, k = coskt[:, 1:], sinkt[:, 1:], k[1:]
     b_h = np.hstack([cos, sin])
     return b_h, np.hstack([-sin * k, cos * k]), b_h * np.tile(1.0 - k * k, 2)
 
@@ -168,19 +159,12 @@ def _bracket_value(maps, x: np.ndarray) -> float:
     return math.inf if res is None else float(res[0] @ res[0])
 
 
-def objective_bracket(v: ShapeVector,
-                      directions: Optional[Sequence[float]] = None) -> float:
+def objective_bracket(v: ShapeVector) -> float:
     """Sum of squared bracket residuals (see _bracket_residuals) over the
-    frames, by default bracket_frames(K); zero iff a centred disc."""
+    frames bracket_frames(K); zero iff a centred disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    directions = bracket_frames(g.K) if directions is None else list(directions)
-    if len(directions) == 0:
-        warnings.warn("empty direction set: bracket objective is vacuously 0",
-                      stacklevel=2)
-        return 0.0
-    j = _bracket_value(_bracket_maps(g.K, g.pin_translation, directions),
-                       g.coefficients())
+    j = _bracket_value(_bracket_maps(g.K, bracket_frames(g.K)), g.coefficients())
     if j == math.inf:
         raise MalformedSpec("bracket frames need h > 0 at their peak normals")
     return j
@@ -189,7 +173,7 @@ def objective_bracket(v: ShapeVector,
 def _feasible(g: ShapeVector) -> bool:
     """decode() succeeds: FourierCurve's own check on its cached table."""
     _, rho = _grid_eval(g, VALIDATION_GRID)
-    return float(np.min(rho)) > g.eps0
+    return float(np.min(rho)) > EPS0
 
 
 def circle_distance(v: ShapeVector) -> float:
@@ -263,11 +247,10 @@ def _kl_problem(g: ShapeVector):
     """(value, step) for Newton descent on J = (2 pi / N) sum ell^2 / rho,
     convex as the perspective of a square of affine maps (Boyd &
     Vandenberghe, 2004, 3.2.6 and 9.5)."""
-    a_ell, a_rho = _kl_maps(g.K, g.pin_translation)
+    a_ell, a_rho = _kl_maps(g.K)
 
     def step(x):
         grad, hess = _kl_derivatives(a_ell, a_rho, x)
-        # least squares: no step along an unpinned translation (zero columns)
         return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
     return (lambda x: _kl_value(a_ell, a_rho, x)), step
@@ -276,7 +259,7 @@ def _kl_problem(g: ShapeVector):
 def _bracket_problem(g: ShapeVector):
     """(value, step) for Gauss-Newton descent on the sum of squared bracket
     residuals over bracket_frames(K) (Nocedal & Wright, 2006, 10.3)."""
-    maps = _bracket_maps(g.K, g.pin_translation, bracket_frames(g.K))
+    maps = _bracket_maps(g.K, bracket_frames(g.K))
     if _bracket_value(maps, g.coefficients()) == math.inf:
         raise MalformedSpec("bracket frames need h > 0 at their peak normals")
 
@@ -289,7 +272,7 @@ def _bracket_problem(g: ShapeVector):
 
 def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
     """Descent on value(x) from g's free coefficients by the full steps
-    step(x).  A step goes BOUNDARY_FRACTION of the way to rho = eps0 at
+    step(x).  A step goes BOUNDARY_FRACTION of the way to rho = EPS0 at
     most (rho is affine: one ratio test bounds it), then halves until the
     value falls at a point that decodes."""
     x = g.coefficients()
@@ -302,7 +285,7 @@ def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
                               VALIDATION_GRID)
         falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
-            (rho_v[falling] - g.eps0) / -rho_p[falling], initial=math.inf)))
+            (rho_v[falling] - EPS0) / -rho_p[falling], initial=math.inf)))
         for _ in range(MAX_HALVINGS):
             j_t = value(x + t * p)
             evaluations += 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from discwitness import build_curve
+from discwitness import FourierCurve, build_curve
 from discwitness.moments import moment_sweep
 
 
@@ -56,6 +56,21 @@ def small_fourier_curves(max_harmonic=4, scale=0.2):
 
 def angles():
     return st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+
+
+def position(curve, theta):
+    """Boundary point h u + h' u' at the normal angles theta, u = (cos, sin)
+    and u' = (-sin, cos), stacked on a last axis of length 2."""
+    theta = np.asarray(theta, dtype=float)
+    h, h1, _ = curve.jet(theta)
+    return np.stack([h * np.cos(theta) - h1 * np.sin(theta),
+                     h * np.sin(theta) + h1 * np.cos(theta)], axis=-1)
+
+
+def scaled(curve, c):
+    """The Fourier curve dilated by c about the origin: h -> c h."""
+    return FourierCurve(curve.a0 * c, tuple(v * c for v in curve.cos),
+                        tuple(v * c for v in curve.sin))
 
 
 # --- closed-form ellipse moments, mpmath at 30 digits ---

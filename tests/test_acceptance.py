@@ -92,12 +92,12 @@ def test_criterion_5_constraint_residuals():
     for spec in ({"type": "circle", "center": [0, 0], "radius": 1},
                  {"type": "ellipse", "a": 2, "b": 1}):
         res = constraint_residuals(chord_chart(build_curve(spec)))
-        ok &= max(res.r_height, res.r_curv, res.r_phase) <= 1e-9
-        ok &= res.p_nearest == 0
+        ok &= max(res.height, res.curv, res.phase) <= 1e-9
+        ok &= res.p == 0
     res = constraint_residuals(chord_chart(build_curve(
         {"type": "support_fourier", "a0": 1, "cos": [0, 0.05],
          "sin": [0, 0, 0.03]})))
-    ok &= max(res.r_height, res.r_curv, res.r_phase) > 1e-3
+    ok &= max(res.height, res.curv, res.phase) > 1e-3
     report("5 constraint residuals (symmetric ~0, p=0; asymmetric breaks)", ok)
 
 

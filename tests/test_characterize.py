@@ -18,22 +18,22 @@ from discwitness.characterize import (
     p_zero_check,
 )
 
-from conftest import small_fourier_curves
+from conftest import position, scaled, small_fourier_curves
 
 
 class TestConstraintResiduals:
     def test_disc(self, unit_disc):
         res = constraint_residuals(chord_chart(unit_disc))
-        assert max(res.r_height, res.r_curv, res.r_phase) <= 1e-9
-        assert res.p_nearest == 0
+        assert max(res.height, res.curv, res.phase) <= 1e-9
+        assert res.p == 0
 
     def test_centered_ellipse(self, ellipse):
         res = constraint_residuals(chord_chart(ellipse))
-        assert max(res.r_height, res.r_curv, res.r_phase) <= 1e-9
+        assert max(res.height, res.curv, res.phase) <= 1e-9
 
     def test_asymmetric_shape_breaks_a_constraint(self, asymmetric):
         res = constraint_residuals(chord_chart(asymmetric))
-        assert max(res.r_height, res.r_curv, res.r_phase) > 1e-3
+        assert max(res.height, res.curv, res.phase) > 1e-3
 
 
 class TestKLProfile:
@@ -75,6 +75,18 @@ class TestInscribedDisc:
         (cx, cy), r = inscribed_disc(c)
         assert (cx, cy) == pytest.approx((0.2, 0.1), abs=1e-8)
         assert r == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_far_circle(self, offset):
+        """h's rounding grows with |c|, not with the radius: a unit circle
+        far from the origin is its own fitted circle to that rounding, not
+        a shape for the Newton search, whose q'' is rounding noise there."""
+        c = build_curve({"type": "circle", "center": [offset, offset],
+                         "radius": 1})
+        got, r = inscribed_disc(c)
+        tol = 1e-12 * (1.0 + math.hypot(offset, offset))
+        assert got == pytest.approx((offset, offset), rel=0, abs=tol)
+        assert abs(r - 1.0) <= tol
 
     def test_centered_ellipse(self, ellipse):
         (cx, cy), r = inscribed_disc(ellipse)
@@ -215,15 +227,22 @@ def _dual_bound(curve, center):
     lowest contacts about `center` whose normals hold 0 in their convex
     hull.  (On a circle, where every grid node is a contact, the width
     bound is exact.)"""
+    def h1(t):
+        return curve.jet(t)[1]
+
+    def h2(t):
+        h, _, rho = curve.jet(t)
+        return rho - h
+
     tw = _polished_minima(lambda t: curve.h(t) + curve.h(t + math.pi),
-                          lambda t: curve.h1(t) + curve.h1(t + math.pi),
-                          lambda t: curve.h2(t) + curve.h2(t + math.pi))
+                          lambda t: h1(t) + h1(t + math.pi),
+                          lambda t: h2(t) + h2(t + math.pi))
     bound = 0.5 * float(np.min(curve.h(tw) + curve.h(tw + math.pi)))
     cx, cy = center
     tc = _polished_minima(
         lambda t: curve.h(t) - cx * np.cos(t) - cy * np.sin(t),
-        lambda t: curve.h1(t) + cx * np.sin(t) - cy * np.cos(t),
-        lambda t: curve.h2(t) + cx * np.cos(t) + cy * np.sin(t))
+        lambda t: h1(t) + cx * np.sin(t) - cy * np.cos(t),
+        lambda t: h2(t) + cx * np.cos(t) + cy * np.sin(t))
     tc = tc[np.argsort(curve.h(tc) - cx * np.cos(tc) - cy * np.sin(tc))[:12]]
     for tri in itertools.combinations(tc, 3):
         tri = np.array(tri)
@@ -389,11 +408,11 @@ def test_witness_tie_rule(spec, center):
     curve = build_curve(spec)
     disc = inscribed_disc(curve)
     assert disc[0] == pytest.approx(center, abs=1e-12)
-    theta = lemma2_witness(curve, disc=disc).x_prime.theta
+    theta = lemma2_witness(curve, disc=disc).x_prime_theta
     cx, cy = center
     for dx, dy in ((1e-10, 0.0), (-1e-10, 0.0), (0.0, 1e-10), (0.0, -1e-10)):
         moved = lemma2_witness(curve, disc=((cx + dx, cy + dy), disc[1]))
-        assert moved.x_prime.theta == pytest.approx(theta, abs=1e-6)
+        assert moved.x_prime_theta == pytest.approx(theta, abs=1e-6)
 
 
 @pytest.mark.parametrize("shape", ["asymmetric", "three_lobe", "offset_ellipse"])
@@ -407,9 +426,10 @@ def test_witness_is_the_farthest_point(shape, request):
         curve = request.getfixturevalue(shape)
     w = lemma2_witness(curve)
     assert w is not None
-    ray = w.x_prime.position - np.asarray(w.K_center)
-    assert abs(ray @ w.x_prime.tangent) <= 1e-12
-    pos = curve.position(np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False))
+    t = w.x_prime_theta
+    ray = position(curve, t) - np.asarray(w.K_center)
+    assert abs(ray @ np.array([-math.sin(t), math.cos(t)])) <= 1e-12  # tangent u'
+    pos = position(curve, np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False))
     far = float(np.max(np.hypot(pos[:, 0] - w.K_center[0],
                                 pos[:, 1] - w.K_center[1])))
     assert np.hypot(*ray) >= far - 1e-9
@@ -473,7 +493,7 @@ class TestPZero:
 @given(curve=small_fourier_curves())
 def test_kl_verdict_scale_invariant(curve):
     rep = kl_profile(curve, 64)
-    rep_scaled = kl_profile(curve.scaled(3.7), 64)
+    rep_scaled = kl_profile(scaled(curve, 3.7), 64)
     assert rep.verdict == rep_scaled.verdict
     assert rep.max_dev == pytest.approx(rep_scaled.max_dev, abs=1e-9)
 

@@ -305,6 +305,15 @@ class TestSubcommands:
         assert "Traceback" not in err
         assert json.loads(out)["radius"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_inscribed_far_circle(self, shape_file, capsys, offset):
+        far = {"type": "circle", "center": [offset, offset], "radius": 1}
+        assert run(["inscribed", "--shape", shape_file(far)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        radius = json.loads(out)["radius"]
+        assert abs(radius - 1.0) <= 1e-12 * (1.0 + math.hypot(offset, offset))
+
     def test_identities_and_residuals(self, shape_file, tmp_path):
         out = tmp_path / "r.json"
         assert run(["identities", "--shape", shape_file(ELLIPSE),
@@ -323,6 +332,18 @@ class TestSubcommands:
         assert "residuals" in rep and "inscribed" in rep and "witness" in rep
         assert rep["witness"]["inequality_report"]["L_gt_two_r"] is True
 
+    def test_json_keys_are_the_record_fields(self, shape_file, capsys):
+        """The residuals and witness blocks carry exactly these keys."""
+        residual_keys = {"curv", "height", "p", "phase"}
+        assert run(["residuals", "--shape", shape_file(ELLIPSE)]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == residual_keys
+        assert run(["report", "--shape", shape_file(THREE_LOBE)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert set(rep["residuals"]) == residual_keys
+        assert set(rep["witness"]) == {"K_center", "K_radius", "L_dir",
+                                       "inequality_report", "rho",
+                                       "x_prime_theta"}
+
 
 class TestOptimizeRoundTrip:
     def test_optimized_shape_reloads_everywhere(self, shape_file, tmp_path):
@@ -338,6 +359,14 @@ class TestOptimizeRoundTrip:
                     "identities", "residuals", "report"):
             assert run([cmd, "--shape", str(final),
                         "--out", str(tmp_path / "x.out")]) == 0
+
+    @pytest.mark.parametrize("spec", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
+    def test_non_fourier_start_is_validation_error(self, shape_file, capsys,
+                                                   spec):
+        assert run(["optimize", "--shape", shape_file(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "requires a support_fourier shape" in err
+        assert "Traceback" not in err
 
     def test_bracket_seed_is_ignored(self, shape_file, tmp_path):
         shape = shape_file(THREE_LOBE)

@@ -15,11 +15,10 @@ from discwitness import (
     build_curve,
     chord_chart,
     perimeter,
-    point_at,
 )
 from discwitness.geometry import width_at
 
-from conftest import angles, small_fourier_curves
+from conftest import angles, position, scaled, small_fourier_curves
 
 # frozen: 8 * scipy.special.ellipe(0.75), cross-checked against dense
 # quadrature of the parametric arclength integrand
@@ -117,9 +116,7 @@ class TestJet:
             for got, want in zip((h, h1, rho), _separate_jet(curve, theta)):
                 assert np.array_equal(got, want)
             assert np.array_equal(curve.h(theta), h)
-            assert np.array_equal(curve.h1(theta), h1)
             assert np.array_equal(curve.rho(theta), rho)
-            assert np.array_equal(curve.h2(theta), rho - h)
         grid = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
         for got, want in zip(curve.periodic_jet(1024), curve.jet(grid)):
             assert np.array_equal(got, want)
@@ -215,29 +212,33 @@ class TestBuildCurve:
 
 
 class TestPointAt:
+    """The boundary point h u + h' u' and the curvature 1 / rho from the jet."""
+
     def test_circle_point(self):
         c = build_curve({"type": "circle", "center": [0, 0], "radius": 2})
-        p = point_at(c, 0.0)
-        assert p.position == pytest.approx([2, 0])
-        assert p.curvature == pytest.approx(0.5)
-        assert p.tangent == pytest.approx([0, 1])
-        assert p.inward_normal == pytest.approx([-1, 0])
+        p = position(c, 0.0)
+        assert p == pytest.approx([2, 0])
+        assert 1.0 / c.rho(0.0) == pytest.approx(0.5)
+        # the tangent u' = (0, 1), as d position / d theta = rho u'
+        tangent = (position(c, 1e-6) - position(c, -1e-6)) / (2e-6 * c.rho(0.0))
+        assert tangent == pytest.approx([0, 1])
+        # the inward normal -u = (-1, 0), towards the centre
+        assert -p / np.hypot(*p) == pytest.approx([-1, 0])
 
     def test_ellipse_tip_curvature(self, ellipse):
-        p = point_at(ellipse, 0.0)
-        assert p.position == pytest.approx([2, 0])
-        assert p.curvature == pytest.approx(2.0)  # a / b^2
+        assert position(ellipse, 0.0) == pytest.approx([2, 0])
+        assert 1.0 / ellipse.rho(0.0) == pytest.approx(2.0)  # a / b^2
 
     def test_bumped_circle_curvature(self):
         c = build_curve({"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]})
-        assert point_at(c, 0.0).curvature == pytest.approx(5.0)
+        assert 1.0 / c.rho(0.0) == pytest.approx(5.0)
 
 
 class TestAntipodal:
     """Widths between the support lines at theta and its antipode theta + pi."""
 
     def test_circle(self, unit_disc):
-        assert point_at(unit_disc, math.pi).position == pytest.approx([-1, 0])
+        assert position(unit_disc, math.pi) == pytest.approx([-1, 0])
         assert width_at(unit_disc, 0.0) == pytest.approx(2.0)
 
     def test_ellipse_major_width(self, ellipse):
@@ -439,15 +440,16 @@ def test_chart_consistency(curve, frame):
     # the closed-form extrema seen through the inverse map theta(x)
     assert float(ch.f(ch.x1)) == pytest.approx(ch.f_x1, abs=1e-9)
     assert float(ch.g(ch.x2)) == pytest.approx(ch.g_x2, abs=1e-9)
-    assert abs(float(ch.f_prime(ch.x1))) <= 1e-9
-    assert abs(float(ch.g_prime(ch.x2))) <= 1e-9
+    # the slopes f' = -cot(theta) there, through the same inverse map
+    for t in (ch.theta_upper(ch.x1), ch.theta_lower(ch.x2)):
+        assert abs(float(-np.cos(t) / np.sin(t))) <= 1e-9
 
 
 @settings(max_examples=15, deadline=None)
 @given(curve=small_fourier_curves(), theta=angles())
 def test_scaling_covariance(curve, theta):
     c = 2.7
-    big = curve.scaled(c)
+    big = scaled(curve, c)
     kappa = 1.0 / float(curve.rho(theta))
     kappa_big = 1.0 / float(big.rho(theta))
     L = float(curve.h(theta) + curve.h(theta + math.pi))

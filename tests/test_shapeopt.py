@@ -8,7 +8,7 @@ from discwitness import chord_chart
 from discwitness.geometry import width_at
 from discwitness.characterize import constraint_residuals, kl_profile
 from discwitness import cli, shapeopt
-from discwitness.errors import Infeasible, MalformedSpec, NoFeasibleStart
+from discwitness.errors import Infeasible, NoFeasibleStart
 from discwitness.shapeopt import (
     OptOptions,
     ShapeVector,
@@ -49,7 +49,9 @@ class TestObjectiveBracket:
 
     def test_frames_tied_to_k(self):
         # K = 8 frames alias against cos 8 theta; F = 2K frames do not
-        assert objective_bracket(C8, [math.pi * k / 8 for k in range(8)]) <= 1e-28
+        g = C8.gauged()
+        maps = shapeopt._bracket_maps(g.K, [math.pi * k / 8 for k in range(8)])
+        assert shapeopt._bracket_value(maps, g.coefficients()) <= 1e-28
         assert len(shapeopt.bracket_frames(8)) == 16
         assert objective_bracket(C8) > 1e-2
 
@@ -59,9 +61,8 @@ class TestObjectiveBracket:
         dirs = [0.0, 0.4, 1.3, 2.9, 4.4]
         v = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01))
         g = v.gauged()
-        r, _ = shapeopt._bracket_residuals(
-            shapeopt._bracket_maps(g.K, g.pin_translation, dirs),
-            g.coefficients())
+        maps = shapeopt._bracket_maps(g.K, dirs)
+        r, _ = shapeopt._bracket_residuals(maps, g.coefficients())
         r_h, r_rho, r_phase = r.reshape(3, -1)
         curve = g.decode()
         for j, ang in enumerate(dirs):
@@ -70,17 +71,21 @@ class TestObjectiveBracket:
             # f(x1) = h(up), g(x2) = -h(lo), f'' = -1/rho(up), g'' = 1/rho(lo)
             height = abs(chart.g_x2) * abs(math.expm1(r_h[j]))
             curv = abs(chart.g_pp_x2) * abs(math.expm1(-r_rho[j]))
-            assert res.p_nearest == 0
-            assert height == pytest.approx(res.r_height, rel=0, abs=1e-10)
-            assert curv == pytest.approx(res.r_curv, rel=0, abs=1e-10)
-            assert abs(r_phase[j]) == pytest.approx(res.r_phase, rel=0, abs=1e-10)
+            assert res.p == 0
+            assert height == pytest.approx(res.height, rel=0, abs=1e-10)
+            assert curv == pytest.approx(res.curv, rel=0, abs=1e-10)
+            assert abs(r_phase[j]) == pytest.approx(res.phase, rel=0, abs=1e-10)
         assert np.max(np.abs(r)) > 1e-2
-        assert objective_bracket(v, dirs) == pytest.approx(float(r @ r), rel=1e-14)
+        assert shapeopt._bracket_value(maps, g.coefficients()) == pytest.approx(
+            float(r @ r), rel=1e-14)
+        # objective_bracket is the same sum over bracket_frames(K)
+        frames = shapeopt._bracket_maps(g.K, shapeopt.bracket_frames(g.K))
+        assert objective_bracket(v) == shapeopt._bracket_value(
+            frames, g.coefficients())
 
     def test_jacobian_matches_central_differences(self):
         g = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01)).gauged()
-        maps = shapeopt._bracket_maps(g.K, g.pin_translation,
-                                      shapeopt.bracket_frames(g.K))
+        maps = shapeopt._bracket_maps(g.K, shapeopt.bracket_frames(g.K))
         x = g.coefficients()
         _, jac = shapeopt._bracket_residuals(maps, x)
         d = 1e-6
@@ -89,16 +94,6 @@ class TestObjectiveBracket:
                        for e in np.eye(len(x))]).T
         assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
 
-    def test_origin_outside_a_peak_raises(self):
-        v = ShapeVector(1.0, (2.0,), pin_translation=False)  # h(pi) = -1
-        with pytest.raises(MalformedSpec):
-            objective_bracket(v, [math.pi / 2])
-        with pytest.raises(MalformedSpec):
-            minimize(v, "bracket")
-
-    def test_empty_directions_warns(self):
-        with pytest.warns(UserWarning):
-            assert objective_bracket(ShapeVector(a0=1.0), []) == 0.0
 
 
 class TestMinimize:
@@ -117,7 +112,7 @@ class TestMinimize:
         assert verdict == "disc"
 
     def test_bracket_best_stays_feasible(self):
-        # this start visits shapes with min rho near eps0, which a bracket
+        # this start visits shapes with min rho near EPS0, which a bracket
         # objective that needs a validated curve cannot evaluate
         start = ShapeVector(1.0, (0, 0, 0.1), (0, 0.04))
         res = minimize(start, "bracket", OptOptions(max_iter=80))
@@ -231,7 +226,7 @@ class TestNewtonKL:
         g = v.gauged()
         x = g.coefficients()
         grad, hess = shapeopt._kl_derivatives(
-            *shapeopt._kl_maps(g.K, g.pin_translation), x)
+            *shapeopt._kl_maps(g.K), x)
 
         def j(dx):
             return objective_kl(g.with_coefficients(x + dx))
@@ -247,7 +242,7 @@ class TestNewtonKL:
         assert np.min(np.linalg.eigvalsh(hess)) > 0.0
 
     def test_near_floor_start(self, monkeypatch):
-        # min rho = 1 - 8 * 0.1248 = 0.0016, just above eps0 = 1e-3
+        # min rho = 1 - 8 * 0.1248 = 0.0016, just above EPS0 = 1e-3
         accepted = []
         feasible = shapeopt._feasible
 
@@ -295,13 +290,6 @@ class TestNewtonKL:
         monkeypatch.setattr(shapeopt, "_kl_value", counted)
         res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "kl")
         assert calls[0] == res.evaluations >= res.iterations + 1
-
-    def test_unpinned_translation_gets_no_step(self):
-        v = ShapeVector(cos=(0.05, 0, 0.1), sin=(0.02,), pin_translation=False)
-        res = minimize(v, "kl")
-        assert res.objective <= 1e-10
-        assert res.best.cos[0] == pytest.approx(0.05, abs=1e-12)
-        assert res.best.sin[0] == pytest.approx(0.02, abs=1e-12)
 
 
 def test_circle_distance_on_circle():
