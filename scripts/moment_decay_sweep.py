@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep moment magnitudes over n for a shape and compare the chord moment
-against the main-term bracket as n grows.
+"""Sweep moment magnitudes over n for a shape and compare Green's
+boundary-integral moment against the main-term bracket as n grows.
 
 Usage: python3 scripts/moment_decay_sweep.py [shape.json] [n_max]
 """
@@ -27,7 +27,7 @@ def main():
     n_max = int(sys.argv[2]) if len(sys.argv) > 2 else 401
     curve = build_curve(spec)
     ns = np.arange(19, n_max, 40)
-    z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, "chord")
+    z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, "green")
     _, _, (z_b, ls_b) = bracket_main_term(chord_chart(curve), (ns + 1) // 2)
     ls_b = ls_b - np.log(ns + 1.0)  # bracket / (n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -76,10 +76,8 @@ def _arc_sample(chart: ChordChart, upper: bool):
         cz, sz = np.cos(z), np.sin(z)
         theta = lo + 0.5 * math.pi - np.arctan2(k * sz, cz)
         dtheta = k * 0.5 * math.pi * np.sin(tau) / (cz * cz + (k * sz) ** 2)
-        h, h1, rho = chart._jet(theta)
-        ct, st = np.cos(theta), np.sin(theta)
-        c = np.exp(1j * (h * ct - h1 * st)) * rho * st * dtheta
-        y = h * st + h1 * ct
+        x, y, rho = chart._xy(theta)
+        c = np.exp(1j * x) * rho * np.sin(theta) * dtheta
         keep = sgn * y > 0.0
         return np.where(keep, sgn * c, 0.0), np.where(keep, y, 0.0)
 

@@ -33,6 +33,9 @@ from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
 VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
+# "chord" names green's integral traversed in x over the chart: its rows are
+# green's, from the same sweep
+MOMENT_NAMES = ("chord",) + METHODS
 
 
 def _fmt(x) -> str:
@@ -113,7 +116,9 @@ def cmd_moments(args):
     curve = _load_curve(args)
     frame = math.radians(args.frame_deg)
     n_list = args.n_list or list(range(args.n_max + 1))
-    sweeps = [moment_sweep(curve, n_list, frame, m) for m in args.methods]
+    integrals = ["green" if m == "chord" else m for m in args.methods]
+    runs = {m: moment_sweep(curve, n_list, frame, m) for m in set(integrals)}
+    sweeps = [runs[m] for m in integrals]
     ns = np.tile(n_list, len(args.methods))
     methods = np.repeat(args.methods, len(n_list))
     order = np.lexsort((methods, ns))  # stable: repeated rows keep their order
@@ -240,10 +245,10 @@ def _finite(text):
 
 def _methods(text):
     names = [v.strip() for v in text.split(",")]
-    unknown = [v for v in names if v not in METHODS]
+    unknown = [v for v in names if v not in MOMENT_NAMES]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown method {unknown[0]!r}; choose from {', '.join(METHODS)}")
+            f"unknown method {unknown[0]!r}; choose from {', '.join(MOMENT_NAMES)}")
     return names
 
 
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("moments", "moment sweep, CSV", cmd_moments, "--frame-deg")
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--n-list", type=_int_list(check_orders), default=None)
-    p.add_argument("--methods", type=_methods, default=",".join(METHODS))
+    p.add_argument("--methods", type=_methods, default=",".join(MOMENT_NAMES))
 
     p = add("asymptotics", "Laplace ratio table, CSV", cmd_asymptotics,
             "--frame-deg")

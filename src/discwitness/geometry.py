@@ -66,6 +66,16 @@ def fourier_sums(a0, cos, sin, trig, deriv: int):
     return head + sinkt @ s
 
 
+def radius_coefficients(cos, sin):
+    """(c, s) of rho = h + h'' as a series of its own for fourier_sums,
+    a0 + sum_k (1 - k^2)(c_k cos k theta + s_k sin k theta): the first
+    harmonic, a translation, drops out exactly, where h + h'' keeps
+    rounding of size eps |c_1| from it."""
+    c = np.asarray(cos, dtype=float)
+    w = 1.0 - np.arange(1, len(c) + 1, dtype=float) ** 2
+    return w * c, w * np.asarray(sin, dtype=float)
+
+
 class SupportCurve:
     """Base class; subclasses supply jet, of which h and rho are views."""
 
@@ -153,15 +163,17 @@ class FourierCurve(SupportCurve):
 
     @functools.cached_property
     def _coefficients(self):
-        """(c, s) of h, h' and h'': fourier_sums' coefficients, derived once."""
-        return [fourier_coefficients(self.cos, self.sin, d) for d in range(3)]
+        """(c, s) of h, h' and rho: fourier_sums' coefficients, derived once."""
+        return [fourier_coefficients(self.cos, self.sin, 0),
+                fourier_coefficients(self.cos, self.sin, 1),
+                radius_coefficients(self.cos, self.sin)]
 
     def _jet(self, trig):
-        """fourier_sums of orders 0, 1, 2 from one trig_table, rho = h + h''."""
+        """fourier_sums of h, h' and rho from one trig_table."""
         coskt, sinkt, _ = trig
-        (c0, s0), (c1, s1), (c2, s2) = self._coefficients
-        h = self.a0 + coskt @ c0 + sinkt @ s0
-        return h, coskt @ c1 + sinkt @ s1, h + (coskt @ c2 + sinkt @ s2)
+        (c0, s0), (c1, s1), (cr, sr) = self._coefficients
+        return (self.a0 + coskt @ c0 + sinkt @ s0, coskt @ c1 + sinkt @ s1,
+                self.a0 + coskt @ cr + sinkt @ sr)
 
     def jet(self, theta):
         return self._jet(trig_table(theta, len(self.cos)))
@@ -261,16 +273,13 @@ class ChordChart:
     The frame is the global frame rotated by frame_angle about the origin;
     the origin must lie inside the curve so that f(x1) > 0 > g(x2).  In
     the rotated frame the upper arc carries normal angles (0, pi) and the
-    lower arc (pi, 2pi); x(theta) is strictly monotone on each arc, so f
-    and g are recovered by inverting it.  All chart derivatives come from
-    the chain rule through theta(x): f' = -cot(theta),
-    f'' = -1 / (rho sin^3 theta).  The slope vanishes exactly at the
-    normal angles pi/2 and 3pi/2, so the extrema are closed forms:
-    x1 = -h'(pi/2), f(x1) = h(pi/2), f''(x1) = -1/rho(pi/2), and
-    x2 = h'(3pi/2), g(x2) = -h(3pi/2), g''(x2) = 1/rho(3pi/2).
+    lower arc (pi, 2pi), and the boundary point at normal angle theta is
+    _xy(theta): the chart is read through the normal angle, never through
+    x.  Its slope f' = -cot(theta) vanishes exactly at the normal angles
+    pi/2 and 3pi/2, and f'' = -1 / (rho sin^3 theta), so the extrema are
+    closed forms: x1 = -h'(pi/2), f(x1) = h(pi/2), f''(x1) = -1/rho(pi/2),
+    and x2 = h'(3pi/2), g(x2) = -h(3pi/2), g''(x2) = 1/rho(3pi/2).
     """
-
-    _GRID = 2048
 
     def __init__(self, curve: SupportCurve, frame_angle: float = 0.0):
         self.curve = curve
@@ -279,8 +288,6 @@ class ChordChart:
             raise MalformedSpec(
                 "chord chart requires the origin strictly inside the curve"
             )
-        self.b = float(self._x(0.0))
-        self.a = float(self._x(math.pi))
         peaks = self._jet(np.array([0.5 * math.pi, 1.5 * math.pi]))
         (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = (v.tolist() for v in peaks)
         self.x1, self.f_x1, self.f_pp_x1 = -h1_t, h_t, -1.0 / rho_t
@@ -297,84 +304,6 @@ class ChordChart:
         h, h1, rho = self._jet(theta)
         cos, sin = np.cos(theta), np.sin(theta)
         return h * cos - h1 * sin, h * sin + h1 * cos, rho
-
-    def _x(self, theta):
-        return self._xy(theta)[0]
-
-    @functools.cached_property
-    def _tables(self):
-        """Monotone x(theta) tables of the upper and lower arcs, the
-        inversion's starting guesses; built on first use."""
-        tu = np.linspace(0.0, math.pi, self._GRID)
-        tl = np.linspace(math.pi, 2.0 * math.pi, self._GRID)
-        return tu, self._x(tu), tl, self._x(tl)
-
-    def _invert(self, x, upper: bool):
-        """theta(x) on one arc: interp guess + damped Newton, bracketed fallback."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
-            raise ValueError("x outside chart range")
-        xc = np.clip(x, self.a, self.b)
-        tu, xu, tl, xl = self._tables
-        if upper:
-            # x decreasing in theta on [0, pi]
-            theta = np.interp(xc, xu[::-1], tu[::-1])
-            lo, hi = 0.0, math.pi
-        else:
-            theta = np.interp(xc, xl, tl)
-            lo, hi = math.pi, 2.0 * math.pi
-        tol = 1e-13 * max(1.0, abs(self.b), abs(self.a))
-        for _ in range(100):
-            x_t, _, rho = self._xy(theta)
-            fx = x_t - xc
-            if np.all(np.abs(fx) <= tol):
-                break
-            d = -rho * np.sin(theta)
-            step = np.where(np.abs(d) > 1e-30, fx / np.where(d == 0, 1.0, d), 0.0)
-            step = np.clip(step, -0.1, 0.1)
-            theta = np.clip(theta - step, lo, hi)
-        else:
-            bad = np.abs(self._x(theta) - xc) > tol
-            theta[bad] = self._bracketed(xc[bad], upper)
-        return theta[0] if scalar else theta
-
-    def _bracketed(self, x, upper: bool):
-        """theta(x) on one arc, where x(theta) is monotone: Newton steps
-        inside a bracket that shrinks about the root, bisecting where a
-        step would leave it (as near the ends, where x' -> 0).  An entry
-        stops once its iterate repeats or its bracket stops shrinking: where
-        x(t) moves by one ulp over many ulps of t, Newton can cycle between
-        two floats about the root."""
-        sign = -1.0 if upper else 1.0  # sign * (x(t) - x) increases in t
-        lo = np.full(np.shape(x), 0.0 if upper else math.pi)
-        hi, t = lo + math.pi, lo + 0.5 * math.pi
-        width = hi - lo
-        for _ in range(100):
-            x_t, _, rho = self._xy(t)
-            F = sign * (x_t - x)
-            lo, hi = np.where(F <= 0.0, t, lo), np.where(F >= 0.0, t, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                new = t + F / (sign * rho * np.sin(t))
-            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            done = (new == t) | (hi - lo >= width)
-            if np.all(done):
-                break
-            t, width = np.where(done, t, new), hi - lo
-        return t
-
-    def theta_upper(self, x):
-        return self._invert(x, upper=True)
-
-    def theta_lower(self, x):
-        return self._invert(x, upper=False)
-
-    def f(self, x):
-        return self._xy(self.theta_upper(x))[1]
-
-    def g(self, x):
-        return self._xy(self.theta_lower(x))[1]
 
 
 def chord_chart(curve: SupportCurve, frame_angle: float = 0.0) -> ChordChart:

@@ -1,10 +1,5 @@
 """Complex moments M_n = integral over D of e^{ix} y^n dx dy.
 
-  * chord  — e^{ix} (f^{n+1} - g^{n+1})/(n+1) over the chord chart, by the
-             trapezoid rule in tau on [0, pi] with x = mid - half cos(tau)
-             and f, g read from the chart.  f^{n+1} - g^{n+1} carries the
-             factor sqrt((x-a)(b-x)) = half sin(tau), so the tau-integrand
-             is even, periodic and analytic despite the square-root ends.
   * green  — Green's theorem in its dx-form, -oint e^{ix} y^{n+1}/(n+1) dx,
              by the trapezoid rule round the support curve in the normal
              angle, its nodes packed about the peak normals by the
@@ -13,15 +8,19 @@
              green's nodes and boundary values with the weight
              -i rho cos(t) dt in place of rho sin(t) dt.  The two forms
              differ by an integration by parts, not a change of variable;
-             the mpmath closed form for ellipses (tests) is the
-             independent reference.
+             the mpmath closed form for ellipses and an mpmath quadrature
+             of green's boundary integral for Fourier shapes (tests) are
+             the independent references.
 
-trapezoid_sums, one kernel for all three and the arc integrals of
-asymptotics (periodic trapezoid rules converge geometrically; Trefethen &
-Weideman, SIAM Review 2014), takes every power from one doubling grid and
-one baby-step/giant-step product per level, O(sqrt(P) N) exp calls.  chord
-is green under x -> theta, so their agreement checks only the node maps and
-the chart inversion theta(x), which serves chord alone: not a cross-check.
+The chord integral over the chart, int_a^b e^{ix} (f^{n+1} - g^{n+1})/(n+1)
+dx, is green's traversed in x instead of the normal angle: the same
+integral, so it has no integrator of its own.  The CLI keeps "chord" as a
+name for green's rows.
+
+trapezoid_sums, one kernel for both and the arc integrals of asymptotics
+(periodic trapezoid rules converge geometrically; Trefethen & Weideman,
+SIAM Review 2014), takes every power from one doubling grid and one
+baby-step/giant-step product per level, O(sqrt(P) N) exp calls.
 
 moment_sweep is the one entry point: M_n for any list of orders as
 (mantissa, log_scale) arrays (see logscale); a single order is
@@ -35,10 +34,10 @@ import math
 import numpy as np
 
 from .errors import QuadratureNoConvergence
-from .geometry import ChordChart, SupportCurve, chord_chart
+from .geometry import SupportCurve
 from .logscale import normalized
 
-METHODS = ("chord", "green", "area")
+METHODS = ("green", "area")
 _MAX_TRAPEZOID_NODES = 1 << 16
 _NODE_BLOCK = 512
 
@@ -101,24 +100,12 @@ def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
                        method: str, lift: int = 1) -> tuple:
     """M_n for every n in n_list as (mantissa, log_scale) arrays: the sum of
     c v^{n+lift} in units of ref^{n+lift}/(n+1)^lift.  lift = 1 where the
-    integrand is the y-antiderivative (chord, green), 0 for y^n (area)."""
+    integrand is the y-antiderivative (green), 0 for y^n (area)."""
     check_orders(n_list)
     sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
                           f"{method} moments")
     ns = np.asarray(n_list, dtype=float)
     return normalized(sums, (ns + lift) * ln_ref - lift * np.log(ns + 1))
-
-
-def _chord_moments(chart: ChordChart, n_list) -> tuple:
-    mid, half = 0.5 * (chart.a + chart.b), 0.5 * (chart.b - chart.a)
-
-    def sample(tau):
-        x = mid - half * np.cos(tau)
-        c = np.exp(1j * x) * (half * np.sin(tau))
-        return np.concatenate([c, -c]), np.concatenate([chart.f(x), chart.g(x)])
-
-    ln_ref = math.log(max(abs(chart.f_x1), abs(chart.g_x2)))
-    return _trapezoid_moments(sample, math.pi, n_list, ln_ref, "chord")
 
 
 def peak_packing(y: float, ypp: float) -> float:
@@ -164,13 +151,10 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                 method: str = "chord") -> tuple:
+                 method: str = "green") -> tuple:
     """(mantissa, log_scale) arrays of M_n = mantissa e^log_scale for every
     n in n_list, in n_list order, from one kernel call; |mantissa| is 1 up
     to rounding, or (0j, 0.0) exactly where the sum vanishes."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}")
-    n_list = list(n_list)
-    if method == "chord":
-        return _chord_moments(chord_chart(curve, frame_angle), n_list)
-    return _boundary_moments(curve, n_list, frame_angle, method)
+    return _boundary_moments(curve, list(n_list), frame_angle, method)

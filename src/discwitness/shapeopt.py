@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import (EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
-                       periodic_trig, trig_table)
+                       periodic_trig, radius_coefficients, trig_table)
 
 DEFAULT_K = 8
 BOUNDARY_FRACTION = 0.99
@@ -79,8 +79,8 @@ def _grid_eval(v: ShapeVector, n: int = _GRID):
     These are FourierCurve's sums, so on the validation grid min rho > EPS0
     iff decode() succeeds."""
     trig = periodic_trig(n, v.K)
-    h = fourier_sums(v.a0, v.cos, v.sin, trig, 0)
-    return h, h + fourier_sums(v.a0, v.cos, v.sin, trig, 2)
+    return (fourier_sums(v.a0, v.cos, v.sin, trig, 0),
+            fourier_sums(v.a0, *radius_coefficients(v.cos, v.sin), trig, 0))
 
 
 def _kl_maps(K: int):

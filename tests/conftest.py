@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -95,6 +96,33 @@ def exact_ellipse_moments(a, b, cx, n_max):
         return out
 
 
+def mp_fourier_moment(spec, n, frame_angle):
+    """M_n of a support_fourier shape, read in frame frame_angle, as Green's
+    boundary integral int e^{ix} y^{n+1}/(n+1) rho sin(t) dt over the normal
+    angle t of that frame, by mpmath at 30 digits, split at the eighth turns
+    (the peak normals pi/2 and 3pi/2 among them).  Independent of the
+    program's trapezoid rule, node maps and power sums."""
+    with mpmath.workdps(30):
+        a0, phi = mpmath.mpf(spec["a0"]), mpmath.mpf(frame_angle)
+        terms = [(k, mpmath.mpf(c), mpmath.mpf(s)) for k, (c, s) in enumerate(
+            itertools.zip_longest(spec.get("cos", ()), spec.get("sin", ()),
+                                  fillvalue=0), start=1)]
+
+        def integrand(t):
+            th = t + phi
+            h, h1, rho = a0, mpmath.mpf(0), a0
+            for k, c, s in terms:
+                ck, sk = mpmath.cos(k * th), mpmath.sin(k * th)
+                h += c * ck + s * sk
+                h1 += k * (s * ck - c * sk)
+                rho += (1 - k * k) * (c * ck + s * sk)
+            x = h * mpmath.cos(t) - h1 * mpmath.sin(t)
+            y = h * mpmath.sin(t) + h1 * mpmath.cos(t)
+            return mpmath.expj(x) * y ** (n + 1) * rho * mpmath.sin(t) / (n + 1)
+
+        return mpmath.quad(integrand, [j * mpmath.pi / 4 for j in range(9)])
+
+
 # --- (mantissa, log_scale) pairs, value mantissa * exp(log_scale) ---
 
 
@@ -121,7 +149,7 @@ def relative_gap(a, b, abs_floor_log=-math.inf):
     return abs(za - zb)
 
 
-def one_order(curve, n, frame_angle=0.0, method="chord"):
+def one_order(curve, n, frame_angle=0.0, method="green"):
     """M_n of a one-order moment_sweep as a scalar (mantissa, log_scale)."""
     mantissa, log_scale = moment_sweep(curve, [n], frame_angle, method)
     return complex(mantissa[0]), float(log_scale[0])

@@ -4,6 +4,7 @@ PASS/FAIL line (run with pytest -s to see them)."""
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,8 @@ from discwitness.characterize import (
 from discwitness.moments import moment_sweep
 from discwitness.shapeopt import OptOptions, ShapeVector, minimize
 
-from conftest import abs_log, exact_ellipse_moments, one_order, value, worst_exact_gap
+from conftest import (abs_log, exact_ellipse_moments, mp_fourier_moment, one_order,
+                      value, worst_exact_gap)
 
 # frozen: independent 200-node Gauss polar quadrature (= 2 pi J1(1))
 DISC_M0 = 2.764919374768337
@@ -64,12 +66,17 @@ def test_criterion_3_moment_oracle_agreement():
     exact = exact_ellipse_moments(2.0, 1.0, 0.0, 400)
     ok = all(worst_exact_gap(moment_sweep(ellipse, range(401), 0.0, method),
                              exact, 1.0) <= 1e-10
-             for method in ("chord", "green", "area"))
+             for method in ("green", "area"))
+    fourier = {"type": "support_fourier", "a0": 1, "cos": [0, 0.05], "sin": [0, 0, 0.03]}
+    z, log_scale = one_order(build_curve(fourier), 400, 0.7)
+    with mpmath.workdps(30):
+        exact = mp_fourier_moment(fourier, 400, 0.7)
+        ok &= abs(mpmath.mpc(z) * mpmath.exp(log_scale) - exact) <= 1e-12 * abs(exact)
     disc = build_curve({"type": "circle", "center": [0, 0], "radius": 1})
     ok &= abs(value(one_order(disc, 0)) - DISC_M0) <= 1e-6
     for n in (1, 3, 5):
         ok &= abs_log(one_order(disc, n)) <= math.log(1e-10)
-    report("3 moment oracle agreement (3 methods vs mpmath, n<=400; disc M0; odd-n=0)",
+    report("3 moment oracle agreement (green, area vs mpmath, n<=400; disc M0; odd-n=0)",
            ok)
 
 

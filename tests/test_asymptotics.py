@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from discwitness import ChordChart, asymptotics, build_curve, chord_chart, moments
+from discwitness import asymptotics, build_curve, chord_chart, moments
 from discwitness.asymptotics import arc_integrals, asymptotic_ratio, bracket_main_term
 from discwitness.moments import _boundary_moments, trapezoid_sums
 
-from conftest import abs_log, exact_ellipse_moments, one_order, ratio, relative_gap
+from conftest import abs_log, exact_ellipse_moments, ratio
 
 
 class TestBracket:
@@ -110,12 +110,11 @@ def _ellipse_in_frame(a, b, cx, cy, rot):
 
 
 def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
-    """green's M_{2m-1}, m = 50, 100, 200, against chord and mpmath."""
+    """green's M_{2m-1}, m = 50, 100, 200, against mpmath."""
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
     odd = _boundary_moments(curve, [2 * m - 1 for m in m_list], rot, "green")
     for m, got in zip(m_list, zip(*odd)):
-        assert relative_gap(got, one_order(curve, 2 * m - 1, rot)) <= 1e-10
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
         with mpmath.workdps(30):
             value = mpmath.mpc(complex(got[0])) * mpmath.exp(float(got[1]))
@@ -189,12 +188,8 @@ def test_ratio_table_from_three_grids(asymmetric, m_list, monkeypatch):
         calls.append(args[3])
         return trapezoid_sums(*args, **kwargs)
 
-    def no_inversion(self, x, upper):
-        raise AssertionError("asymptotic_ratio inverted the chart")
-
     monkeypatch.setattr(asymptotics, "trapezoid_sums", counted)
     monkeypatch.setattr(moments, "trapezoid_sums", counted)
-    monkeypatch.setattr(ChordChart, "_invert", no_inversion)
     rows = asymptotic_ratio(asymmetric, 0.3, m_list)
     assert [r.m for r in rows] == m_list
     assert all(r.combined_abs_err is not None for r in rows)
@@ -221,16 +216,22 @@ def test_flat_ellipse_arcs_match_closed_form():
 def test_flat_combined_column_matches_chord():
     """On the 20 x 0.2 ellipse centred at (0, 0.05) the y^{4000} peaks span
     ~1e-4 of the normal angle; green's uniform grid does not resolve them
-    in 65536 nodes, its packed grid does.  Reference: chord's one-order
-    sweeps."""
-    curve = build_curve({"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]})
+    in 65536 nodes, its packed grid does.  Reference: the closed-form
+    M_{2m-1} (chord's moment, which is green's)."""
+    a, b, cy = 20.0, 0.2, 0.05
+    curve = build_curve({"type": "ellipse", "a": a, "b": b, "center": [0, cy]})
     ch = chord_chart(curve)
     for row in asymptotic_ratio(curve, 0.0, [200, 2000]):
-        _, _, (z, log_scale) = bracket_main_term(ch, [row.m])
-        rhs = z[0], log_scale[0] - math.log(2.0 * row.m)
-        chord = one_order(curve, 2 * row.m - 1)
-        assert row.combined_abs_err == pytest.approx(abs(ratio(chord, rhs) - 1.0),
-                                                     abs=1e-9)
+        n = 2 * row.m - 1
+        exact = _exact_odd_moment(a, b, 0.0, cy, n,
+                                  exact_ellipse_moments(a, b, 0.0, n))
+        with mpmath.workdps(30):
+            log_scale = float(mpmath.log(abs(exact)))
+            mantissa = complex(exact / mpmath.exp(log_scale))
+        _, _, (z, bracket_scale) = bracket_main_term(ch, [row.m])
+        rhs = z[0], bracket_scale[0] - math.log(2.0 * row.m)
+        want = abs(ratio((mantissa, log_scale), rhs) - 1.0)
+        assert row.combined_abs_err == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("eps,upper", [(1e-14, True), (1e-4, False)],

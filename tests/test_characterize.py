@@ -201,13 +201,6 @@ class TestInscribedDisc:
             assert math.hypot(cx - center[0], cy - center[1]) <= 1e-14 * 100.0
             assert r == pytest.approx(1.0, abs=1e-12)
 
-    def test_chart_tables_built_on_first_use(self, three_lobe):
-        chart = chord_chart(three_lobe, 0.3)
-        constraint_residuals(chart)
-        assert "_tables" not in vars(chart)
-        chart.f(0.1)
-        assert "_tables" in vars(chart)
-
 
 def _polished_minima(f, f1, f2, n=1 << 14):
     """Local minima of a 2 pi-periodic f: the discrete minima of a fine grid,

@@ -195,12 +195,12 @@ def per_row_csv(spec, n_list, frame_deg, methods):
     """The moments CSV written one field at a time from the same sweeps:
     z * exp_or_inf(log_scale) in Python complex arithmetic, Python abs and
     format(x, ".17g") on every row, rows
-    sorted by (n, method) with ties in request order."""
+    sorted by (n, method) with ties in request order; chord rows are green's."""
     curve = discwitness.build_curve(spec)
     rows = []
     for method in methods:
-        mantissa, log_scale = moment_sweep(curve, n_list,
-                                           math.radians(frame_deg), method)
+        mantissa, log_scale = moment_sweep(curve, n_list, math.radians(frame_deg),
+                                           "green" if method == "chord" else method)
         for n, z, ls in zip(n_list, mantissa.tolist(), log_scale.tolist()):
             val = z * exp_or_inf(ls)
             rows.append((n, frame_deg, method, val.real, val.imag, ls, abs(val)))
@@ -256,6 +256,30 @@ class TestMoments:
         assert rows == [[str(n), "0", m] for n in sorted(per_n)
                         for m, k in (("area", 1), ("chord", 1), ("green", 2))
                         for _ in range(k * per_n[n])]
+
+    @pytest.mark.parametrize("methods,integrals", [
+        (["--methods", "chord,green"], ["green"]),
+        (["--methods", "green,chord,area,green"], ["area", "green"]),
+        ([], ["area", "green"]),
+    ], ids=["chord,green", "repeats", "default"])
+    def test_chord_rows_are_green_rows(self, shape_file, capsys, monkeypatch,
+                                       methods, integrals):
+        # one sweep per distinct integral; a chord row is green's, byte for byte
+        calls = []
+
+        def counted(curve, n_list, frame_angle, method):
+            calls.append(method)
+            return moment_sweep(curve, n_list, frame_angle, method)
+
+        monkeypatch.setattr(discwitness.cli, "moment_sweep", counted)
+        out = self.stdout(shape_file, capsys, SWEEP_FOURIER,
+                          ["--n-list", "0,57,400", "--frame-deg", "45"] + methods)
+        assert sorted(calls) == integrals
+        fields = {}
+        for row in out.splitlines()[1:]:
+            n, frame, method, rest = row.split(",", 3)
+            fields.setdefault(method, set()).add((n, frame, rest))
+        assert len(fields["chord"]) == 3 and fields["chord"] == fields["green"]
 
     def test_row_count_and_header(self, shape_file, tmp_path):
         out = tmp_path / "m.csv"

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.optimize import brentq
 
 from discwitness import geometry
 from discwitness import (
@@ -23,14 +22,6 @@ from conftest import angles, position, scaled, small_fourier_curves
 # frozen: 8 * scipy.special.ellipe(0.75), cross-checked against dense
 # quadrature of the parametric arclength integrand
 ELLIPSE_2_1_PERIMETER = 9.688448220547675
-
-INVERSION_SHAPES = {
-    "circle": {"type": "circle", "center": [0, 0], "radius": 1},
-    "ellipse_20x0.2": {"type": "ellipse", "a": 20, "b": 0.2},
-    "fourier_K5": {"type": "support_fourier", "a0": 1,
-                   "cos": [0.02, 0.03, 0.01, 0.005, 0.004],
-                   "sin": [0.01, -0.02, 0.01, 0.0, -0.006]},
-}
 
 ARC_SHAPES = {
     "circle": {"type": "circle", "center": [0.3, -0.2], "radius": 1.1},
@@ -90,7 +81,8 @@ def _separate_jet(curve, theta):
         c, s = np.asarray(curve.cos), np.asarray(curve.sin)
         h = curve.a0 + coskt @ c + sinkt @ s
         h1 = -sinkt @ (k * c) + coskt @ (k * s)
-        return h, h1, h + (-coskt @ (k * k * c) - sinkt @ (k * k * s))
+        w = 1.0 - k * k  # rho's own coefficients: k = 1 drops out exactly
+        return h, h1, curve.a0 + coskt @ (w * c) + sinkt @ (w * s)
     cx, cy = curve.center
     if isinstance(curve, geometry.CircleCurve):
         return (curve.radius + cx * np.cos(theta) + cy * np.sin(theta),
@@ -192,6 +184,18 @@ class TestBuildCurve:
         c = build_curve({"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]})
         # h'' = -0.9 cos(3 theta) at theta=0
         assert float(c.rho(0.0)) == pytest.approx(0.2)
+
+    def test_fourier_rho_exact_in_the_first_harmonic(self):
+        """rho does not see a translation: h + h'' would cancel the first
+        harmonic only to eps |c_1|, rejecting this shape at offset 1e15
+        and erring by 3.4e-4 at 1e12."""
+        build_curve({"type": "support_fourier", "a0": 1,
+                     "cos": [1e15, 0, 0.1], "sin": [1e15, 0, 0.02]})
+        c = build_curve({"type": "support_fourier", "a0": 1,
+                         "cos": [1e12, 0, 0.1], "sin": [1e12, 0, 0.02]})
+        t = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+        want = 1 - 8 * (0.1 * np.cos(3 * t) + 0.02 * np.sin(3 * t))
+        assert np.max(np.abs(c.rho(t) - want)) <= 1e-13
 
     def test_fourier_rejects_nonconvex(self):
         with pytest.raises(NotStrictlyConvex) as err:
@@ -314,14 +318,16 @@ class TestArclength:
 class TestChordChart:
     def test_unit_disc_chart(self, unit_disc):
         ch = chord_chart(unit_disc, 0.0)
-        assert (ch.a, ch.b) == pytest.approx((-1, 1))
         assert ch.x1 == pytest.approx(0, abs=1e-12)
         assert ch.x2 == pytest.approx(0, abs=1e-12)
         assert ch.f_x1 == pytest.approx(1.0)
         assert ch.f_pp_x1 == pytest.approx(-1.0)
-        x = np.linspace(-0.95, 0.95, 21)
-        assert np.allclose(ch.f(x), np.sqrt(1 - x * x), atol=1e-12)
-        assert np.allclose(ch.g(x), -np.sqrt(1 - x * x), atol=1e-12)
+        # the boundary through the normal angle: the unit circle, x = cos t
+        t = np.linspace(0.0, 2 * math.pi, 41)
+        x, y, rho = ch._xy(t)
+        assert np.allclose(x, np.cos(t), atol=1e-12)
+        assert np.allclose(y, np.sin(t), atol=1e-12)
+        assert np.allclose(rho, 1.0, atol=1e-12)
 
     def test_ellipse_chart(self, ellipse):
         ch = chord_chart(ellipse, 0.0)
@@ -344,63 +350,6 @@ class TestChordChart:
         assert ch.g_x2 == pytest.approx(y[j], abs=1e-9)
         assert ch.x2 == pytest.approx(x[j], abs=1e-4)
         assert abs(ch.x1 - ch.x2) > 1e-3  # genuinely asymmetric in this frame
-
-    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-    @pytest.mark.parametrize("name", sorted(INVERSION_SHAPES))
-    def test_bracketed_inversion_at_the_chart_ends(self, name, upper):
-        """At the chart ends x' = -rho sin(theta) vanishes.  The bracketed
-        solver still meets x, and agrees with brentq to 1e-12 inside the
-        chart.  Within 1e-14 of an end the computed x(theta) is flat over
-        a theta window of width up to sqrt(32 eps scale / rho) (eight ulps
-        of x), which no root finder resolves, so agreement there is to
-        that window."""
-        ch = chord_chart(build_curve(INVERSION_SHAPES[name]))
-        scale = max(1.0, abs(ch.a), abs(ch.b))
-        lo, hi = (0.0, math.pi) if upper else (math.pi, 2 * math.pi)
-        window = math.sqrt(32 * np.finfo(float).eps * scale
-                           / min(ch._jet(lo)[2], ch._jet(hi)[2]))
-        ends = np.array([ch.a, ch.a + 1e-15, ch.a + 1e-14,
-                         ch.b - 1e-14, ch.b - 1e-15, ch.b])
-        inside = ch.a + (ch.b - ch.a) * np.array([1e-3, 0.3, 0.5, 0.9])
-        for x, tol in ((ends, 1e-12 + window), (inside, 1e-12)):
-            theta = ch._bracketed(x, upper)
-            assert np.all((lo <= theta) & (theta <= hi))
-            assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13 * scale
-            ref = [brentq(lambda t, xi=xi: float(ch._x(t) - xi), lo, hi,
-                          xtol=1e-14) for xi in x]
-            assert np.max(np.abs(theta - ref)) <= tol
-
-    def test_inversion_falls_back_when_newton_stalls(self, asymmetric,
-                                                     monkeypatch):
-        ch = chord_chart(asymmetric, 0.3)
-        x = np.linspace(ch.a, ch.b, 41)[1:-1]
-        want = ch.theta_upper(x), ch.theta_lower(x)
-        # a vanishing x' makes every damped Newton step zero
-        jet = ch._jet
-        monkeypatch.setattr(ch, "_jet", lambda t: (*jet(t)[:2], np.full(np.shape(t), 1e-40)))
-        for theta, ref in zip((ch.theta_upper(x), ch.theta_lower(x)), want):
-            assert np.max(np.abs(ch._x(theta) - x)) <= 1e-13
-            assert np.max(np.abs(theta - ref)) <= 1e-12
-
-    def test_bracketed_inversion_stops_when_newton_cycles(self):
-        """On the 20 x 0.2 ellipse's lower arc at x = a + 1e-3, x(theta)
-        moves by one ulp over ~1e-12 in theta and Newton steps alternate
-        between two floats about the root; the solver stops there instead
-        of running its 100 steps."""
-        ch = chord_chart(build_curve(INVERSION_SHAPES["ellipse_20x0.2"]))
-        calls = []
-        x_of = ch._x
-
-        def counted(t):
-            calls.append(1)
-            return x_of(t)
-
-        ch._x = counted
-        theta = ch._bracketed(np.array([ch.a + 1e-3]), upper=False)
-        assert len(calls) <= 25
-        # frozen: the value the 100-step loop returned
-        assert theta[0] == pytest.approx(3.92700956753443, abs=1e-12)
-        assert abs(x_of(theta[0]) - (ch.a + 1e-3)) <= 1e-13 * abs(ch.a)
 
     def test_chart_needs_origin_inside(self):
         far = build_curve({"type": "circle", "center": [5, 0], "radius": 1})
@@ -430,19 +379,20 @@ def test_width_symmetry(curve, theta):
 @settings(max_examples=10, deadline=None)
 @given(curve=small_fourier_curves(), frame=angles())
 def test_chart_consistency(curve, frame):
+    """The closed-form extrema against a theta scan of each arc, whose
+    20,001 nodes hold the peak normals pi/2 and 3 pi/2."""
     ch = chord_chart(curve, frame)
-    t = np.linspace(0, math.pi, 20_001)
-    assert float(np.max(ch._xy(t)[1])) == pytest.approx(ch.f_x1, abs=1e-10)
-    # curvature consistency: |f''(x1)| equals kappa at the top point
-    t_top = ch.theta_upper(ch.x1)
-    kappa = 1.0 / float(curve.rho(t_top + frame))
-    assert abs(ch.f_pp_x1) == pytest.approx(kappa, abs=1e-8)
-    # the closed-form extrema seen through the inverse map theta(x)
-    assert float(ch.f(ch.x1)) == pytest.approx(ch.f_x1, abs=1e-9)
-    assert float(ch.g(ch.x2)) == pytest.approx(ch.g_x2, abs=1e-9)
-    # the slopes f' = -cot(theta) there, through the same inverse map
-    for t in (ch.theta_upper(ch.x1), ch.theta_lower(ch.x2)):
-        assert abs(float(-np.cos(t) / np.sin(t))) <= 1e-9
+    for lo, x_peak, y_peak, ypp, pick in ((0.0, ch.x1, ch.f_x1, ch.f_pp_x1, np.argmax),
+                                         (math.pi, ch.x2, ch.g_x2, ch.g_pp_x2, np.argmin)):
+        t = np.linspace(lo, lo + math.pi, 20_001)
+        x, y, rho = ch._xy(t)
+        i = pick(y)
+        assert float(y[i]) == pytest.approx(y_peak, abs=1e-10)
+        assert float(x[i]) == pytest.approx(x_peak, abs=1e-9)
+        # curvature consistency: |y''| at the extremum equals kappa there
+        assert abs(ypp) == pytest.approx(1.0 / float(rho[i]), abs=1e-8)
+        # the slope -cot(theta) vanishes there
+        assert abs(float(-np.cos(t[i]) / np.sin(t[i]))) <= 1e-9
 
 
 @settings(max_examples=15, deadline=None)

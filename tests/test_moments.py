@@ -1,17 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwitness import build_curve, moments
-from discwitness.geometry import ChordChart, FourierCurve
+from discwitness.geometry import FourierCurve
 from discwitness.moments import moment_sweep, trapezoid_sums
 
 from conftest import (
     abs_log,
     exact_ellipse_moments,
+    mp_fourier_moment,
     one_order,
     position,
     relative_gap,
@@ -35,6 +37,9 @@ def _worst_sweep_gap(s1, s2, abs_floor=1e-8):
 
 
 class TestChord:
+    """The CLI's chord rows, which are the default method green's: "chord"
+    is green's integral traversed in x."""
+
     def test_disc_m0(self, unit_disc):
         assert abs(value(one_order(unit_disc, 0)) - DISC_M0) < 1e-8
 
@@ -55,8 +60,7 @@ class TestChord:
 class TestGreen:
     def test_disc_values(self, unit_disc):
         assert abs_log(one_order(unit_disc, 1, method="green")) <= math.log(1e-10)
-        assert _gap(one_order(unit_disc, 0, method="green"),
-                    one_order(unit_disc, 0)) < 1e-8
+        assert abs(value(one_order(unit_disc, 0, method="green")) - DISC_M0) < 1e-8
 
     def test_translation_phase(self, unit_disc):
         base = value(one_order(unit_disc, 0, method="green"))
@@ -77,18 +81,19 @@ class TestArea:
         assert _gap(one_order(ellipse, 4, method="area"),
                     one_order(ellipse, 4, method="green")) < 1e-6
 
-    def test_sweep_needs_no_chart_inversion(self, asymmetric, monkeypatch):
-        chords = moment_sweep(asymmetric, range(41), 0.3, "chord")
-
-        def no_inversion(self, x, upper):
-            raise AssertionError("area inverted a chord chart")
-
-        monkeypatch.setattr(ChordChart, "_invert", no_inversion)
+    def test_sweep_needs_no_chart_inversion(self, asymmetric):
+        greens = moment_sweep(asymmetric, range(41), 0.3, "green")
         areas = moment_sweep(asymmetric, range(41), 0.3, "area")
-        assert _worst_sweep_gap(areas, chords) < 1e-6
+        assert _worst_sweep_gap(areas, greens) < 1e-6
 
 
 class TestSweep:
+    def test_two_integrators(self, unit_disc):
+        # chord was green's integral in x: the CLI name maps to green
+        assert moments.METHODS == ("green", "area")
+        with pytest.raises(ValueError, match="green, area"):
+            moment_sweep(unit_disc, [0], 0.0, "chord")
+
     def test_disc_odd_all_zero(self, unit_disc):
         assert np.all(abs_log(moment_sweep(unit_disc, [1, 3, 5])) <= math.log(1e-10))
 
@@ -110,7 +115,7 @@ class TestSweep:
     def test_orders_map_back_in_request_order(self, asymmetric, frame):
         # unsorted, with a duplicate: each result is the one-order sweep's
         ns = [399, 0, 57, 57, 200]
-        for method in ("chord", "green", "area"):
+        for method in ("green", "area"):
             mantissa, log_scale = moment_sweep(asymmetric, ns, frame, method)
             assert mantissa.shape == log_scale.shape == (len(ns),)
             assert mantissa.dtype == complex and log_scale.dtype == float
@@ -127,11 +132,21 @@ class TestSweep:
         assert list(zip(mantissa.tolist(), log_scale.tolist())) == [(0j, 0.0)] * 2
         assert mantissa.dtype == complex and log_scale.dtype == float
 
-    def test_chord_vs_green_to_40(self, ellipse):
-        ns = list(range(401))
-        chords = moment_sweep(ellipse, ns, method="chord")
-        greens = moment_sweep(ellipse, ns, method="green")
-        assert _worst_sweep_gap(chords, greens) < 1e-6
+
+SWEEP_FOURIER = {"type": "support_fourier", "a0": 1,
+                 "cos": [0, 0.05], "sin": [0, 0, 0.03]}
+
+
+@pytest.mark.parametrize("n", [0, 57, 200, 399, 400])
+def test_green_meets_mpmath_on_a_fourier_shape(n):
+    # an oracle independent of green: mpmath's quadrature of the boundary
+    # integral shares no node, node map or power sum with trapezoid_sums
+    frame = math.radians(45.0)
+    got = one_order(build_curve(SWEEP_FOURIER), n, frame)
+    with mpmath.workdps(30):
+        exact = mp_fourier_moment(SWEEP_FOURIER, n, frame)
+        got = mpmath.mpc(complex(got[0])) * mpmath.exp(got[1])
+        assert float(abs(got - exact) / abs(exact)) <= 1e-12
 
 
 # (a, b, centre, rotation, frame): read in frame = rotation, the ellipse
@@ -154,7 +169,7 @@ def test_ellipse_moments_match_closed_form(a, b, cx, rot):
                 "center": [cx * math.cos(rot), cx * math.sin(rot)]}
     curve = build_curve(spec)
     exact = exact_ellipse_moments(a, b, cx, 400)
-    for method in ("chord", "green", "area"):
+    for method in ("green", "area"):
         results = moment_sweep(curve, range(401), rot, method)
         assert worst_exact_gap(results, exact, b) <= 1e-10, method
 
@@ -166,7 +181,7 @@ def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
     a, b = 20.0, 0.2
     curve = build_curve({"type": "ellipse", "a": a, "b": b})
     exact = exact_ellipse_moments(a, b, 0.0, 400)
-    for method in ("chord", "green", "area"):
+    for method in ("green", "area"):
         results = moment_sweep(curve, range(401), 0.0, method)
         assert worst_exact_gap(results, exact, b) <= 1e-10, method
 
@@ -174,12 +189,12 @@ def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
 def test_flat_ellipse_in_few_nodes(monkeypatch):
     # to n = 400 on the 5 x 0.2 (20 x 0.2) ellipse a uniform grid in the
     # normal angle takes 8192 (32768) nodes for green; packed about the peak
-    # normals green takes 512 (1024), area 512 (512) and chord 256 (256)
+    # normals green takes 512 (1024) and area 512 (512)
     monkeypatch.setattr(moments, "_MAX_TRAPEZOID_NODES", 1024)
     for a in (5.0, 20.0):
         curve = build_curve({"type": "ellipse", "a": a, "b": 0.2})
         exact = exact_ellipse_moments(a, 0.2, 0.0, 400)
-        for method in ("chord", "green", "area"):
+        for method in ("green", "area"):
             results = moment_sweep(curve, range(401), 0.0, method)
             assert worst_exact_gap(results, exact, 0.2) <= 1e-10, (a, method)
 
@@ -220,16 +235,12 @@ def test_trapezoid_sums_match_direct_powers(powers, seed):
 @settings(max_examples=10, deadline=None)
 @given(curve=small_fourier_curves(max_harmonic=3, scale=0.1),
        n=st.integers(0, 12))
-# plain Gauss in x converges only as N^-3 at this shape's square-root chart
-# ends; chord's cosine map must not
+# square-root chart ends: plain Gauss in x converges only as N^-3 here
 @example(curve=FourierCurve(1.0, (0.0, -0.05405405405405406, 0.05405405405405406),
                             (0.0, 0.0, 0.010810810810810811)), n=1)
 def test_three_methods_agree(curve, n):
-    rc = one_order(curve, n)
-    rg = one_order(curve, n, method="green")
-    ra = one_order(curve, n, method="area")
-    assert _gap(rc, rg) < 1e-6
-    assert _gap(rc, ra) < 1e-6
+    # green and area, the dx- and dy-forms; the CLI's chord rows are green's
+    assert _gap(one_order(curve, n), one_order(curve, n, method="area")) < 1e-6
 
 
 @settings(max_examples=10, deadline=None)

@@ -39,6 +39,17 @@ class TestObjectiveKL:
 C8 = ShapeVector(cos=(0,) * 7 + (0.01,))  # sin 8 theta = 0 at pi j / 8
 
 
+@pytest.mark.parametrize("v", [ShapeVector(cos=(0, 0, 0.1248)),
+                               ShapeVector(0.7, (0.3, 0.02, 0.01), (-0.2, 0.0, 0.03),
+                                           K=5)], ids=["three_lobe", "K5"])
+def test_grid_eval_is_the_curves_jet_bit_for_bit(v):
+    # _feasible reads _grid_eval's rho in place of decode()'s check: both
+    # sum rho from its own (1 - k^2)-weighted coefficients
+    h, rho = shapeopt._grid_eval(v.gauged(), shapeopt.VALIDATION_GRID)
+    want_h, _, want_rho = v.decode().periodic_jet(shapeopt.VALIDATION_GRID)
+    assert np.array_equal(h, want_h) and np.array_equal(rho, want_rho)
+
+
 class TestObjectiveBracket:
     def test_circle_is_zero(self):
         assert objective_bracket(ShapeVector(a0=2.0)) <= 1e-30
