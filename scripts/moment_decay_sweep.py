@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from discwitness import build_curve, chord_chart
+from discwitness import build_curve
 from discwitness.asymptotics import bracket_main_term
 from discwitness.moments import moment_sweep
 
@@ -28,7 +28,7 @@ def main():
     curve = build_curve(spec)
     ns = np.arange(19, n_max, 40)
     z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, "green")
-    _, _, (z_b, ls_b) = bracket_main_term(chord_chart(curve), (ns + 1) // 2)
+    _, _, (z_b, ls_b) = bracket_main_term(curve, 0.0, (ns + 1) // 2)
     ls_b = ls_b - np.log(ns + 1.0)  # bracket / (n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_m = np.log(np.abs(z_m)) + ls_m

@@ -5,10 +5,9 @@ Both objectives are solved by damped Newton steps in one loop: the default
 kappa*L objective is convex in the support coefficients and takes exact Newton
 steps (eight from this start); the "bracket" objective takes Gauss-Newton steps
 on the equal-height, equal-curvature and phase residuals of each frame's two
-Laplace peak terms (six from this start).  Both are deterministic; the seed
-argument is accepted and ignored.
+Laplace peak terms (six from this start).  Both are deterministic.
 
-Usage: python3 scripts/optimize_to_disc.py [seed] [objective]
+Usage: python3 scripts/optimize_to_disc.py [objective]
 """
 
 import sys
@@ -18,7 +17,7 @@ from discwitness.shapeopt import ShapeVector, minimize
 
 
 def main():
-    objective = sys.argv[2] if len(sys.argv) > 2 else "kl"  # argv[1]: the seed
+    objective = sys.argv[1] if len(sys.argv) > 1 else "kl"
     start = ShapeVector(cos=(0.0, 0.0, 0.1), sin=(0.0, 0.04))
     res = minimize(start, objective)
     print(f"objective       : {res.objective:.3e}")

@@ -13,14 +13,12 @@ from .errors import (
     QuadratureNoConvergence,
 )
 from .geometry import (
-    ChordChart,
     CircleCurve,
     EllipseCurve,
     FourierCurve,
     SupportCurve,
     arclength,
     build_curve,
-    chord_chart,
     perimeter,
 )
 

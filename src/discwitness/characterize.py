@@ -1,7 +1,7 @@
-"""Geometric consequences of vanishing moments: chart constraint residuals,
-the kappa*L = 2 profile, the maximal inscribed disc and its contradiction
-witness, and the width/antipodal differential identities.  The result
-records' field names are the CLI's JSON keys."""
+"""Geometric consequences of vanishing moments: the constraint residuals of
+a frame's two arc peaks, the kappa*L = 2 profile, the maximal inscribed
+disc and its contradiction witness, and the width/antipodal differential
+identities.  The result records' field names are the CLI's JSON keys."""
 
 from __future__ import annotations
 
@@ -15,9 +15,11 @@ import numpy as np
 from .errors import DiscSearchFailed
 from .geometry import (
     VALIDATION_GRID,
-    ChordChart,
     SupportCurve,
     arclength,
+    fitted_circle,
+    frame_peaks,
+    require_origin_inside,
     width_at,
 )
 
@@ -32,14 +34,19 @@ class ConstraintResiduals:
     p: int  # the nearest integer to (x1 - x2) / 2 pi
 
 
-def constraint_residuals(chart: ChordChart) -> ConstraintResiduals:
+def constraint_residuals(curve: SupportCurve,
+                         frame_angle: float) -> ConstraintResiduals:
     """Residuals of the equal-height / equal-curvature / phase constraints
-    between the chart's two extremum points."""
-    d = chart.x1 - chart.x2
+    between the upper and lower arcs' peaks (x1, y1, y1'') and
+    (x2, y2, y2'') in the frame rotated by frame_angle (see frame_peaks)."""
+    require_origin_inside(curve)
+    (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = (
+        v.tolist() for v in frame_peaks(curve, frame_angle))
+    d = -h1_t - h1_b  # x1 - x2
     p = int(round(d / (2.0 * math.pi)))
     return ConstraintResiduals(
-        height=abs(abs(chart.f_x1) - abs(chart.g_x2)),
-        curv=abs(abs(chart.f_pp_x1) - abs(chart.g_pp_x2)),
+        height=abs(abs(h_t) - abs(h_b)),
+        curv=abs(abs(1.0 / rho_t) - abs(1.0 / rho_b)),
         phase=abs(d - 2.0 * math.pi * p),
         p=p,
     )
@@ -70,10 +77,8 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     verdict = "disc" if max_dev <= tol else "not_disc"
     fitted = None
     if verdict == "disc":
-        radius = float(np.mean(h))
-        cx = 2.0 * float(np.mean(h * np.cos(thetas)))
-        cy = 2.0 * float(np.mean(h * np.sin(thetas)))
-        fitted = ((cx, cy), radius)
+        radius, center = fitted_circle(h)
+        fitted = (tuple(center.tolist()), radius)
     samples = list(zip(s.tolist(), thetas.tolist(), kappa.tolist(),
                        L.tolist(), kl.tolist()))
     return KLReport(samples, max_dev, verdict, fitted, tol)
@@ -222,8 +227,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     disc.  Raises DiscSearchFailed rather than return an unconverged centre.
     """
     h = curve.periodic_jet(_GRID)[0]
-    a0 = float(np.mean(h))
-    c1 = 2.0 * np.array([np.mean(h * _COS), np.mean(h * _SIN)])
+    a0, c1 = fitted_circle(h)
     dev = h - a0 - c1[0] * _COS - c1[1] * _SIN
     s = float(np.max(np.abs(dev)))
     scale = a0 + float(np.hypot(*c1))

@@ -28,12 +28,12 @@ import numpy as np
 from . import characterize, shapeopt
 from .asymptotics import asymptotic_ratio, check_m_list
 from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import FourierCurve, build_curve, chord_chart
+from .geometry import FourierCurve, build_curve
 from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
 VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
-# "chord" names green's integral traversed in x over the chart: its rows are
+# "chord" names green's integral traversed in x along the arcs: its rows are
 # green's, from the same sweep
 MOMENT_NAMES = ("chord",) + METHODS
 
@@ -172,8 +172,7 @@ def cmd_identities(args):
 
 def cmd_residuals(args):
     curve = _load_curve(args)
-    res = characterize.constraint_residuals(
-        chord_chart(curve, math.radians(args.frame_deg)))
+    res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
     _emit(args.out, _json(dataclasses.asdict(res)))
     return 0
 
@@ -202,8 +201,7 @@ def cmd_optimize(args):
 def cmd_report(args):
     curve = _load_curve(args)
     profile = characterize.kl_profile(curve, args.samples, args.tol)
-    res = characterize.constraint_residuals(
-        chord_chart(curve, math.radians(args.frame_deg)))
+    res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
     disc = characterize.inscribed_disc(curve)
     (cx, cy), r = disc
     ident = characterize.identity_residuals(curve, args.samples)
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("inscribed", "maximal inscribed disc", cmd_inscribed)
     add("identities", "differential identity residuals", cmd_identities,
         "--samples")
-    add("residuals", "chart constraint residuals", cmd_residuals, "--frame-deg")
+    add("residuals", "frame peak constraint residuals", cmd_residuals, "--frame-deg")
 
     p = add("optimize", "drive the shape toward a disc", cmd_optimize, "--seed")
     p.add_argument("--objective", choices=["kl", "bracket"], default="kl")

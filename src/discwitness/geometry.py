@@ -267,44 +267,44 @@ def width_at(curve: SupportCurve, theta) -> float:
     return curve.h(theta) + curve.h(np.asarray(theta) + math.pi)
 
 
-class ChordChart:
-    """Boundary as upper/lower graphs y = f(x), y = g(x) in a rotated frame.
-
-    The frame is the global frame rotated by frame_angle about the origin;
-    the origin must lie inside the curve so that f(x1) > 0 > g(x2).  In
-    the rotated frame the upper arc carries normal angles (0, pi) and the
-    lower arc (pi, 2pi), and the boundary point at normal angle theta is
-    _xy(theta): the chart is read through the normal angle, never through
-    x.  Its slope f' = -cot(theta) vanishes exactly at the normal angles
-    pi/2 and 3pi/2, and f'' = -1 / (rho sin^3 theta), so the extrema are
-    closed forms: x1 = -h'(pi/2), f(x1) = h(pi/2), f''(x1) = -1/rho(pi/2),
-    and x2 = h'(3pi/2), g(x2) = -h(3pi/2), g''(x2) = 1/rho(3pi/2).
-    """
-
-    def __init__(self, curve: SupportCurve, frame_angle: float = 0.0):
-        self.curve = curve
-        self.frame_angle = float(frame_angle)
-        if np.min(curve.periodic_jet(1024)[0]) <= 0.0:
-            raise MalformedSpec(
-                "chord chart requires the origin strictly inside the curve"
-            )
-        peaks = self._jet(np.array([0.5 * math.pi, 1.5 * math.pi]))
-        (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = (v.tolist() for v in peaks)
-        self.x1, self.f_x1, self.f_pp_x1 = -h1_t, h_t, -1.0 / rho_t
-        self.x2, self.g_x2, self.g_pp_x2 = h1_b, -h_b, 1.0 / rho_b
-
-    def _jet(self, theta):
-        """(h, h', rho) at the rotated frame's normal angles theta."""
-        return self.curve.jet(np.asarray(theta, dtype=float) + self.frame_angle)
-
-    def _xy(self, theta):
-        """(x, y, rho): the boundary point and radius of curvature at the
-        rotated frame's normal angles theta, from one jet."""
-        theta = np.asarray(theta, dtype=float)
-        h, h1, rho = self._jet(theta)
-        cos, sin = np.cos(theta), np.sin(theta)
-        return h * cos - h1 * sin, h * sin + h1 * cos, rho
+def fitted_circle(h):
+    """(a0, c): h's fitted circle a0 + c . u, of radius a0 and centre c,
+    from its Fourier modes 0 and 1, for h on the periodic grid of len(h)."""
+    theta = np.linspace(0.0, 2.0 * math.pi, len(h), endpoint=False)
+    return float(np.mean(h)), 2.0 * np.array([np.mean(h * np.cos(theta)),
+                                              np.mean(h * np.sin(theta))])
 
 
-def chord_chart(curve: SupportCurve, frame_angle: float = 0.0) -> ChordChart:
-    return ChordChart(curve, frame_angle)
+def require_origin_inside(curve: SupportCurve) -> None:
+    """MalformedSpec unless h > 0 on a 1024-node grid, so that in every
+    frame the upper arc peaks above the origin and the lower arc below."""
+    if np.min(curve.periodic_jet(1024)[0]) <= 0.0:
+        raise MalformedSpec(
+            "frame peaks require the origin strictly inside the curve")
+
+
+def peak_normals(phis):
+    """pi/2 + phi, then 3 pi/2 + phi: the normal angles of the upper and
+    lower arcs' peaks in the frames phis, the global frame rotated by phi
+    about the origin; shape (2,) + np.shape(phis)."""
+    phis = np.asarray(phis, dtype=float)
+    return np.stack([0.5 * math.pi + phis, 1.5 * math.pi + phis])
+
+
+def frame_peaks(curve: SupportCurve, phis):
+    """(h, h', rho) at peak_normals(phis), from one jet.  frame_point's arcs
+    have slope -cot(theta) and y'' = -1 / (rho sin^3 theta), so their
+    extrema are closed forms: row 0, the upper arc's peak, is at
+    (x, y) = (-h', h) with y'' = -1/rho; row 1, the lower's, at (h', -h)
+    with y'' = 1/rho."""
+    return curve.jet(peak_normals(phis))
+
+
+def frame_point(curve: SupportCurve, frame_angle: float, theta):
+    """(x, y, rho): the boundary point h u + h' u' and its radius of
+    curvature at the normal angles theta of the frame rotated by
+    frame_angle, in that frame's coordinates, from one jet."""
+    theta = np.asarray(theta, dtype=float)
+    h, h1, rho = curve.jet(theta + frame_angle)
+    cos, sin = np.cos(theta), np.sin(theta)
+    return h * cos - h1 * sin, h * sin + h1 * cos, rho

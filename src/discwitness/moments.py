@@ -12,10 +12,10 @@
              of green's boundary integral for Fourier shapes (tests) are
              the independent references.
 
-The chord integral over the chart, int_a^b e^{ix} (f^{n+1} - g^{n+1})/(n+1)
-dx, is green's traversed in x instead of the normal angle: the same
-integral, so it has no integrator of its own.  The CLI keeps "chord" as a
-name for green's rows.
+The chord integral over the arcs y = f(x), g(x),
+int_a^b e^{ix} (f^{n+1} - g^{n+1})/(n+1) dx, is green's traversed in x
+instead of the normal angle: the same integral, so it has no integrator
+of its own.  The CLI keeps "chord" as a name for green's rows.
 
 trapezoid_sums, one kernel for both and the arc integrals of asymptotics
 (periodic trapezoid rules converge geometrically; Trefethen & Weideman,
@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureNoConvergence
-from .geometry import SupportCurve
+from .geometry import SupportCurve, frame_peaks, frame_point
 from .logscale import normalized
 
 METHODS = ("green", "area")
@@ -122,29 +122,24 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
     dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt.
 
     Nodes t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, packed
-    about the peak normals t = pi/2, 3pi/2 by 1/k, k the peak_packing of
-    the narrower peak: as periodic and analytic as the uniform grid (k = 1),
-    and flat shapes cost no more nodes than round ones."""
-    top, bottom = 0.5 * math.pi + frame_angle, 1.5 * math.pi + frame_angle
-    peaks = [curve.jet(t) for t in (top, bottom)]
+    about the frame_peaks (t = pi/2, 3pi/2 in the frame) by 1/k, k the
+    peak_packing of the narrower peak: as periodic and analytic as the
+    uniform grid (k = 1), and flat shapes cost no more nodes than round
+    ones."""
+    hs, _, rhos = (v.tolist() for v in frame_peaks(curve, frame_angle))
     # a normal below half the top height adds at most 2^-n of ref^n: pack
     # it as that high, or an origin near the curve there starves the other
-    h_max = max(float(h) for h, _, _ in peaks)
-    k = min(peak_packing(max(float(h), 0.5 * h_max), 1.0 / float(rho))
-            for h, _, rho in peaks)
+    h_max = max(hs)
+    k = min(peak_packing(max(h, 0.5 * h_max), 1.0 / rho) for h, rho in zip(hs, rhos))
     lift = int(method == "green")
 
     def sample(s):
         cs, ss = np.cos(s), np.sin(s)
         t = 0.5 * math.pi + np.arctan2(k * ss, cs)
         dt = k / (cs * cs + (k * ss) ** 2)
-        th = t + frame_angle
-        hv, h1v, rho = curve.jet(th)
-        ct, st = np.cos(t), np.sin(t)
-        x = hv * ct - h1v * st
-        y = hv * st + h1v * ct
+        x, y, rho = frame_point(curve, frame_angle, t)
         w = np.exp(1j * x) * rho
-        return (w * st * dt if lift else -1j * w * ct * dt), y
+        return (w * np.sin(t) * dt if lift else -1j * w * np.cos(t) * dt), y
 
     return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),
                               method, lift)

@@ -19,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import (EPS0, VALIDATION_GRID, FourierCurve, fourier_sums,
-                       periodic_trig, radius_coefficients, trig_table)
+from .geometry import (EPS0, VALIDATION_GRID, FourierCurve, fitted_circle,
+                       fourier_sums, peak_normals, periodic_trig,
+                       radius_coefficients, trig_table)
 
 DEFAULT_K = 8
 BOUNDARY_FRACTION = 0.99
@@ -125,11 +126,10 @@ def bracket_frames(K: int) -> np.ndarray:
 
 def _bracket_maps(K: int, directions):
     """B_h, B_h1, B_rho: h = 1 + B_h x, h' = B_h1 x and rho = 1 + B_rho x
-    for the free coefficients x of a gauged vector, at the peak normals
-    pi/2 + phi of the frames phi (first half of the rows), then 3pi/2 + phi."""
-    phi = np.asarray(directions, dtype=float)
-    coskt, sinkt, k = trig_table(
-        np.concatenate([phi + 0.5 * math.pi, phi + 1.5 * math.pi]), K)
+    for the free coefficients x of a gauged vector, at the peak_normals of
+    the frames phi: the upper peaks' in the first half of the rows, then
+    the lower peaks'."""
+    coskt, sinkt, k = trig_table(peak_normals(directions).ravel(), K)
     cos, sin, k = coskt[:, 1:], sinkt[:, 1:], k[1:]
     b_h = np.hstack([cos, sin])
     return b_h, np.hstack([-sin * k, cos * k]), b_h * np.tile(1.0 - k * k, 2)
@@ -181,10 +181,8 @@ def circle_distance(v: ShapeVector) -> float:
     h, rho = _grid_eval(v.gauged())
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
-    a0f = float(np.mean(h))
+    a0f, (cx, cy) = fitted_circle(h)
     cos, sin = (t[:, 0] for t in periodic_trig(_GRID, v.K)[:2])
-    cx = 2.0 * float(np.mean(h * cos))
-    cy = 2.0 * float(np.mean(h * sin))
     fit = a0f + cx * cos + cy * sin
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 

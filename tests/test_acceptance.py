@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discwitness import build_curve, chord_chart
+from discwitness import build_curve
 from discwitness.asymptotics import asymptotic_ratio
 from discwitness.characterize import (
     constraint_residuals,
@@ -98,12 +98,12 @@ def test_criterion_5_constraint_residuals():
     ok = True
     for spec in ({"type": "circle", "center": [0, 0], "radius": 1},
                  {"type": "ellipse", "a": 2, "b": 1}):
-        res = constraint_residuals(chord_chart(build_curve(spec)))
+        res = constraint_residuals(build_curve(spec), 0.0)
         ok &= max(res.height, res.curv, res.phase) <= 1e-9
         ok &= res.p == 0
-    res = constraint_residuals(chord_chart(build_curve(
+    res = constraint_residuals(build_curve(
         {"type": "support_fourier", "a0": 1, "cos": [0, 0.05],
-         "sin": [0, 0, 0.03]})))
+         "sin": [0, 0, 0.03]}), 0.0)
     ok &= max(res.height, res.curv, res.phase) > 1e-3
     report("5 constraint residuals (symmetric ~0, p=0; asymmetric breaks)", ok)
 

@@ -4,44 +4,45 @@ import mpmath
 import numpy as np
 import pytest
 
-from discwitness import asymptotics, build_curve, chord_chart, moments
+from discwitness import asymptotics, build_curve, moments
 from discwitness.asymptotics import arc_integrals, asymptotic_ratio, bracket_main_term
-from discwitness.moments import _boundary_moments, trapezoid_sums
+from discwitness.geometry import frame_peaks, frame_point
+from discwitness.moments import _boundary_moments, peak_packing, trapezoid_sums
 
 from conftest import abs_log, exact_ellipse_moments, ratio
 
 
 class TestBracket:
     def test_disc_bracket_vanishes(self, unit_disc):
-        term_f, _, bracket = bracket_main_term(chord_chart(unit_disc), [10, 50, 200])
+        term_f, _, bracket = bracket_main_term(unit_disc, 0.0, [10, 50, 200])
         assert np.all(abs_log(bracket) <= abs_log(term_f) + math.log(1e-12))
 
     def test_centered_ellipse_bracket_vanishes(self, ellipse):
-        term_f, _, bracket = bracket_main_term(chord_chart(ellipse), [50])
+        term_f, _, bracket = bracket_main_term(ellipse, 0.0, [50])
         assert abs_log(bracket) <= abs_log(term_f) + math.log(1e-12)
 
     def test_asymmetric_bracket_nonzero(self, asymmetric):
-        term_f, _, bracket = bracket_main_term(chord_chart(asymmetric), [50])
+        term_f, _, bracket = bracket_main_term(asymmetric, 0.0, [50])
         assert abs_log(bracket) > abs_log(term_f) + math.log(1e-6)
 
     def test_terms_and_bracket_for_every_m(self, asymmetric):
         """One call for every m, against the closed form in plain complex
         arithmetic (|y_peak|^{2m} stays in range here)."""
-        ch = chord_chart(asymmetric)
+        (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = frame_peaks(asymmetric, 0.0)
         ms = np.array([10, 50, 50, 200])
-        pairs = bracket_main_term(ch, ms.tolist())
+        pairs = bracket_main_term(asymmetric, 0.0, ms.tolist())
         for mantissa, log_scale in pairs:
             assert mantissa.shape == log_scale.shape == ms.shape
             assert mantissa.dtype == complex and log_scale.dtype == float
         f, g, bracket = (z * np.exp(ls) for z, ls in pairs)
-        for got, x, y, ypp in ((f, ch.x1, ch.f_x1, ch.f_pp_x1),
-                               (g, ch.x2, ch.g_x2, ch.g_pp_x2)):
+        for got, x, y, ypp in ((f, -h1_t, h_t, -1 / rho_t),
+                               (g, h1_b, -h_b, 1 / rho_b)):
             want = (np.exp(1j * x) * np.sqrt(math.pi * abs(y) / (ms * abs(ypp)))
                     * abs(y) ** (2 * ms))
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert np.all(np.abs(bracket - (f - g)) <= 1e-13 * np.maximum(abs(f), abs(g)))
         with pytest.raises(ValueError):
-            bracket_main_term(ch, [10, 0])
+            bracket_main_term(asymmetric, 0.0, [10, 0])
 
 
 class TestAsymptoticRatio:
@@ -77,7 +78,7 @@ def test_arc_integral_matches_direct_quadrature(ellipse):
     """The 2 x 1 ellipse's upper arc is f(x) = (1 - x^2/4)^(1/2); the
     reference is mpmath's quadrature of e^{ix} f^{2m} in closed form."""
     m = 30
-    mantissa, log_scale = arc_integrals(chord_chart(ellipse), [m], upper=True)
+    mantissa, log_scale = arc_integrals(ellipse, 0.0, [m], upper=True)
     direct = mpmath.quad(lambda x: mpmath.expj(x) * (1 - x * x / 4) ** m,
                          [-2, 0, 2])
     assert mantissa[0] * math.exp(log_scale[0]) == pytest.approx(complex(direct),
@@ -141,9 +142,9 @@ def test_green_derives_its_packing(a, b, cx, cy, rot, k):
     where green's grid is uniform, and on a flat one, where its nodes are
     packed about the peak normals by 1/k."""
     curve = _ellipse_in_frame(a, b, cx, cy, rot)
-    ch = chord_chart(curve, rot)
-    assert min(asymptotics._packing(ch, True),
-               asymptotics._packing(ch, False)) == pytest.approx(k, abs=0.002)
+    h, _, rho = frame_peaks(curve, rot)
+    assert min(peak_packing(h[i], 1 / rho[i]) for i in (0, 1)) == pytest.approx(
+        k, abs=0.002)
     _check_odd_moments_from_green(curve, a, b, cx, cy, rot)
 
 
@@ -153,13 +154,14 @@ def test_arc_integral_masks_the_wrong_sign_points(upper):
     points outweigh the peak (unmasked, the lower arc's ratio at m = 2000
     is ~2e25 instead of 7.3e-3).  Reference: mpmath's quadrature in theta
     with the same mask, split about the peak normal."""
-    ch = chord_chart(build_curve(TILTED_FLAT), 0.3)
+    curve = build_curve(TILTED_FLAT)
+    (h_t, h_b), _, _ = frame_peaks(curve, 0.3)
     m = 2000
-    lo, peak, sgn = (0.0, ch.f_x1, 1.0) if upper else (math.pi, ch.g_x2, -1.0)
+    lo, peak, sgn = (0.0, h_t, 1.0) if upper else (math.pi, -h_b, -1.0)
     ln_peak = math.log(abs(peak))
 
     def integrand(t):
-        x, y, rho = ch._xy(t)
+        x, y, rho = frame_point(curve, 0.3, t)
         v = sgn * y
         with np.errstate(divide="ignore"):
             expo = 2.0 * m * (np.log(np.where(v > 0, v, 1.0)) - ln_peak)
@@ -172,10 +174,10 @@ def test_arc_integral_masks_the_wrong_sign_points(upper):
     ref, err = mpmath.quad(lambda t: mpmath.mpc(complex(integrand(float(t)))), cuts,
                            error=True)
     assert err <= 1e-12 * abs(ref)
-    got = arc_integrals(ch, [m], upper)
+    got = arc_integrals(curve, 0.3, [m], upper)
     assert ratio(got, (complex(ref), 2.0 * m * ln_peak))[0] == pytest.approx(
         1.0, abs=1e-8)
-    term_f, term_g, _ = bracket_main_term(ch, [m])
+    term_f, term_g, _ = bracket_main_term(curve, 0.3, [m])
     assert abs(ratio(got, term_f if upper else term_g)[0] - 1.0) < 0.01
 
 
@@ -201,7 +203,7 @@ def test_flat_ellipse_arcs_match_closed_form():
     m = 2000; the arc is int e^{ix} (b^2 (1 - x^2/a^2))^m dx
     = b^{2m} a sqrt(pi) Gamma(m+1) (2/a)^{m+1/2} J_{m+1/2}(a)."""
     a, b = 20.0, 0.2
-    ch = chord_chart(build_curve({"type": "ellipse", "a": a, "b": b}))
+    curve = build_curve({"type": "ellipse", "a": a, "b": b})
     for m in (200, 2000):
         with mpmath.workdps(30):
             scaled = (a * mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1)
@@ -209,7 +211,7 @@ def test_flat_ellipse_arcs_match_closed_form():
                       * mpmath.besselj(m + mpmath.mpf(1) / 2, a))
         exact = complex(scaled), 2.0 * m * math.log(b)
         for upper in (True, False):
-            assert ratio(arc_integrals(ch, [m], upper), exact)[0] == pytest.approx(
+            assert ratio(arc_integrals(curve, 0.0, [m], upper), exact)[0] == pytest.approx(
                 1.0, abs=1e-9)
 
 
@@ -220,7 +222,6 @@ def test_flat_combined_column_matches_chord():
     M_{2m-1} (chord's moment, which is green's)."""
     a, b, cy = 20.0, 0.2, 0.05
     curve = build_curve({"type": "ellipse", "a": a, "b": b, "center": [0, cy]})
-    ch = chord_chart(curve)
     for row in asymptotic_ratio(curve, 0.0, [200, 2000]):
         n = 2 * row.m - 1
         exact = _exact_odd_moment(a, b, 0.0, cy, n,
@@ -228,7 +229,7 @@ def test_flat_combined_column_matches_chord():
         with mpmath.workdps(30):
             log_scale = float(mpmath.log(abs(exact)))
             mantissa = complex(exact / mpmath.exp(log_scale))
-        _, _, (z, bracket_scale) = bracket_main_term(ch, [row.m])
+        _, _, (z, bracket_scale) = bracket_main_term(curve, 0.0, [row.m])
         rhs = z[0], bracket_scale[0] - math.log(2.0 * row.m)
         want = abs(ratio((mantissa, log_scale), rhs) - 1.0)
         assert row.combined_abs_err == pytest.approx(want, abs=1e-9)
@@ -245,7 +246,7 @@ def test_each_arc_grid_fits_its_own_peak(eps, upper):
     (Much smaller eps leaves the lower arc ill-conditioned: its y is known
     to ~1e-16 absolute, so y^{2m} to ~2m 1e-16 / eps relative.)"""
     cy = 1.0 - eps
-    ch = chord_chart(build_curve({"type": "circle", "radius": 1, "center": [0, cy]}))
+    curve = build_curve({"type": "circle", "radius": 1, "center": [0, cy]})
     sgn = 1 if upper else -1
     with mpmath.workdps(30):
         cy_mp = mpmath.mpf(cy)
@@ -257,5 +258,5 @@ def test_each_arc_grid_fits_its_own_peak(eps, upper):
                 lambda x: mpmath.cos(x) * ((cy_mp + sgn * mpmath.sqrt(1 - x * x)) / peak)
                 ** (2 * m), [-end, -end / 2, 0, end / 2, end])
         exact = complex(scaled), 2.0 * m * math.log(abs(float(peak)))
-        assert ratio(arc_integrals(ch, [m], upper), exact)[0] == pytest.approx(
+        assert ratio(arc_integrals(curve, 0.0, [m], upper), exact)[0] == pytest.approx(
             1.0, abs=1e-9)

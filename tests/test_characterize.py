@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from discwitness import build_curve, characterize, chord_chart
+from discwitness import build_curve, characterize
 from discwitness.geometry import CircleCurve
 from discwitness.errors import DiscSearchFailed
 from discwitness.characterize import (
@@ -23,16 +23,16 @@ from conftest import position, scaled, small_fourier_curves
 
 class TestConstraintResiduals:
     def test_disc(self, unit_disc):
-        res = constraint_residuals(chord_chart(unit_disc))
+        res = constraint_residuals(unit_disc, 0.0)
         assert max(res.height, res.curv, res.phase) <= 1e-9
         assert res.p == 0
 
     def test_centered_ellipse(self, ellipse):
-        res = constraint_residuals(chord_chart(ellipse))
+        res = constraint_residuals(ellipse, 0.0)
         assert max(res.height, res.curv, res.phase) <= 1e-9
 
     def test_asymmetric_shape_breaks_a_constraint(self, asymmetric):
-        res = constraint_residuals(chord_chart(asymmetric))
+        res = constraint_residuals(asymmetric, 0.0)
         assert max(res.height, res.curv, res.phase) > 1e-3
 
 

@@ -83,6 +83,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "QuadratureNoConvergence" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["residuals", "asymptotics", "report"])
+    def test_origin_outside_is_validation_error(self, shape_file, capsys,
+                                                command):
+        # the frame peaks need the origin inside; moments do not
+        far = shape_file({"type": "circle", "center": [5, 0], "radius": 1})
+        assert run([command, "--shape", far]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedSpec" in err and "Traceback" not in err
+        assert run(["moments", "--shape", far, "--n-max", "3"]) == 0
+
     @pytest.mark.parametrize("command", ["profile", "report", "moments"])
     @pytest.mark.parametrize("name", sorted(NON_FINITE))
     def test_non_finite_spec_is_validation_error(self, shape_file, tmp_path,

@@ -12,10 +12,9 @@ from discwitness import (
     QuadratureNoConvergence,
     arclength,
     build_curve,
-    chord_chart,
     perimeter,
 )
-from discwitness.geometry import width_at
+from discwitness.geometry import frame_peaks, frame_point, width_at
 
 from conftest import angles, position, scaled, small_fourier_curves
 
@@ -315,46 +314,60 @@ class TestArclength:
             arclength(ellipse, 0.0, np.array([1.0, bound]))
 
 
-class TestChordChart:
-    def test_unit_disc_chart(self, unit_disc):
-        ch = chord_chart(unit_disc, 0.0)
-        assert ch.x1 == pytest.approx(0, abs=1e-12)
-        assert ch.x2 == pytest.approx(0, abs=1e-12)
-        assert ch.f_x1 == pytest.approx(1.0)
-        assert ch.f_pp_x1 == pytest.approx(-1.0)
+class TestFramePeaks:
+    def test_unit_disc_peaks(self, unit_disc):
+        (h_t, _), (h1_t, h1_b), (rho_t, _) = frame_peaks(unit_disc, 0.0)
+        assert -h1_t == pytest.approx(0, abs=1e-12)  # x1
+        assert h1_b == pytest.approx(0, abs=1e-12)  # x2
+        assert h_t == pytest.approx(1.0)
+        assert -1.0 / rho_t == pytest.approx(-1.0)
         # the boundary through the normal angle: the unit circle, x = cos t
         t = np.linspace(0.0, 2 * math.pi, 41)
-        x, y, rho = ch._xy(t)
+        x, y, rho = frame_point(unit_disc, 0.0, t)
         assert np.allclose(x, np.cos(t), atol=1e-12)
         assert np.allclose(y, np.sin(t), atol=1e-12)
         assert np.allclose(rho, 1.0, atol=1e-12)
 
-    def test_ellipse_chart(self, ellipse):
-        ch = chord_chart(ellipse, 0.0)
-        assert ch.x1 == pytest.approx(0, abs=1e-12)
-        assert ch.f_x1 == pytest.approx(1.0)
-        assert abs(ch.f_pp_x1) == pytest.approx(0.25)  # b / a^2
+    def test_ellipse_peaks(self, ellipse):
+        (h_t, _), (h1_t, _), (rho_t, _) = frame_peaks(ellipse, 0.0)
+        assert -h1_t == pytest.approx(0, abs=1e-12)
+        assert h_t == pytest.approx(1.0)
+        assert 1.0 / rho_t == pytest.approx(0.25)  # rho = a^2 / b there
 
-    def test_asymmetric_chart_vs_scan_oracle(self, asymmetric):
+    def test_asymmetric_peaks_vs_scan_oracle(self, asymmetric):
         frame = 0.3
-        ch = chord_chart(asymmetric, frame)
+        (h_t, h_b), (h1_t, h1_b), _ = frame_peaks(asymmetric, frame)
         # oracle: dense theta scan of the rotated upper/lower arcs
         t = np.linspace(0, math.pi, 400_001)
-        x, y, _ = ch._xy(t)
+        x, y, _ = frame_point(asymmetric, frame, t)
         i = np.argmax(y)
-        assert ch.f_x1 == pytest.approx(y[i], abs=1e-9)
-        assert ch.x1 == pytest.approx(x[i], abs=1e-4)
+        assert h_t == pytest.approx(y[i], abs=1e-9)
+        assert -h1_t == pytest.approx(x[i], abs=1e-4)
         t = np.linspace(math.pi, 2 * math.pi, 400_001)
-        x, y, _ = ch._xy(t)
+        x, y, _ = frame_point(asymmetric, frame, t)
         j = np.argmin(y)
-        assert ch.g_x2 == pytest.approx(y[j], abs=1e-9)
-        assert ch.x2 == pytest.approx(x[j], abs=1e-4)
-        assert abs(ch.x1 - ch.x2) > 1e-3  # genuinely asymmetric in this frame
+        assert -h_b == pytest.approx(y[j], abs=1e-9)
+        assert h1_b == pytest.approx(x[j], abs=1e-4)
+        assert abs(h1_t + h1_b) > 1e-3  # x1 - x2: asymmetric in this frame
 
-    def test_chart_needs_origin_inside(self):
-        far = build_curve({"type": "circle", "center": [5, 0], "radius": 1})
-        with pytest.raises(MalformedSpec):
-            chord_chart(far, 0.0)
+    def test_many_frames_in_one_call(self):
+        """Five frames of the 1.6 x 1 ellipse against its closed-form h and
+        rho, and against five one-frame calls (BLAS may block the rows
+        differently, so the match is to rounding, not bit for bit)."""
+        a, b, rot, (cx, cy) = 1.6, 1.0, 0.5, (0.1, 0.05)
+        curve = build_curve({"type": "ellipse", "a": a, "b": b,
+                             "center": [cx, cy], "rotation": rot})
+        phis = np.array([0.0, 0.4, 1.3, 2.9, 4.4])
+        h, h1, rho = frame_peaks(curve, phis)
+        assert h.shape == h1.shape == rho.shape == (2, 5)
+        theta = np.stack([phis + 0.5 * math.pi, phis + 1.5 * math.pi])
+        w = (a * np.cos(theta - rot)) ** 2 + (b * np.sin(theta - rot)) ** 2
+        assert np.allclose(h, np.sqrt(w) + cx * np.cos(theta) + cy * np.sin(theta),
+                           rtol=1e-14, atol=0)
+        assert np.allclose(rho, (a * b) ** 2 / w ** 1.5, rtol=1e-14, atol=0)
+        for j, phi in enumerate(phis):
+            for got, want in zip((h, h1, rho), frame_peaks(curve, phi)):
+                assert np.all(np.abs(got[:, j] - want) <= 1e-15 * np.abs(want))
 
 
 # --- properties ---
@@ -381,11 +394,11 @@ def test_width_symmetry(curve, theta):
 def test_chart_consistency(curve, frame):
     """The closed-form extrema against a theta scan of each arc, whose
     20,001 nodes hold the peak normals pi/2 and 3 pi/2."""
-    ch = chord_chart(curve, frame)
-    for lo, x_peak, y_peak, ypp, pick in ((0.0, ch.x1, ch.f_x1, ch.f_pp_x1, np.argmax),
-                                         (math.pi, ch.x2, ch.g_x2, ch.g_pp_x2, np.argmin)):
+    (h_t, h_b), (h1_t, h1_b), (rho_t, rho_b) = frame_peaks(curve, frame)
+    for lo, x_peak, y_peak, ypp, pick in ((0.0, -h1_t, h_t, -1 / rho_t, np.argmax),
+                                         (math.pi, h1_b, -h_b, 1 / rho_b, np.argmin)):
         t = np.linspace(lo, lo + math.pi, 20_001)
-        x, y, rho = ch._xy(t)
+        x, y, rho = frame_point(curve, frame, t)
         i = pick(y)
         assert float(y[i]) == pytest.approx(y_peak, abs=1e-10)
         assert float(x[i]) == pytest.approx(x_peak, abs=1e-9)

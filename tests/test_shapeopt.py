@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from discwitness import chord_chart
-from discwitness.geometry import width_at
+from discwitness.geometry import frame_peaks, width_at
 from discwitness.characterize import constraint_residuals, kl_profile
 from discwitness import cli, shapeopt
 from discwitness.errors import Infeasible, NoFeasibleStart
@@ -67,8 +66,9 @@ class TestObjectiveBracket:
         assert objective_bracket(C8) > 1e-2
 
     def test_matches_chart_bracket_terms(self):
-        # oracle: one chord chart per frame, its extremum heights, curvatures
-        # and phase through constraint_residuals
+        # oracle: the peaks of the five frames from one frame_peaks call, and
+        # each frame's heights, curvatures and phase through
+        # constraint_residuals
         dirs = [0.0, 0.4, 1.3, 2.9, 4.4]
         v = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01))
         g = v.gauged()
@@ -76,12 +76,12 @@ class TestObjectiveBracket:
         r, _ = shapeopt._bracket_residuals(maps, g.coefficients())
         r_h, r_rho, r_phase = r.reshape(3, -1)
         curve = g.decode()
+        h, _, rho = frame_peaks(curve, dirs)
         for j, ang in enumerate(dirs):
-            chart = chord_chart(curve, ang)
-            res = constraint_residuals(chart)
-            # f(x1) = h(up), g(x2) = -h(lo), f'' = -1/rho(up), g'' = 1/rho(lo)
-            height = abs(chart.g_x2) * abs(math.expm1(r_h[j]))
-            curv = abs(chart.g_pp_x2) * abs(math.expm1(-r_rho[j]))
+            res = constraint_residuals(curve, ang)
+            # the peaks' heights are h(up) and h(lo), their |y''| 1/rho
+            height = h[1, j] * abs(math.expm1(r_h[j]))
+            curv = abs(math.expm1(-r_rho[j])) / rho[1, j]
             assert res.p == 0
             assert height == pytest.approx(res.height, rel=0, abs=1e-10)
             assert curv == pytest.approx(res.curv, rel=0, abs=1e-10)
