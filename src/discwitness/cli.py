@@ -117,22 +117,24 @@ def cmd_moments(args):
     frame = math.radians(args.frame_deg)
     n_list = args.n_list or list(range(args.n_max + 1))
     integrals = ["green" if m == "chord" else m for m in args.methods]
-    runs = {m: moment_sweep(curve, n_list, frame, m) for m in set(integrals)}
-    sweeps = [runs[m] for m in integrals]
-    ns = np.tile(n_list, len(args.methods))
-    methods = np.repeat(args.methods, len(n_list))
-    order = np.lexsort((methods, ns))  # stable: repeated rows keep their order
-    mantissa, log_scale = (np.concatenate(a)[order] for a in zip(*sweeps))
-    # np.exp and np.abs(complex) differ from math.exp and abs() in the last
-    # bit; complex * float and np.hypot match Python, inf and nan included
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = mantissa * np.array([exp_or_inf(x) for x in log_scale.tolist()])
-    row = "%d," + _fmt(args.frame_deg) + ",%s,%.17g,%.17g,%.17g,%.17g\n"
+    cells = {}  # integral -> its value columns, formatted once per order
+    for m in set(integrals):
+        mantissa, log_scale = moment_sweep(curve, n_list, frame, m)
+        # np.exp and np.abs(complex) differ from math.exp and abs() in the last
+        # bit; complex * float and np.hypot match Python, inf and nan included
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = mantissa * np.array([exp_or_inf(x) for x in log_scale.tolist()])
+        cells[m] = ["%.17g,%.17g,%.17g,%.17g\n" % r for r in zip(
+            val.real.tolist(), val.imag.tolist(), log_scale.tolist(),
+            np.hypot(val.real, val.imag).tolist())]
+    # by order, then method name; sorted is stable: repeated rows keep their order
+    n = len(n_list)
+    rows = sorted(range(n * len(integrals)),
+                  key=lambda r: (n_list[r % n], args.methods[r // n]))
+    prefix = "%d," + _fmt(args.frame_deg) + ",%s,"
     _emit(args.out, "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
-        row % r for r in zip(ns[order].tolist(), methods[order].tolist(),
-                             val.real.tolist(), val.imag.tolist(),
-                             log_scale.tolist(),
-                             np.hypot(val.real, val.imag).tolist())))
+        prefix % (n_list[r % n], args.methods[r // n])
+        + cells[integrals[r // n]][r % n] for r in rows))
     return 0
 
 

@@ -57,23 +57,23 @@ def fourier_coefficients(cos, sin, deriv: int):
     return c, s
 
 
-def fourier_sums(a0, cos, sin, trig, deriv: int):
-    """d^deriv/dtheta^deriv of a0 + sum_k (c_k cos k theta + s_k sin k theta)
-    at the angles of a trig_table, for any order deriv >= 0."""
-    coskt, sinkt, _ = trig
-    c, s = fourier_coefficients(cos, sin, deriv)
-    head = coskt @ c if deriv else a0 + coskt @ c
-    return head + sinkt @ s
-
-
 def radius_coefficients(cos, sin):
-    """(c, s) of rho = h + h'' as a series of its own for fourier_sums,
+    """(c, s) of rho = h + h'' as a series of its own,
     a0 + sum_k (1 - k^2)(c_k cos k theta + s_k sin k theta): the first
     harmonic, a translation, drops out exactly, where h + h'' keeps
     rounding of size eps |c_1| from it."""
     c = np.asarray(cos, dtype=float)
     w = 1.0 - np.arange(1, len(c) + 1, dtype=float) ** 2
     return w * c, w * np.asarray(sin, dtype=float)
+
+
+def validation_rho(a0, cos, sin):
+    """rho of the support series (a0, cos, sin) on the periodic
+    VALIDATION_GRID: the one sum that decides strict convexity, for
+    FourierCurve and for the optimizer's trial points alike."""
+    coskt, sinkt, _ = periodic_trig(VALIDATION_GRID, len(cos))
+    cr, sr = radius_coefficients(cos, sin)
+    return a0 + coskt @ cr + sinkt @ sr
 
 
 class SupportCurve:
@@ -155,7 +155,10 @@ class FourierCurve(SupportCurve):
         kmax = max(len(self.cos), len(self.sin))
         object.__setattr__(self, "cos", tuple(self.cos) + (0.0,) * (kmax - len(self.cos)))
         object.__setattr__(self, "sin", tuple(self.sin) + (0.0,) * (kmax - len(self.sin)))
-        rho = self.periodic_jet(VALIDATION_GRID)[2]
+        if kmax >= VALIDATION_GRID // 2:  # would alias onto the grid's low modes
+            raise MalformedSpec(f"{kmax} harmonics: support_fourier takes fewer "
+                                f"than {VALIDATION_GRID // 2}")
+        rho = validation_rho(self.a0, self.cos, self.sin)
         i = int(np.argmin(rho))
         if rho[i] <= EPS0:
             raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
@@ -163,13 +166,13 @@ class FourierCurve(SupportCurve):
 
     @functools.cached_property
     def _coefficients(self):
-        """(c, s) of h, h' and rho: fourier_sums' coefficients, derived once."""
+        """(c, s) of h, h' and rho, derived once."""
         return [fourier_coefficients(self.cos, self.sin, 0),
                 fourier_coefficients(self.cos, self.sin, 1),
                 radius_coefficients(self.cos, self.sin)]
 
     def _jet(self, trig):
-        """fourier_sums of h, h' and rho from one trig_table."""
+        """h, h' and rho from one trig_table."""
         coskt, sinkt, _ = trig
         (c0, s0), (c1, s1), (cr, sr) = self._coefficients
         return (self.a0 + coskt @ c0 + sinkt @ s0, coskt @ c1 + sinkt @ s1,

@@ -7,7 +7,9 @@ of the symmetry theorem.  Both take damped Newton steps in one loop: exact
 Newton on the convex kappa*L residual, Gauss-Newton on the bracket.  Scale
 is gauged out by normalizing the mean width to 2 at every evaluation;
 translation by always pinning the first harmonics, which puts the Steiner
-point, inside the body, at the origin, so h > 0.
+point, inside the body, at the origin, so h > 0.  Feasible means decodes:
+geometry.validation_rho, the sum FourierCurve validates with, clears EPS0
+on the validation grid, at every trial point of the line search too.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Infeasible, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import (EPS0, VALIDATION_GRID, FourierCurve, fitted_circle,
-                       fourier_sums, peak_normals, periodic_trig,
-                       radius_coefficients, trig_table)
+from .errors import Infeasible, NoFeasibleStart, NotStrictlyConvex
+from .geometry import (EPS0, FourierCurve, fitted_circle, peak_normals,
+                       periodic_trig, trig_table, validation_rho)
 
 DEFAULT_K = 8
 BOUNDARY_FRACTION = 0.99
@@ -73,15 +74,6 @@ def _pad(vals, K):
     if len(vals) > K:
         raise ValueError(f"harmonics beyond K={K} supplied")
     return vals + (0.0,) * (K - len(vals))
-
-
-def _grid_eval(v: ShapeVector, n: int = _GRID):
-    """h, rho on the periodic n-node grid for the vector (no validation).
-    These are FourierCurve's sums, so on the validation grid min rho > EPS0
-    iff decode() succeeds."""
-    trig = periodic_trig(n, v.K)
-    return (fourier_sums(v.a0, v.cos, v.sin, trig, 0),
-            fourier_sums(v.a0, *radius_coefficients(v.cos, v.sin), trig, 0))
 
 
 def _kl_maps(K: int):
@@ -164,21 +156,13 @@ def objective_bracket(v: ShapeVector) -> float:
     frames bracket_frames(K); zero iff a centred disc."""
     g = v.gauged()
     g.decode()  # feasibility check
-    j = _bracket_value(_bracket_maps(g.K, bracket_frames(g.K)), g.coefficients())
-    if j == math.inf:
-        raise MalformedSpec("bracket frames need h > 0 at their peak normals")
-    return j
-
-
-def _feasible(g: ShapeVector) -> bool:
-    """decode() succeeds: FourierCurve's own check on its cached table."""
-    _, rho = _grid_eval(g, VALIDATION_GRID)
-    return float(np.min(rho)) > EPS0
+    return _bracket_value(_bracket_maps(g.K, bracket_frames(g.K)), g.coefficients())
 
 
 def circle_distance(v: ShapeVector) -> float:
-    """Relative curvature spread plus support residual to the best-fit circle."""
-    h, rho = _grid_eval(v.gauged())
+    """Relative curvature spread plus support residual to the best-fit circle
+    of the decoded curve; raises Infeasible."""
+    h, _, rho = v.decode().periodic_jet(_GRID)
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f, (cx, cy) = fitted_circle(h)
@@ -235,10 +219,10 @@ def minimize(start: ShapeVector, objective: str = "kl",
     x_best, j_best, iterations, trace, evaluations = _damped_newton(
         gauged_start, target, opts.max_iter, *problem)
     best_vec = gauged_start.with_coefficients(x_best)
+    rho = best_vec.decode().periodic_jet(_GRID)[2]
     return OptResult(best=best_vec, objective=j_best, iterations=iterations,
                      trace=trace, circle_distance=circle_distance(best_vec),
-                     min_rho=float(np.min(_grid_eval(best_vec.gauged())[1])),
-                     evaluations=evaluations)
+                     min_rho=float(np.min(rho)), evaluations=evaluations)
 
 
 def _kl_problem(g: ShapeVector):
@@ -258,8 +242,6 @@ def _bracket_problem(g: ShapeVector):
     """(value, step) for Gauss-Newton descent on the sum of squared bracket
     residuals over bracket_frames(K) (Nocedal & Wright, 2006, 10.3)."""
     maps = _bracket_maps(g.K, bracket_frames(g.K))
-    if _bracket_value(maps, g.coefficients()) == math.inf:
-        raise MalformedSpec("bracket frames need h > 0 at their peak normals")
 
     def step(x):
         r, jac = _bracket_residuals(maps, x)
@@ -268,26 +250,32 @@ def _bracket_problem(g: ShapeVector):
     return (lambda x: _bracket_value(maps, x)), step
 
 
+def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
+    """validation_rho of free coefficients x, the first harmonics pinned at 0."""
+    cos, sin = np.split(x, 2)
+    return validation_rho(a0, np.r_[0.0, cos], np.r_[0.0, sin])
+
+
 def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
     """Descent on value(x) from g's free coefficients by the full steps
-    step(x).  A step goes BOUNDARY_FRACTION of the way to rho = EPS0 at
-    most (rho is affine: one ratio test bounds it), then halves until the
-    value falls at a point that decodes."""
+    step(x).  rho is affine in x, so from _free_rho at the start and along
+    the step (a0 = 0) one ratio test caps a step at BOUNDARY_FRACTION of the
+    way to rho = EPS0; it then halves until the value falls at a point whose
+    _free_rho, decode()'s sum on the same values, clears EPS0."""
     x = g.coefficients()
     j = value(x)
-    _, rho_v = _grid_eval(g, VALIDATION_GRID)
+    rho_v = _free_rho(g.a0, x)
     trace, evaluations = [j], 1
     while j > target and len(trace) <= max_iter:
         p = step(x)
-        _, rho_p = _grid_eval(replace(g.with_coefficients(p), a0=0.0),
-                              VALIDATION_GRID)
+        rho_p = _free_rho(0.0, p)
         falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
             (rho_v[falling] - EPS0) / -rho_p[falling], initial=math.inf)))
         for _ in range(MAX_HALVINGS):
             j_t = value(x + t * p)
             evaluations += 1
-            if j_t < j and _feasible(g.with_coefficients(x + t * p)):
+            if j_t < j and np.min(_free_rho(g.a0, x + t * p)) > EPS0:
                 break
             t *= 0.5
         else:

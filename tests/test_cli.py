@@ -103,6 +103,19 @@ class TestExitCodes:
         assert "MalformedSpec" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["profile", "inscribed", "report"])
+    def test_aliased_harmonic_is_validation_error(self, shape_file, tmp_path,
+                                                 capsys, command):
+        # cos 4096 theta is 1 on every node of the 4096-node validation
+        # grid, where rho reads 17.8 against a true minimum of -15.8
+        spec = {"type": "support_fourier", "a0": 1, "cos": [0] * 4095 + [-1e-6]}
+        out = tmp_path / "out"
+        assert run([command, "--shape", shape_file(spec),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedSpec" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 SHARED_FLAGS = {"--format": "json", "--frame-deg": "0", "--tol": "1e-6",
                 "--samples": "64", "--seed": "0"}

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from discwitness.geometry import frame_peaks, width_at
+from discwitness.geometry import (EPS0, VALIDATION_GRID, frame_peaks,
+                                  validation_rho, width_at)
 from discwitness.characterize import constraint_residuals, kl_profile
 from discwitness import cli, shapeopt
 from discwitness.errors import Infeasible, NoFeasibleStart
@@ -36,17 +37,38 @@ class TestObjectiveKL:
 
 
 C8 = ShapeVector(cos=(0,) * 7 + (0.01,))  # sin 8 theta = 0 at pi j / 8
+NEAR_FLOOR = ShapeVector(cos=(0, 0, 0.1248))  # min rho 0.0016
 
 
-@pytest.mark.parametrize("v", [ShapeVector(cos=(0, 0, 0.1248)),
+@pytest.mark.parametrize("v", [ShapeVector(cos=(0, 0, 0.1)),
                                ShapeVector(0.7, (0.3, 0.02, 0.01), (-0.2, 0.0, 0.03),
-                                           K=5)], ids=["three_lobe", "K5"])
-def test_grid_eval_is_the_curves_jet_bit_for_bit(v):
-    # _feasible reads _grid_eval's rho in place of decode()'s check: both
-    # sum rho from its own (1 - k^2)-weighted coefficients
-    h, rho = shapeopt._grid_eval(v.gauged(), shapeopt.VALIDATION_GRID)
-    want_h, _, want_rho = v.decode().periodic_jet(shapeopt.VALIDATION_GRID)
-    assert np.array_equal(h, want_h) and np.array_equal(rho, want_rho)
+                                           K=5),
+                               NEAR_FLOOR],
+                         ids=["three_lobe", "K5", "near_floor"])
+def test_validation_rho_is_the_curves_jet_bit_for_bit(v):
+    # the line search's feasibility test, on the free coefficients, and
+    # decode()'s check are one sum on the same values
+    g = v.gauged()
+    want = v.decode().periodic_jet(VALIDATION_GRID)[2]
+    assert np.array_equal(validation_rho(g.a0, g.cos, g.sin), want)
+    assert np.array_equal(shapeopt._free_rho(g.a0, g.coefficients()), want)
+
+
+def _record_cleared(monkeypatch):
+    """The vectors whose shapeopt.validation_rho clears EPS0, direction
+    sums (a0 = 0) aside: the start, then every point the solve accepts,
+    since a trial's rho is summed only once its value has fallen."""
+    cleared = []
+    rho_of = shapeopt.validation_rho
+
+    def recorded(a0, cos, sin):
+        rho = rho_of(a0, cos, sin)
+        if a0 != 0.0 and np.min(rho) > EPS0:
+            cleared.append(ShapeVector(a0, tuple(cos), tuple(sin), K=len(cos)))
+        return rho
+
+    monkeypatch.setattr(shapeopt, "validation_rho", recorded)
+    return cleared
 
 
 class TestObjectiveBracket:
@@ -132,18 +154,12 @@ class TestMinimize:
     def test_best_point_always_decodes(self, monkeypatch):
         # every point the bracket solve accepts passes decode(), from a
         # start 0.0006 above the convexity floor
-        accepted = []
-        feasible = shapeopt._feasible
-
-        def recorded(g):
-            ok = feasible(g)
-            if ok:
-                accepted.append(g)
-            return ok
-
-        monkeypatch.setattr(shapeopt, "_feasible", recorded)
-        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "bracket")
+        cleared = _record_cleared(monkeypatch)
+        res = minimize(NEAR_FLOOR, "bracket")
+        start, *accepted = cleared
+        assert start == NEAR_FLOOR
         assert len(accepted) == res.iterations == len(res.trace) - 1
+        assert accepted[-1] == res.best
         for g in accepted:
             g.decode()
 
@@ -181,7 +197,7 @@ class TestMinimize:
         monkeypatch.setattr(shapeopt, "_bracket_value", counted)
         res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "bracket")
         assert res.iterations > 0
-        assert calls[0] == 1 + res.evaluations  # one more: the start check
+        assert calls[0] == res.evaluations
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
@@ -254,17 +270,10 @@ class TestNewtonKL:
 
     def test_near_floor_start(self, monkeypatch):
         # min rho = 1 - 8 * 0.1248 = 0.0016, just above EPS0 = 1e-3
-        accepted = []
-        feasible = shapeopt._feasible
-
-        def recorded(g):
-            ok = feasible(g)
-            if ok:
-                accepted.append(g)
-            return ok
-
-        monkeypatch.setattr(shapeopt, "_feasible", recorded)
-        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "kl")
+        cleared = _record_cleared(monkeypatch)
+        res = minimize(NEAR_FLOOR, "kl")
+        start, *accepted = cleared
+        assert start == NEAR_FLOOR
         assert res.objective <= 1e-10
         assert res.iterations <= 20
         assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
@@ -305,3 +314,8 @@ class TestNewtonKL:
 
 def test_circle_distance_on_circle():
     assert circle_distance(ShapeVector(a0=5.0)) <= 1e-12
+
+
+def test_circle_distance_reads_the_decoded_curve():
+    with pytest.raises(Infeasible):
+        circle_distance(ShapeVector(cos=(0, 0, 0.5)))
