@@ -13,12 +13,13 @@ Usage: python3 scripts/optimize_to_disc.py [objective]
 import sys
 
 from discwitness.characterize import kl_profile
-from discwitness.shapeopt import ShapeVector, minimize
+from discwitness.geometry import FourierCurve
+from discwitness.shapeopt import minimize
 
 
 def main():
     objective = sys.argv[1] if len(sys.argv) > 1 else "kl"
-    start = ShapeVector(cos=(0.0, 0.0, 0.1), sin=(0.0, 0.04))
+    start = FourierCurve(1.0, (0.0, 0.0, 0.1), (0.0, 0.04))
     res = minimize(start, objective)
     print(f"objective       : {res.objective:.3e}")
     print(f"iterations      : {res.iterations}")
@@ -27,9 +28,9 @@ def main():
     step = max(1, len(res.trace) // 12)
     for i in range(0, len(res.trace), step):
         print(f"  trace[{i:>5}] = {res.trace[i]:.6e}")
-    verdict = kl_profile(res.best.decode(), 512, tol=1e-3).verdict
+    verdict = kl_profile(res.best, 512, tol=1e-3).verdict
     print(f"final verdict   : {verdict}")
-    print(f"final shape     : {res.best.decode().to_spec()}")
+    print(f"final shape     : {res.best.to_spec()}")
 
 
 if __name__ == "__main__":

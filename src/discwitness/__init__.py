@@ -6,7 +6,6 @@ argument, and shape optimization toward the disc."""
 from .errors import (
     DiscSearchFailed,
     DiscWitnessError,
-    Infeasible,
     MalformedSpec,
     NoFeasibleStart,
     NotStrictlyConvex,

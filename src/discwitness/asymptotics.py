@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import SupportCurve, frame_peaks, frame_point, require_origin_inside
 from .logscale import normalized
-from .moments import _boundary_moments, peak_packing, trapezoid_sums
+from .moments import moment_sweep, peak_packing, trapezoid_sums
 
 
 def peak_log_magnitude(y, ypp, m):
@@ -156,7 +156,7 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list) -> list:
     combined = [None] * len(m_list)
     if live.any():
         ms = np.asarray(m_list)[live]
-        moments = _boundary_moments(curve, (2 * ms - 1).tolist(), frame_angle, "green")
+        moments = moment_sweep(curve, (2 * ms - 1).tolist(), frame_angle, "green")
         rhs = bracket[0][live], bracket[1][live] - np.log(2.0 * ms)
         for i, err in zip(np.flatnonzero(live), np.abs(_ratio(moments, rhs) - 1.0)):
             combined[i] = float(err)

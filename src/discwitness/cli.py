@@ -183,20 +183,14 @@ def cmd_optimize(args):
     curve = _load_curve(args)
     if not isinstance(curve, FourierCurve):
         raise MalformedSpec("optimize requires a support_fourier shape")
-    k = max(shapeopt.DEFAULT_K, len(curve.cos))  # cos and sin share a length
-    start = shapeopt.ShapeVector(curve.a0, curve.cos, curve.sin, K=k)
-    # the objective's own stopping J, passed as a float as callers that
-    # read options.target (perfbench's tracer) expect
-    opts = shapeopt.OptOptions(max_iter=args.max_iter,
-                               target=shapeopt.TARGETS[args.objective])
-    result = shapeopt.minimize(start, args.objective, opts)
+    result = shapeopt.minimize(curve, args.objective, args.max_iter)
     if args.trace_out:
         rows = [(i, j, None, None) for i, j in enumerate(result.trace)]
         rows[-1] = (len(rows) - 1, result.objective,
                     result.circle_distance, result.min_rho)
         _emit(args.trace_out, _csv(rows, ["iter", "J", "circle_distance",
                                           "min_rho"]))
-    _emit(args.out, _json(result.best.decode().to_spec()))
+    _emit(args.out, _json(result.best.to_spec()))
     return 0
 
 
@@ -318,6 +312,8 @@ def main(argv=None) -> int:
         parser.exit(2, "samples must be >= 16\n")
     if getattr(args, "n_max", 0) < 0:
         parser.error("n-max must be >= 0")
+    if getattr(args, "max_iter", 0) < 0:
+        parser.error("max-iter must be >= 0")
     try:
         return args.func(args)
     except DiscWitnessError as exc:

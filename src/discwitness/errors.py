@@ -30,9 +30,5 @@ class DiscSearchFailed(DiscWitnessError):
     """The inscribed-disc Newton search did not converge."""
 
 
-class Infeasible(DiscWitnessError):
-    """Decoded shape vector violates strict convexity."""
-
-
 class NoFeasibleStart(DiscWitnessError):
     """Optimizer start point is infeasible."""

@@ -96,18 +96,6 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
     raise QuadratureNoConvergence(f"{what} not stable at {n} trapezoid nodes")
 
 
-def _trapezoid_moments(sample, period: float, n_list, ln_ref: float,
-                       method: str, lift: int = 1) -> tuple:
-    """M_n for every n in n_list as (mantissa, log_scale) arrays: the sum of
-    c v^{n+lift} in units of ref^{n+lift}/(n+1)^lift.  lift = 1 where the
-    integrand is the y-antiderivative (green), 0 for y^n (area)."""
-    check_orders(n_list)
-    sums = trapezoid_sums(sample, period, [n + lift for n in n_list], ln_ref,
-                          f"{method} moments")
-    ns = np.asarray(n_list, dtype=float)
-    return normalized(sums, (ns + lift) * ln_ref - lift * np.log(ns + 1))
-
-
 def peak_packing(y: float, ypp: float) -> float:
     """min(1, sqrt(|y y''|)) = min(1, sqrt(|y| / rho)) at a peak of the
     height y over the normal angle: the factor by which node maps in the
@@ -115,17 +103,27 @@ def peak_packing(y: float, ypp: float) -> float:
     return min(1.0, math.sqrt(abs(y * ypp)))
 
 
-def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
-                      method: str) -> tuple:
-    """Green's theorem round the support curve (ccw), in its dx-form for
+def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
+                 method: str = "green") -> tuple:
+    """(mantissa, log_scale) arrays of M_n = mantissa e^log_scale for every
+    n in n_list, in n_list order, from one kernel call; |mantissa| is 1 up
+    to rounding, or (0j, 0.0) exactly where the sum vanishes.
+
+    Green's theorem round the support curve (ccw), in its dx-form for
     green, -oint e^{ix} y^{n+1}/(n+1) dx with dx = -rho sin(t) dt, and its
-    dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt.
+    dy-form for area, -i oint e^{ix} y^n dy with dy = rho cos(t) dt: the
+    kernel sums c y^{n+lift} in units of ref^{n+lift}/(n+1)^lift, lift = 1
+    for green's y-antiderivative and 0 for area's y^n.
 
     Nodes t = pi/2 + atan2(k sin s, cos s) over a uniform s grid, packed
     about the frame_peaks (t = pi/2, 3pi/2 in the frame) by 1/k, k the
     peak_packing of the narrower peak: as periodic and analytic as the
     uniform grid (k = 1), and flat shapes cost no more nodes than round
     ones."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}")
+    n_list = list(n_list)
+    check_orders(n_list)
     hs, _, rhos = (v.tolist() for v in frame_peaks(curve, frame_angle))
     # a normal below half the top height adds at most 2^-n of ref^n: pack
     # it as that high, or an origin near the curve there starves the other
@@ -141,15 +139,8 @@ def _boundary_moments(curve: SupportCurve, n_list, frame_angle: float,
         w = np.exp(1j * x) * rho
         return (w * np.sin(t) * dt if lift else -1j * w * np.cos(t) * dt), y
 
-    return _trapezoid_moments(sample, 2.0 * math.pi, n_list, math.log(h_max),
-                              method, lift)
-
-
-def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                 method: str = "green") -> tuple:
-    """(mantissa, log_scale) arrays of M_n = mantissa e^log_scale for every
-    n in n_list, in n_list order, from one kernel call; |mantissa| is 1 up
-    to rounding, or (0j, 0.0) exactly where the sum vanishes."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {', '.join(METHODS)}")
-    return _boundary_moments(curve, list(n_list), frame_angle, method)
+    ln_ref = math.log(h_max)
+    sums = trapezoid_sums(sample, 2.0 * math.pi, [n + lift for n in n_list],
+                          ln_ref, f"{method} moments")
+    ns = np.asarray(n_list, dtype=float)
+    return normalized(sums, (ns + lift) * ln_ref - lift * np.log(ns + 1))

@@ -4,23 +4,23 @@ Minimizing the kappa*L residual, or the bracket residuals (the equal-height,
 equal-curvature and phase conditions of each frame's two Laplace peak
 terms), drives strictly convex shapes to discs, which is the numerical face
 of the symmetry theorem.  Both take damped Newton steps in one loop: exact
-Newton on the convex kappa*L residual, Gauss-Newton on the bracket.  Scale
-is gauged out by normalizing the mean width to 2 at every evaluation;
-translation by always pinning the first harmonics, which puts the Steiner
-point, inside the body, at the origin, so h > 0.  Feasible means decodes:
-geometry.validation_rho, the sum FourierCurve validates with, clears EPS0
-on the validation grid, at every trial point of the line search too.
+Newton on the convex kappa*L residual, Gauss-Newton on the bracket.
+minimize takes a FourierCurve and returns one, gauged: scale by
+normalizing the mean width to 2 (a0 = 1), translation by pinning the first
+harmonics, which puts the Steiner point, inside the body, at the origin,
+so h > 0.  The search runs over the free coordinates left, and feasible
+means geometry.validation_rho, the sum FourierCurve validates with, clears
+EPS0 on the validation grid, at every trial point of the line search too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NoFeasibleStart, NotStrictlyConvex
+from .errors import NoFeasibleStart, NotStrictlyConvex
 from .geometry import (EPS0, FourierCurve, fitted_circle, peak_normals,
                        periodic_trig, trig_table, validation_rho)
 
@@ -30,55 +30,24 @@ MAX_HALVINGS = 40
 _GRID = 512  # even, so theta + pi is an exact roll
 
 
-@dataclass(frozen=True)
-class ShapeVector:
-    a0: float = 1.0
-    cos: tuple = ()
-    sin: tuple = ()
-    K: int = DEFAULT_K
-
-    def __post_init__(self):
-        object.__setattr__(self, "cos", _pad(self.cos, self.K))
-        object.__setattr__(self, "sin", _pad(self.sin, self.K))
-
-    def coefficients(self) -> np.ndarray:
-        """Free coordinates of the search space (the pinned first harmonics
-        excluded)."""
-        return np.concatenate([self.cos[1:], self.sin[1:]]).astype(float)
-
-    def with_coefficients(self, x: np.ndarray) -> "ShapeVector":
-        ncoef = self.K - 1
-        return replace(self, cos=(0.0,) + tuple(x[:ncoef]),
-                       sin=(0.0,) + tuple(x[ncoef:]))
-
-    def gauged(self) -> "ShapeVector":
-        """Mean width normalized to 2 (a0 = 1), translation pinned."""
-        if self.a0 <= 0.0:
-            raise Infeasible("a0 must be positive")
-        c = 1.0 / self.a0
-        return replace(self, a0=1.0,
-                       cos=(0.0,) + tuple(v * c for v in self.cos[1:]),
-                       sin=(0.0,) + tuple(v * c for v in self.sin[1:]))
-
-    def decode(self) -> FourierCurve:
-        """Validated curve for the gauged vector; raises Infeasible."""
-        g = self.gauged()
-        try:
-            return FourierCurve(g.a0, g.cos, g.sin)
-        except NotStrictlyConvex as exc:
-            raise Infeasible(str(exc)) from exc
+def _coordinates(curve: FourierCurve, K: int) -> np.ndarray:
+    """Free coordinates of the gauged curve: cos, then sin, of harmonics
+    2..K (zero past the curve's own), divided by a0."""
+    pad = (0.0,) * (K - len(curve.cos))  # cos and sin share a length
+    free = (curve.cos + pad)[1:] + (curve.sin + pad)[1:]
+    return np.array(free) * (1.0 / curve.a0)
 
 
-def _pad(vals, K):
-    vals = tuple(float(v) for v in vals)
-    if len(vals) > K:
-        raise ValueError(f"harmonics beyond K={K} supplied")
-    return vals + (0.0,) * (K - len(vals))
+def _curve(x: np.ndarray) -> FourierCurve:
+    """The gauged curve (a0 = 1, first harmonics 0) of free coordinates x;
+    raises NotStrictlyConvex."""
+    cos, sin = np.split(x, 2)
+    return FourierCurve(1.0, (0.0, *cos.tolist()), (0.0, *sin.tolist()))
 
 
 def _kl_maps(K: int):
     """A_ell, A_rho: ell = L - 2 rho = A_ell x and rho = 1 + A_rho x on the
-    grid for the free coefficients x of a gauged vector."""
+    grid for the free coordinates x of a gauged curve."""
     coskt, sinkt, k = periodic_trig(_GRID, K)
     basis = np.hstack([coskt[:, 1:], sinkt[:, 1:]])
     w_ell = np.where(k % 2 == 0, 2.0 * k * k, 2.0 * (k * k - 1.0))[1:]
@@ -102,13 +71,6 @@ def _kl_derivatives(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray):
             w * (q.T * (2.0 / rho)) @ q)
 
 
-def objective_kl(v: ShapeVector) -> float:
-    """Integral of (kappa L - 2)^2 ds over the gauged shape; zero iff disc."""
-    g = v.gauged()
-    g.decode()  # feasibility check
-    return _kl_value(*_kl_maps(g.K), g.coefficients())
-
-
 def bracket_frames(K: int) -> np.ndarray:
     """The F = 2K frame angles pi j / (2K), j < F: enough that the bracket
     residuals of a degree-K shape vanish only on a centred disc (with K
@@ -118,7 +80,7 @@ def bracket_frames(K: int) -> np.ndarray:
 
 def _bracket_maps(K: int, directions):
     """B_h, B_h1, B_rho: h = 1 + B_h x, h' = B_h1 x and rho = 1 + B_rho x
-    for the free coefficients x of a gauged vector, at the peak_normals of
+    for the free coordinates x of a gauged curve, at the peak_normals of
     the frames phi: the upper peaks' in the first half of the rows, then
     the lower peaks'."""
     coskt, sinkt, k = trig_table(peak_normals(directions).ravel(), K)
@@ -151,22 +113,15 @@ def _bracket_value(maps, x: np.ndarray) -> float:
     return math.inf if res is None else float(res[0] @ res[0])
 
 
-def objective_bracket(v: ShapeVector) -> float:
-    """Sum of squared bracket residuals (see _bracket_residuals) over the
-    frames bracket_frames(K); zero iff a centred disc."""
-    g = v.gauged()
-    g.decode()  # feasibility check
-    return _bracket_value(_bracket_maps(g.K, bracket_frames(g.K)), g.coefficients())
-
-
-def circle_distance(v: ShapeVector) -> float:
-    """Relative curvature spread plus support residual to the best-fit circle
-    of the decoded curve; raises Infeasible."""
-    h, _, rho = v.decode().periodic_jet(_GRID)
+def circle_distance(curve: FourierCurve) -> float:
+    """Relative curvature spread plus support residual to the best-fit
+    circle of the curve."""
+    h, _, rho = curve.periodic_jet(_GRID)
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f, (cx, cy) = fitted_circle(h)
-    cos, sin = (t[:, 0] for t in periodic_trig(_GRID, v.K)[:2])
+    k = max(1, len(curve.cos))  # the table periodic_jet read, or cos theta alone
+    cos, sin = (t[:, 0] for t in periodic_trig(_GRID, k)[:2])
     fit = a0f + cx * cos + cy * sin
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 
@@ -177,14 +132,8 @@ TARGETS = {"kl": 1e-10, "bracket": 1e-20}
 
 
 @dataclass
-class OptOptions:
-    max_iter: int = 5000
-    target: Optional[float] = None  # None: TARGETS[objective]
-
-
-@dataclass
 class OptResult:
-    best: ShapeVector
+    best: FourierCurve  # gauged: a0 = 1, first harmonics 0
     objective: float
     iterations: int
     trace: list
@@ -193,43 +142,44 @@ class OptResult:
     evaluations: int  # objective values computed, line-search trials too
 
 
-def minimize(start: ShapeVector, objective: str = "kl",
-             options: Optional[OptOptions] = None) -> OptResult:
-    """Damped Newton descent over the start's free coefficients.
+def minimize(start: FourierCurve, objective: str = "kl",
+             max_iter: int = 5000) -> OptResult:
+    """Damped Newton descent over the gauged start's free coordinates, in
+    harmonics 2..K, K = max(DEFAULT_K, len(start.cos)).
 
     objective: "kl" (Newton steps on the convex kappa*L residual) or
     "bracket" (Gauss-Newton steps on the bracket residuals).  Stops on
-    objective <= target, no further descent, or the iteration budget.  A
-    point is accepted only if it decodes, so the result is always a valid
-    curve.
+    J <= TARGETS[objective], no further descent, or max_iter steps.  A
+    point is accepted only if its validation_rho clears EPS0, so the best
+    point is always a valid curve.  Raises NoFeasibleStart when the gauged
+    start is not strictly convex.
     """
-    opts = options or OptOptions()
+    K = max(DEFAULT_K, len(start.cos))
+    x = _coordinates(start, K)
     try:
-        start.decode()
-    except Infeasible as exc:
+        _curve(x)
+    except NotStrictlyConvex as exc:
         raise NoFeasibleStart(str(exc)) from exc
-    gauged_start = start.gauged()
     if objective == "kl":
-        problem = _kl_problem(gauged_start)
+        problem = _kl_problem(K)
     elif objective == "bracket":
-        problem = _bracket_problem(gauged_start)
+        problem = _bracket_problem(K)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    target = TARGETS[objective] if opts.target is None else opts.target
     x_best, j_best, iterations, trace, evaluations = _damped_newton(
-        gauged_start, target, opts.max_iter, *problem)
-    best_vec = gauged_start.with_coefficients(x_best)
-    rho = best_vec.decode().periodic_jet(_GRID)[2]
-    return OptResult(best=best_vec, objective=j_best, iterations=iterations,
-                     trace=trace, circle_distance=circle_distance(best_vec),
+        x, TARGETS[objective], max_iter, *problem)
+    best = _curve(x_best)
+    rho = best.periodic_jet(_GRID)[2]
+    return OptResult(best=best, objective=j_best, iterations=iterations,
+                     trace=trace, circle_distance=circle_distance(best),
                      min_rho=float(np.min(rho)), evaluations=evaluations)
 
 
-def _kl_problem(g: ShapeVector):
+def _kl_problem(K: int):
     """(value, step) for Newton descent on J = (2 pi / N) sum ell^2 / rho,
     convex as the perspective of a square of affine maps (Boyd &
     Vandenberghe, 2004, 3.2.6 and 9.5)."""
-    a_ell, a_rho = _kl_maps(g.K)
+    a_ell, a_rho = _kl_maps(K)
 
     def step(x):
         grad, hess = _kl_derivatives(a_ell, a_rho, x)
@@ -238,10 +188,10 @@ def _kl_problem(g: ShapeVector):
     return (lambda x: _kl_value(a_ell, a_rho, x)), step
 
 
-def _bracket_problem(g: ShapeVector):
+def _bracket_problem(K: int):
     """(value, step) for Gauss-Newton descent on the sum of squared bracket
     residuals over bracket_frames(K) (Nocedal & Wright, 2006, 10.3)."""
-    maps = _bracket_maps(g.K, bracket_frames(g.K))
+    maps = _bracket_maps(K, bracket_frames(K))
 
     def step(x):
         r, jac = _bracket_residuals(maps, x)
@@ -251,20 +201,19 @@ def _bracket_problem(g: ShapeVector):
 
 
 def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
-    """validation_rho of free coefficients x, the first harmonics pinned at 0."""
+    """validation_rho of free coordinates x, the first harmonics pinned at 0."""
     cos, sin = np.split(x, 2)
     return validation_rho(a0, np.r_[0.0, cos], np.r_[0.0, sin])
 
 
-def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
-    """Descent on value(x) from g's free coefficients by the full steps
+def _damped_newton(x: np.ndarray, target: float, max_iter: int, value, step):
+    """Descent on value(x) from the free coordinates x by the full steps
     step(x).  rho is affine in x, so from _free_rho at the start and along
     the step (a0 = 0) one ratio test caps a step at BOUNDARY_FRACTION of the
     way to rho = EPS0; it then halves until the value falls at a point whose
-    _free_rho, decode()'s sum on the same values, clears EPS0."""
-    x = g.coefficients()
+    _free_rho, _curve's validation sum on the same values, clears EPS0."""
     j = value(x)
-    rho_v = _free_rho(g.a0, x)
+    rho_v = _free_rho(1.0, x)
     trace, evaluations = [j], 1
     while j > target and len(trace) <= max_iter:
         p = step(x)
@@ -275,7 +224,7 @@ def _damped_newton(g: ShapeVector, target: float, max_iter: int, value, step):
         for _ in range(MAX_HALVINGS):
             j_t = value(x + t * p)
             evaluations += 1
-            if j_t < j and np.min(_free_rho(g.a0, x + t * p)) > EPS0:
+            if j_t < j and np.min(_free_rho(1.0, x + t * p)) > EPS0:
                 break
             t *= 0.5
         else:

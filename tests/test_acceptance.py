@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discwitness import build_curve
+from discwitness import FourierCurve, build_curve
 from discwitness.asymptotics import asymptotic_ratio
 from discwitness.characterize import (
     constraint_residuals,
@@ -20,7 +20,7 @@ from discwitness.characterize import (
     p_zero_check,
 )
 from discwitness.moments import moment_sweep
-from discwitness.shapeopt import OptOptions, ShapeVector, minimize
+from discwitness.shapeopt import minimize
 
 from conftest import (abs_log, exact_ellipse_moments, mp_fourier_moment, one_order,
                       value, worst_exact_gap)
@@ -149,9 +149,8 @@ def test_criterion_7_lemma2_machinery():
 
 def test_criterion_8_theorem_as_optimization():
     t0 = time.time()
-    res = minimize(ShapeVector(cos=(0, 0, 0.1)), "kl",
-                   OptOptions(max_iter=5000))
-    bracket = minimize(ShapeVector(cos=(0, 0, 0.1), sin=(0, 0.04)), "bracket")
+    res = minimize(FourierCurve(1.0, (0, 0, 0.1)), "kl", max_iter=5000)
+    bracket = minimize(FourierCurve(1.0, (0, 0, 0.1), (0, 0.04)), "bracket")
     elapsed = time.time() - t0
     ok = res.objective <= 1e-8
     ok &= res.circle_distance <= 1e-4

@@ -7,7 +7,7 @@ import pytest
 from discwitness import asymptotics, build_curve, moments
 from discwitness.asymptotics import arc_integrals, asymptotic_ratio, bracket_main_term
 from discwitness.geometry import frame_peaks, frame_point
-from discwitness.moments import _boundary_moments, peak_packing, trapezoid_sums
+from discwitness.moments import moment_sweep, peak_packing, trapezoid_sums
 
 from conftest import abs_log, exact_ellipse_moments, ratio
 
@@ -114,7 +114,7 @@ def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
     """green's M_{2m-1}, m = 50, 100, 200, against mpmath."""
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
-    odd = _boundary_moments(curve, [2 * m - 1 for m in m_list], rot, "green")
+    odd = moment_sweep(curve, [2 * m - 1 for m in m_list], rot, "green")
     for m, got in zip(m_list, zip(*odd)):
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
         with mpmath.workdps(30):

@@ -205,6 +205,7 @@ class TestFlags:
         ["asymptotics", "--m-list", "5"],
         ["asymptotics", "--m-list", "50,20"],
         ["asymptotics", "--m-list", "abc"],
+        ["optimize", "--max-iter", "-3"],
     ])
     def test_bad_list_argument_is_usage_error(self, shape_file, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -414,6 +415,14 @@ class TestOptimizeRoundTrip:
         err = capsys.readouterr().err
         assert "requires a support_fourier shape" in err
         assert "Traceback" not in err
+
+    def test_gauge_infeasible_start_is_validation_error(self, shape_file, capsys):
+        # the spec builds (min rho 0.0015); gauged to a0 = 1 it does not
+        spec = {"type": "support_fourier", "a0": 2, "cos": [0, 0, 0.2498125]}
+        assert run(["optimize", "--shape", shape_file(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: NoFeasibleStart: radius of curvature 0.00075 "
+                       "<= 0.001 at theta=0\n")
 
     def test_bracket_seed_is_ignored(self, shape_file, tmp_path):
         shape = shape_file(THREE_LOBE)

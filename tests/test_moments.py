@@ -123,14 +123,17 @@ class TestSweep:
                 gap = relative_gap(got, one_order(asymmetric, n, frame, method))
                 assert gap <= 1e-12, (method, n)
 
-    def test_zero_sum_is_exact_zero(self):
-        def sample(t):
-            return np.zeros(t.shape, dtype=complex), np.cos(t)
+    def test_zero_sum_is_exact_zero(self, asymmetric, monkeypatch):
+        # the kernel run on zeroed weights: every order's sum vanishes
+        def zero_weights(sample, *args):
+            return trapezoid_sums(
+                lambda t: (np.zeros(t.shape, dtype=complex), sample(t)[1]), *args)
 
-        mantissa, log_scale = moments._trapezoid_moments(
-            sample, 2.0 * math.pi, [0, 3], 0.0, "green")
-        assert list(zip(mantissa.tolist(), log_scale.tolist())) == [(0j, 0.0)] * 2
-        assert mantissa.dtype == complex and log_scale.dtype == float
+        monkeypatch.setattr(moments, "trapezoid_sums", zero_weights)
+        for method in ("green", "area"):
+            mantissa, log_scale = moment_sweep(asymmetric, [0, 3], 0.0, method)
+            assert list(zip(mantissa.tolist(), log_scale.tolist())) == [(0j, 0.0)] * 2
+            assert mantissa.dtype == complex and log_scale.dtype == float
 
 
 SWEEP_FOURIER = {"type": "support_fourier", "a0": 1,

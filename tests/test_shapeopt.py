@@ -4,67 +4,72 @@ import math
 import numpy as np
 import pytest
 
-from discwitness.geometry import (EPS0, VALIDATION_GRID, frame_peaks,
-                                  validation_rho, width_at)
+from discwitness.geometry import (EPS0, VALIDATION_GRID, FourierCurve,
+                                  build_curve, frame_peaks, validation_rho,
+                                  width_at)
 from discwitness.characterize import constraint_residuals, kl_profile
 from discwitness import cli, shapeopt
-from discwitness.errors import Infeasible, NoFeasibleStart
-from discwitness.shapeopt import (
-    OptOptions,
-    ShapeVector,
-    circle_distance,
-    minimize,
-    objective_bracket,
-    objective_kl,
-)
+from discwitness.errors import NoFeasibleStart
+from discwitness.shapeopt import circle_distance, minimize
+
+
+def objective(curve, name):
+    """J at the gauged curve: the start value of a run that takes no step."""
+    return minimize(curve, name, max_iter=0).objective
+
+
+def gauged(curve, K=shapeopt.DEFAULT_K):
+    """The gauged curve a search of size K starts from, and its free
+    coordinates."""
+    x = shapeopt._coordinates(curve, K)
+    return shapeopt._curve(x), x
 
 
 class TestObjectiveKL:
     def test_circle_is_zero(self):
-        assert objective_kl(ShapeVector(a0=3.0)) <= 1e-12
+        assert objective(FourierCurve(3.0), "kl") <= 1e-12
 
     def test_three_lobe_positive(self):
-        assert objective_kl(ShapeVector(cos=(0, 0, 0.1))) > 1e-2
-
-    def test_infeasible_raises(self):
-        with pytest.raises(Infeasible):
-            objective_kl(ShapeVector(cos=(0, 0, 0.5)))
+        assert objective(FourierCurve(1.0, (0, 0, 0.1)), "kl") > 1e-2
 
     def test_gauge_invariance(self):
-        v = ShapeVector(a0=1.0, cos=(0, 0, 0.05))
-        scaled = ShapeVector(a0=4.0, cos=(0, 0, 0.2))
-        assert objective_kl(v) == pytest.approx(objective_kl(scaled), rel=1e-12)
+        v = FourierCurve(1.0, (0, 0, 0.05))
+        scaled = FourierCurve(4.0, (0, 0, 0.2))
+        assert objective(v, "kl") == pytest.approx(objective(scaled, "kl"),
+                                                   rel=1e-12)
 
 
-C8 = ShapeVector(cos=(0,) * 7 + (0.01,))  # sin 8 theta = 0 at pi j / 8
-NEAR_FLOOR = ShapeVector(cos=(0, 0, 0.1248))  # min rho 0.0016
+C8 = FourierCurve(1.0, (0,) * 7 + (0.01,))  # sin 8 theta = 0 at pi j / 8
+NEAR_FLOOR = FourierCurve(1.0, (0, 0, 0.1248))  # min rho 0.0016
+# builds (min rho 0.0015), but gauged to a0 = 1 its min rho is 0.00075
+GAUGE_INFEASIBLE = {"type": "support_fourier", "a0": 2, "cos": [0, 0, 0.2498125]}
 
 
-@pytest.mark.parametrize("v", [ShapeVector(cos=(0, 0, 0.1)),
-                               ShapeVector(0.7, (0.3, 0.02, 0.01), (-0.2, 0.0, 0.03),
-                                           K=5),
-                               NEAR_FLOOR],
+@pytest.mark.parametrize("v,K", [(FourierCurve(1.0, (0, 0, 0.1)), 8),
+                                 (FourierCurve(0.7, (0.3, 0.02, 0.01),
+                                               (-0.2, 0.0, 0.03)), 5),
+                                 (NEAR_FLOOR, 8)],
                          ids=["three_lobe", "K5", "near_floor"])
-def test_validation_rho_is_the_curves_jet_bit_for_bit(v):
-    # the line search's feasibility test, on the free coefficients, and
-    # decode()'s check are one sum on the same values
-    g = v.gauged()
-    want = v.decode().periodic_jet(VALIDATION_GRID)[2]
+def test_validation_rho_is_the_curves_jet_bit_for_bit(v, K):
+    # the line search's feasibility test, on the free coordinates, and the
+    # gauged curve's own check are one sum on the same values
+    g, x = gauged(v, K)
+    want = g.periodic_jet(VALIDATION_GRID)[2]
     assert np.array_equal(validation_rho(g.a0, g.cos, g.sin), want)
-    assert np.array_equal(shapeopt._free_rho(g.a0, g.coefficients()), want)
+    assert np.array_equal(shapeopt._free_rho(1.0, x), want)
 
 
 def _record_cleared(monkeypatch):
-    """The vectors whose shapeopt.validation_rho clears EPS0, direction
-    sums (a0 = 0) aside: the start, then every point the solve accepts,
-    since a trial's rho is summed only once its value has fallen."""
+    """The (a0, cos, sin) whose shapeopt.validation_rho clears EPS0,
+    direction sums (a0 = 0) aside: the start, then every point the solve
+    accepts, since a trial's rho is summed only once its value has fallen."""
     cleared = []
     rho_of = shapeopt.validation_rho
 
     def recorded(a0, cos, sin):
         rho = rho_of(a0, cos, sin)
         if a0 != 0.0 and np.min(rho) > EPS0:
-            cleared.append(ShapeVector(a0, tuple(cos), tuple(sin), K=len(cos)))
+            cleared.append((a0, tuple(cos), tuple(sin)))
         return rho
 
     monkeypatch.setattr(shapeopt, "validation_rho", recorded)
@@ -73,31 +78,30 @@ def _record_cleared(monkeypatch):
 
 class TestObjectiveBracket:
     def test_circle_is_zero(self):
-        assert objective_bracket(ShapeVector(a0=2.0)) <= 1e-30
+        assert objective(FourierCurve(2.0), "bracket") <= 1e-30
 
     def test_asymmetric_positive(self):
-        v = ShapeVector(cos=(0, 0.05), sin=(0, 0, 0.03))
-        assert objective_bracket(v) > 0
+        v = FourierCurve(1.0, (0, 0.05), (0, 0, 0.03))
+        assert objective(v, "bracket") > 0
 
     def test_frames_tied_to_k(self):
         # K = 8 frames alias against cos 8 theta; F = 2K frames do not
-        g = C8.gauged()
-        maps = shapeopt._bracket_maps(g.K, [math.pi * k / 8 for k in range(8)])
-        assert shapeopt._bracket_value(maps, g.coefficients()) <= 1e-28
+        _, x = gauged(C8)
+        maps = shapeopt._bracket_maps(8, [math.pi * k / 8 for k in range(8)])
+        assert shapeopt._bracket_value(maps, x) <= 1e-28
         assert len(shapeopt.bracket_frames(8)) == 16
-        assert objective_bracket(C8) > 1e-2
+        assert objective(C8, "bracket") > 1e-2
 
     def test_matches_chart_bracket_terms(self):
         # oracle: the peaks of the five frames from one frame_peaks call, and
         # each frame's heights, curvatures and phase through
         # constraint_residuals
         dirs = [0.0, 0.4, 1.3, 2.9, 4.4]
-        v = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01))
-        g = v.gauged()
-        maps = shapeopt._bracket_maps(g.K, dirs)
-        r, _ = shapeopt._bracket_residuals(maps, g.coefficients())
+        v = FourierCurve(1.3, (0, 0.06, -0.02), (0, 0.03, 0, 0.01))
+        curve, x = gauged(v)
+        maps = shapeopt._bracket_maps(8, dirs)
+        r, _ = shapeopt._bracket_residuals(maps, x)
         r_h, r_rho, r_phase = r.reshape(3, -1)
-        curve = g.decode()
         h, _, rho = frame_peaks(curve, dirs)
         for j, ang in enumerate(dirs):
             res = constraint_residuals(curve, ang)
@@ -109,17 +113,15 @@ class TestObjectiveBracket:
             assert curv == pytest.approx(res.curv, rel=0, abs=1e-10)
             assert abs(r_phase[j]) == pytest.approx(res.phase, rel=0, abs=1e-10)
         assert np.max(np.abs(r)) > 1e-2
-        assert shapeopt._bracket_value(maps, g.coefficients()) == pytest.approx(
+        assert shapeopt._bracket_value(maps, x) == pytest.approx(
             float(r @ r), rel=1e-14)
-        # objective_bracket is the same sum over bracket_frames(K)
-        frames = shapeopt._bracket_maps(g.K, shapeopt.bracket_frames(g.K))
-        assert objective_bracket(v) == shapeopt._bracket_value(
-            frames, g.coefficients())
+        # the bracket J is the same sum over bracket_frames(K)
+        frames = shapeopt._bracket_maps(8, shapeopt.bracket_frames(8))
+        assert objective(v, "bracket") == shapeopt._bracket_value(frames, x)
 
     def test_jacobian_matches_central_differences(self):
-        g = ShapeVector(a0=1.3, cos=(0, 0.06, -0.02), sin=(0, 0.03, 0, 0.01)).gauged()
-        maps = shapeopt._bracket_maps(g.K, shapeopt.bracket_frames(g.K))
-        x = g.coefficients()
+        _, x = gauged(FourierCurve(1.3, (0, 0.06, -0.02), (0, 0.03, 0, 0.01)))
+        maps = shapeopt._bracket_maps(8, shapeopt.bracket_frames(8))
         _, jac = shapeopt._bracket_residuals(maps, x)
         d = 1e-6
         fd = np.array([(shapeopt._bracket_residuals(maps, x + d * e)[0]
@@ -131,40 +133,38 @@ class TestObjectiveBracket:
 
 class TestMinimize:
     def test_circle_start_is_fixed_point(self):
-        res = minimize(ShapeVector(a0=1.0), "kl", OptOptions(max_iter=50))
+        res = minimize(FourierCurve(1.0), "kl", max_iter=50)
         assert res.objective <= 1e-12
         assert res.circle_distance <= 1e-9
 
     def test_three_lobe_converges_to_disc(self):
-        res = minimize(ShapeVector(cos=(0, 0, 0.1)), "kl")
+        res = minimize(FourierCurve(1.0, (0, 0, 0.1)), "kl")
         assert res.objective <= 1e-8
         assert res.circle_distance <= 1e-4
         assert res.iterations <= 5000
         assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
-        verdict = kl_profile(res.best.decode(), 256, tol=1e-3).verdict
+        verdict = kl_profile(res.best, 256, tol=1e-3).verdict
         assert verdict == "disc"
 
     def test_bracket_best_stays_feasible(self):
         # this start visits shapes with min rho near EPS0, which a bracket
         # objective that needs a validated curve cannot evaluate
-        start = ShapeVector(1.0, (0, 0, 0.1), (0, 0.04))
-        res = minimize(start, "bracket", OptOptions(max_iter=80))
-        res.best.decode()
+        start = FourierCurve(1.0, (0, 0, 0.1), (0, 0.04))
+        res = minimize(start, "bracket", max_iter=80)
+        assert build_curve(res.best.to_spec()) == res.best
 
     def test_best_point_always_decodes(self, monkeypatch):
-        # every point the bracket solve accepts passes decode(), from a
+        # every point the bracket solve accepts is a valid curve, from a
         # start 0.0006 above the convexity floor
         cleared = _record_cleared(monkeypatch)
         res = minimize(NEAR_FLOOR, "bracket")
-        start, *accepted = cleared
-        assert start == NEAR_FLOOR
+        start, *accepted = (FourierCurve(*g) for g in cleared)
+        assert start == gauged(NEAR_FLOOR)[0]
         assert len(accepted) == res.iterations == len(res.trace) - 1
         assert accepted[-1] == res.best
-        for g in accepted:
-            g.decode()
 
-    @pytest.mark.parametrize("start", [ShapeVector(cos=(0, 0, 0.1), sin=(0, 0.04)),
-                                       ShapeVector(cos=(0, 0, 0.1)), C8],
+    @pytest.mark.parametrize("start", [FourierCurve(1.0, (0, 0, 0.1), (0, 0.04)),
+                                       FourierCurve(1.0, (0, 0, 0.1)), C8],
                              ids=["script", "three_lobe", "c8"])
     def test_bracket_reaches_a_disc(self, start):
         res = minimize(start, "bracket")
@@ -172,17 +172,20 @@ class TestMinimize:
         assert res.circle_distance <= 1e-8
         assert res.iterations <= 10
         assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
-        assert kl_profile(res.best.decode(), 512, tol=1e-3).verdict == "disc"
+        assert kl_profile(res.best, 512, tol=1e-3).verdict == "disc"
 
     def test_infeasible_start(self):
-        with pytest.raises(NoFeasibleStart):
-            minimize(ShapeVector(cos=(0, 0, 0.5)), "kl")
+        # the start builds; its gauged curve does not
+        start = build_curve(GAUGE_INFEASIBLE)
+        with pytest.raises(NoFeasibleStart, match="radius of curvature "
+                           r"0\.00075 <= 0\.001 at theta=0$"):
+            minimize(start, "kl")
 
     def test_deterministic(self):
-        a = minimize(ShapeVector(cos=(0, 0, 0.08)), "bracket")
-        b = minimize(ShapeVector(cos=(0, 0, 0.08)), "bracket")
+        a = minimize(FourierCurve(1.0, (0, 0, 0.08)), "bracket")
+        b = minimize(FourierCurve(1.0, (0, 0, 0.08)), "bracket")
         assert a.trace == b.trace
-        assert np.array_equal(a.best.coefficients(), b.best.coefficients())
+        assert a.best == b.best
 
     def test_each_point_scored_once(self, monkeypatch):
         # the bracket solve computes J once at the start and once per
@@ -195,26 +198,24 @@ class TestMinimize:
             return bracket_value(*args)
 
         monkeypatch.setattr(shapeopt, "_bracket_value", counted)
-        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "bracket")
+        res = minimize(FourierCurve(1.0, (0, 0, 0.1248)), "bracket")
         assert res.iterations > 0
         assert calls[0] == res.evaluations
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            minimize(ShapeVector(cos=(0, 0, 0.08)), "simplex")
+            minimize(FourierCurve(1.0, (0, 0, 0.08)), "simplex")
 
     @pytest.mark.parametrize("objective", ["kl", "bracket"])
     def test_values_are_python_floats(self, objective):
-        res = minimize(ShapeVector(cos=(0, 0, 0.08)), objective,
-                       OptOptions(max_iter=40))
+        res = minimize(FourierCurve(1.0, (0, 0, 0.08)), objective, max_iter=40)
         assert type(res.objective) is float
         assert all(type(j) is float for j in res.trace)
 
     def test_zero_set_matches_disc_verdict(self):
-        res = minimize(ShapeVector(sin=(0, 0.06)), "kl",
-                       OptOptions(target=1e-12))
-        if res.objective <= 1e-10:
-            assert kl_profile(res.best.decode(), 256, tol=1e-4).verdict == "disc"
+        res = minimize(FourierCurve(1.0, (), (0, 0.06)), "kl")
+        assert res.objective <= 1e-10
+        assert kl_profile(res.best, 256, tol=1e-4).verdict == "disc"
 
 
 def _random_k8(seed, weight=0.6):
@@ -223,20 +224,20 @@ def _random_k8(seed, weight=0.6):
     c = rng.standard_normal((2, 8))
     c[:, 0] = 0.0
     c *= weight / float(np.sum(np.arange(1, 9) ** 2 * np.abs(c)))
-    return ShapeVector(cos=tuple(c[0]), sin=tuple(c[1]))
+    return FourierCurve(1.0, tuple(c[0]), tuple(c[1]))
 
 
-KL_STARTS = [ShapeVector(cos=(0, 0, 0.1)), _random_k8(1), _random_k8(2)]
+KL_STARTS = [FourierCurve(1.0, (0, 0, 0.1)), _random_k8(1), _random_k8(2)]
 
 
 class TestNewtonKL:
     """The closed forms behind the kl Newton solve, checked against
-    kl_profile's samples and against finite differences of objective_kl."""
+    kl_profile's samples and against finite differences of J."""
 
     @pytest.mark.parametrize("v", KL_STARTS)
     def test_affine_parts_match_kl_profile(self, v):
         # kappa and L as kl_profile builds them, on the optimizer's grid
-        curve = v.decode()
+        curve = gauged(v)[0]
         n = 512
         thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         rho = curve.rho(thetas)
@@ -246,17 +247,16 @@ class TestNewtonKL:
                            rtol=1e-14, atol=0.0)
         ref = 2.0 * math.pi / n * float(np.sum((kl - 2.0) ** 2 * rho))
         assert ref > 1e-3
-        assert objective_kl(v) == pytest.approx(ref, rel=0, abs=1e-12)
+        assert objective(v, "kl") == pytest.approx(ref, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("v", KL_STARTS)
     def test_derivatives_match_central_differences(self, v):
-        g = v.gauged()
-        x = g.coefficients()
-        grad, hess = shapeopt._kl_derivatives(
-            *shapeopt._kl_maps(g.K), x)
+        _, x = gauged(v)
+        maps = shapeopt._kl_maps(8)
+        grad, hess = shapeopt._kl_derivatives(*maps, x)
 
         def j(dx):
-            return objective_kl(g.with_coefficients(x + dx))
+            return shapeopt._kl_value(*maps, x + dx)
 
         eye = np.eye(len(x))
         d1, d2 = 1e-7, 5e-7  # J's high derivatives are large near rho = 0.2
@@ -272,25 +272,23 @@ class TestNewtonKL:
         # min rho = 1 - 8 * 0.1248 = 0.0016, just above EPS0 = 1e-3
         cleared = _record_cleared(monkeypatch)
         res = minimize(NEAR_FLOOR, "kl")
-        start, *accepted = cleared
-        assert start == NEAR_FLOOR
+        start, *accepted = (FourierCurve(*g) for g in cleared)
+        assert start == gauged(NEAR_FLOOR)[0]
         assert res.objective <= 1e-10
         assert res.iterations <= 20
         assert all(a > b for a, b in zip(res.trace, res.trace[1:]))
         assert len(accepted) == res.iterations == len(res.trace) - 1
-        for g in accepted:
-            g.decode()
+        assert accepted[-1] == res.best
 
     def test_one_step_budget(self):
-        res = minimize(ShapeVector(cos=(0, 0, 0.1)), "kl",
-                       OptOptions(max_iter=1))
+        res = minimize(FourierCurve(1.0, (0, 0, 0.1)), "kl", max_iter=1)
         assert res.iterations == 1
         assert len(res.trace) == 2
 
     def test_seed_is_ignored(self, tmp_path):
         # --seed is accepted and read by nothing
         spec = tmp_path / "start.json"
-        spec.write_text(json.dumps(_random_k8(3).decode().to_spec()))
+        spec.write_text(json.dumps(_random_k8(3).to_spec()))
         outs = []
         for seed in ("0", "12345"):
             out, trace = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
@@ -308,14 +306,9 @@ class TestNewtonKL:
             return kl_value(*args)
 
         monkeypatch.setattr(shapeopt, "_kl_value", counted)
-        res = minimize(ShapeVector(cos=(0, 0, 0.1248)), "kl")
+        res = minimize(FourierCurve(1.0, (0, 0, 0.1248)), "kl")
         assert calls[0] == res.evaluations >= res.iterations + 1
 
 
 def test_circle_distance_on_circle():
-    assert circle_distance(ShapeVector(a0=5.0)) <= 1e-12
-
-
-def test_circle_distance_reads_the_decoded_curve():
-    with pytest.raises(Infeasible):
-        circle_distance(ShapeVector(cos=(0, 0, 0.5)))
+    assert circle_distance(FourierCurve(5.0)) <= 1e-12
