@@ -12,7 +12,6 @@ from .errors import (
     QuadratureNoConvergence,
 )
 from .geometry import (
-    CircleCurve,
     EllipseCurve,
     FourierCurve,
     SupportCurve,

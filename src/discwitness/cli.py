@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: profile, moments, asymptotics, inscribed, identities,
-residuals, optimize, report.  Angles are taken in degrees on the command
-line and converted to radians internally.  Output files are written
-atomically (temp file + rename); floats are emitted with 17 significant
-digits so round-trips are bit-faithful.
+residuals, optimize, report.  Each cmd_<name>(curve, args) returns its
+output text; main loads the --shape curve and writes the text to --out,
+atomically (temp file + rename).  Angles are taken in degrees on the
+command line and converted to radians internally; floats are emitted with
+17 significant digits so round-trips are bit-faithful.
 
 Exit codes: 0 success; 1 numerical failure (quadrature non-convergence, a
 failed inscribed-disc search); 2 validation error (malformed spec,
@@ -102,23 +103,19 @@ def _profile_dict(report):
     return out
 
 
-def cmd_profile(args):
-    curve = _load_curve(args)
+def cmd_profile(curve, args) -> str:
     report = characterize.kl_profile(curve, args.samples, args.tol)
     if args.format == "csv":
-        _emit(args.out, _csv(report.samples, ["s", "theta", "kappa", "L", "kappaL"]))
-    else:
-        _emit(args.out, _json(_profile_dict(report)))
-    return 0
+        return _csv(report.samples, ["s", "theta", "kappa", "L", "kappaL"])
+    return _json(_profile_dict(report))
 
 
-def cmd_moments(args):
-    curve = _load_curve(args)
+def cmd_moments(curve, args) -> str:
     frame = math.radians(args.frame_deg)
     n_list = args.n_list or list(range(args.n_max + 1))
     integrals = ["green" if m == "chord" else m for m in args.methods]
     cells = {}  # integral -> its value columns, formatted once per order
-    for m in set(integrals):
+    for m in dict.fromkeys(integrals):  # --methods order fixes which failure shows
         mantissa, log_scale = moment_sweep(curve, n_list, frame, m)
         # np.exp and np.abs(complex) differ from math.exp and abs() in the last
         # bit; complex * float and np.hypot match Python, inf and nan included
@@ -132,35 +129,27 @@ def cmd_moments(args):
     rows = sorted(range(n * len(integrals)),
                   key=lambda r: (n_list[r % n], args.methods[r // n]))
     prefix = "%d," + _fmt(args.frame_deg) + ",%s,"
-    _emit(args.out, "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
+    return "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
         prefix % (n_list[r % n], args.methods[r // n])
-        + cells[integrals[r // n]][r % n] for r in rows))
-    return 0
+        + cells[integrals[r // n]][r % n] for r in rows)
 
 
-def cmd_asymptotics(args):
-    curve = _load_curve(args)
-    frame = math.radians(args.frame_deg)
-    rows = asymptotic_ratio(curve, frame, args.m_list)
-    _emit(args.out, _csv(
-        [(r.m, r.ratio_f_abs_err, r.ratio_g_abs_err, r.combined_abs_err)
-         for r in rows],
-        ["m", "ratio_f_abs_err", "ratio_g_abs_err", "combined_abs_err"]))
-    return 0
+def cmd_asymptotics(curve, args) -> str:
+    rows = asymptotic_ratio(curve, math.radians(args.frame_deg), args.m_list)
+    return _csv([(r.m, r.ratio_f_abs_err, r.ratio_g_abs_err, r.combined_abs_err)
+                 for r in rows],
+                ["m", "ratio_f_abs_err", "ratio_g_abs_err", "combined_abs_err"])
 
 
-def cmd_inscribed(args):
-    curve = _load_curve(args)
+def cmd_inscribed(curve, args) -> str:
     (cx, cy), r = characterize.inscribed_disc(curve)
-    _emit(args.out, _json({"center": [cx, cy], "radius": r}))
-    return 0
+    return _json({"center": [cx, cy], "radius": r})
 
 
-def cmd_identities(args):
-    curve = _load_curve(args)
+def cmd_identities(curve, args) -> str:
     ident = characterize.identity_residuals(curve, args.samples)
     pz = characterize.p_zero_check(curve)
-    _emit(args.out, _json({
+    return _json({
         "step": ident.step,
         "max_res_gap": ident.max_res_gap,
         "max_res_width": ident.max_res_width,
@@ -168,21 +157,18 @@ def cmd_identities(args):
         "total_curvature": pz.total_curvature,
         "implied_p": pz.implied_p,
         "p_zero_consistent": pz.p_zero_consistent,
-    }))
-    return 0
+    })
 
 
-def cmd_residuals(args):
-    curve = _load_curve(args)
+def cmd_residuals(curve, args) -> str:
     res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
-    _emit(args.out, _json(dataclasses.asdict(res)))
-    return 0
+    return _json(dataclasses.asdict(res))
 
 
-def cmd_optimize(args):
-    curve = _load_curve(args)
+def cmd_optimize(curve, args) -> str:
+    """The gauged optimum's spec; writes --trace-out itself, before --out."""
     if not isinstance(curve, FourierCurve):
-        raise MalformedSpec("optimize requires a support_fourier shape")
+        raise MalformedSpec("optimize requires a support_fourier or circle shape")
     result = shapeopt.minimize(curve, args.objective, args.max_iter)
     if args.trace_out:
         rows = [(i, j, None, None) for i, j in enumerate(result.trace)]
@@ -190,12 +176,10 @@ def cmd_optimize(args):
                     result.circle_distance, result.min_rho)
         _emit(args.trace_out, _csv(rows, ["iter", "J", "circle_distance",
                                           "min_rho"]))
-    _emit(args.out, _json(result.best.to_spec()))
-    return 0
+    return _json(result.best.to_spec())
 
 
-def cmd_report(args):
-    curve = _load_curve(args)
+def cmd_report(curve, args) -> str:
     profile = characterize.kl_profile(curve, args.samples, args.tol)
     res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
     disc = characterize.inscribed_disc(curve)
@@ -209,8 +193,7 @@ def cmd_report(args):
                          "max_res_width": ident.max_res_width}
     if witness is not None:
         out["witness"] = dataclasses.asdict(witness)
-    _emit(args.out, _json(out))
-    return 0
+    return _json(out)
 
 
 def _int_list(check):
@@ -315,10 +298,11 @@ def main(argv=None) -> int:
     if getattr(args, "max_iter", 0) < 0:
         parser.error("max-iter must be >= 0")
     try:
-        return args.func(args)
+        _emit(args.out, args.func(_load_curve(args), args))
     except DiscWitnessError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, VALIDATION_ERRORS) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ rho = h + h''.  Strict convexity is the pointwise condition rho > EPS0 > 0,
 one constant for every curve, validated on a dense grid at construction.
 This parameterization makes the antipodal map exact (theta -> theta + pi)
 and the width a two-point formula L(theta) = h(theta) + h(theta + pi).
+
+Two classes supply the jet (h, h', rho): EllipseCurve in closed form and
+FourierCurve, the support series.  A circle of radius r and centre c is
+the one-harmonic series h = r + c . u, so build_curve makes it a
+FourierCurve, validated like every other series.
 """
 
 from __future__ import annotations
@@ -95,25 +100,6 @@ class SupportCurve:
         return self.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
 
 
-
-@dataclass(frozen=True)
-class CircleCurve(SupportCurve):
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= EPS0:
-            raise NotStrictlyConvex(0.0, self.radius, EPS0)
-
-    def jet(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        cx, cy = self.center
-        cos, sin = np.cos(theta), np.sin(theta)
-        return (self.radius + cx * cos + cy * sin, -cx * sin + cy * cos,
-                np.full_like(theta, self.radius))
-
-
-
 @dataclass(frozen=True)
 class EllipseCurve(SupportCurve):
     a: float
@@ -121,7 +107,12 @@ class EllipseCurve(SupportCurve):
     center: tuple = (0.0, 0.0)
     rotation: float = 0.0
 
-    def __post_init__(self):  # least rho, at the normal of the longer axis
+    def __post_init__(self):
+        ab = self.a * self.b
+        if math.isinf(ab * ab):  # jet's rho numerator; it caps a^2 and b^2 too
+            raise MalformedSpec(f"ellipse semi-axes {self.a:g} x {self.b:g}: "
+                                "(a b)^2 overflows")
+        # least rho, at the normal of the longer axis
         rho = min(self.a, self.b) ** 2 / max(self.a, self.b)
         if rho <= EPS0:
             raise NotStrictlyConvex(self.rotation + 0.5 * math.pi * (self.a < self.b),
@@ -207,7 +198,7 @@ def build_curve(spec: dict) -> SupportCurve:
             r = _finite(spec["radius"])
             if r <= 0:
                 raise MalformedSpec("circle radius must be positive")
-            return CircleCurve((cx, cy), r)
+            return FourierCurve(r, (cx,), (cy,))  # h = r + c . u
         if kind == "ellipse":
             cx, cy = (_finite(v) for v in spec.get("center", (0.0, 0.0)))
             a, b = _finite(spec["a"]), _finite(spec["b"])

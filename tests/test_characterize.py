@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from discwitness import build_curve, characterize
-from discwitness.geometry import CircleCurve
+from discwitness.geometry import FourierCurve
 from discwitness.errors import DiscSearchFailed
 from discwitness.characterize import (
     constraint_residuals,
@@ -315,15 +315,21 @@ def test_inscribed_radius_meets_the_dual_bound(spec):
 
 @pytest.fixture
 def circle_jet_calls(monkeypatch):
-    """Sizes of the angle sets that CircleCurve.jet is called with."""
-    jet = CircleCurve.jet
+    """Sizes of the angle sets that a circle's FourierCurve.jet and
+    periodic_jet (its grid evaluation, which bypasses jet) are called with."""
+    jet, periodic_jet = FourierCurve.jet, FourierCurve.periodic_jet
     calls = []
 
     def counted(self, theta):
         calls.append(np.size(theta))
         return jet(self, theta)
 
-    monkeypatch.setattr(CircleCurve, "jet", counted)
+    def counted_periodic(self, n):
+        calls.append(n)
+        return periodic_jet(self, n)
+
+    monkeypatch.setattr(FourierCurve, "jet", counted)
+    monkeypatch.setattr(FourierCurve, "periodic_jet", counted_periodic)
     return calls
 
 

@@ -327,6 +327,23 @@ class TestMoments:
         run(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_failure_does_not_depend_on_the_hash_seed(self, shape_file):
+        """The integrals run in --methods order, green before area, so the
+        one reported as failing is the same under every PYTHONHASHSEED."""
+        shape = shape_file({"type": "circle", "center": [1e15, -1e15],
+                            "radius": 3})
+        src = os.path.dirname(os.path.dirname(discwitness.__file__))
+        errs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "discwitness.cli", "moments", "--shape",
+                 shape, "--n-max", "40"], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            assert proc.returncode == 1
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: QuadratureNoConvergence: green moments")
+
 
 class TestSubcommands:
     def test_asymptotics_csv(self, shape_file, tmp_path):
@@ -408,12 +425,22 @@ class TestOptimizeRoundTrip:
             assert run([cmd, "--shape", str(final),
                         "--out", str(tmp_path / "x.out")]) == 0
 
-    @pytest.mark.parametrize("spec", [CIRCLE, ELLIPSE], ids=["circle", "ellipse"])
-    def test_non_fourier_start_is_validation_error(self, shape_file, capsys,
-                                                   spec):
-        assert run(["optimize", "--shape", shape_file(spec)]) == 2
+    def test_circle_start_is_the_unit_disc(self, shape_file, tmp_path):
+        """A circle is a one-harmonic support series: optimize gauges it to
+        the unit disc and stops at J = 0 after no iterations."""
+        out, trace = tmp_path / "disc.json", tmp_path / "trace.csv"
+        assert run(["optimize", "--shape", shape_file(CIRCLE), "--out", str(out),
+                    "--trace-out", str(trace)]) == 0
+        spec = json.loads(out.read_text())
+        assert spec == {"type": "support_fourier", "a0": 1.0,
+                        "cos": [0.0] * 8, "sin": [0.0] * 8}
+        header, *rows = trace.read_text().splitlines()
+        assert len(rows) == 1 and rows[0].split(",")[:2] == ["0", "0"]
+
+    def test_ellipse_start_is_validation_error(self, shape_file, capsys):
+        assert run(["optimize", "--shape", shape_file(ELLIPSE)]) == 2
         err = capsys.readouterr().err
-        assert "requires a support_fourier shape" in err
+        assert "requires a support_fourier or circle shape" in err
         assert "Traceback" not in err
 
     def test_gauge_infeasible_start_is_validation_error(self, shape_file, capsys):

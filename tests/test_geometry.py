@@ -83,10 +83,6 @@ def _separate_jet(curve, theta):
         w = 1.0 - k * k  # rho's own coefficients: k = 1 drops out exactly
         return h, h1, curve.a0 + coskt @ (w * c) + sinkt @ (w * s)
     cx, cy = curve.center
-    if isinstance(curve, geometry.CircleCurve):
-        return (curve.radius + cx * np.cos(theta) + cy * np.sin(theta),
-                -cx * np.sin(theta) + cy * np.cos(theta),
-                np.full_like(theta, curve.radius))
     psi = theta - curve.rotation
     w = (curve.a * np.cos(psi)) ** 2 + (curve.b * np.sin(psi)) ** 2
     w1 = (curve.b ** 2 - curve.a ** 2) * np.sin(2.0 * psi)
@@ -188,6 +184,20 @@ class TestBuildCurve:
         c = build_curve({"type": "circle", "center": [0, 0], "radius": 1})
         assert np.allclose(c.rho(np.linspace(0, 7, 50)), 1.0)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.2), (1000.0, 1000.0),
+                                        (1e15, -1e15)])
+    def test_circle_is_the_one_harmonic_series(self, center):
+        """A circle spec's jet is the closed form r + c . u, c . u' and r to
+        the bit (an exact zero h' may carry the other sign)."""
+        cx, cy = center
+        curve = build_curve({"type": "circle", "center": list(center), "radius": 1.1})
+        for theta in TestJet.THETAS:
+            t = np.asarray(theta, dtype=float)
+            want = (1.1 + cx * np.cos(t) + cy * np.sin(t),
+                    -cx * np.sin(t) + cy * np.cos(t), np.full_like(t, 1.1))
+            for got, w in zip(curve.jet(theta), want):
+                assert np.shape(got) == np.shape(w) and np.array_equal(got, w)
+
     def test_fourier_rho_small_bump(self):
         c = build_curve({"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]})
         # h'' = -0.9 cos(3 theta) at theta=0
@@ -214,6 +224,8 @@ class TestBuildCurve:
         {"radius": 1},
         {"type": "circle", "radius": -2},
         {"type": "ellipse", "a": 0, "b": 1},
+        {"type": "ellipse", "a": 1e78, "b": 1e78},  # (a b)^2 overflows in jet
+        {"type": "ellipse", "a": 1e155, "b": 1e155},  # a^2 overflows too
         {"type": "polygon"},
         {"type": "support_fourier", "a0": "x"},
         "not a dict",
