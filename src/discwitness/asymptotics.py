@@ -31,12 +31,16 @@ def peak_log_magnitude(y, ypp, m):
     return 0.5 * np.log(math.pi * ay / (m * np.abs(ypp))) + 2.0 * m * np.log(ay)
 
 
-def _peak_terms(peaks, m_list) -> tuple:
-    """bracket_main_term from the frame's frame_peaks."""
+def bracket_main_term(curve: SupportCurve, frame_angle: float, m_list) -> tuple:
+    """Peak terms e^{ix} (pi |y_peak| / (m |y''_peak|))^{1/2} with log scale
+    2m ln|y_peak| for the upper and lower arcs' peaks in the frame rotated
+    by frame_angle (see frame_peaks), and the bracket term_f - term_g, for
+    every m in m_list: three (mantissa, log_scale) pairs of arrays over m."""
+    require_origin_inside(curve)
     ms = np.asarray(m_list, dtype=float)
     if np.any(ms < 1):
         raise ValueError("m must be >= 1")
-    h, h1, rho = peaks
+    h, h1, rho = frame_peaks(curve, frame_angle)
     ln_f, ln_g = peak_log_magnitude(h[:, None], 1.0 / rho[:, None], ms)
     term_f = normalized(np.exp(1j * -h1[0]), ln_f)
     term_g = normalized(np.exp(1j * h1[1]), ln_g)
@@ -46,26 +50,34 @@ def _peak_terms(peaks, m_list) -> tuple:
     return term_f, term_g, bracket
 
 
-def bracket_main_term(curve: SupportCurve, frame_angle: float, m_list) -> tuple:
-    """Peak terms e^{ix} (pi |y_peak| / (m |y''_peak|))^{1/2} with log scale
-    2m ln|y_peak| for the upper and lower arcs' peaks in the frame rotated
-    by frame_angle (see frame_peaks), and the bracket term_f - term_g, for
-    every m in m_list: three (mantissa, log_scale) pairs of arrays over m."""
-    require_origin_inside(curve)
-    return _peak_terms(frame_peaks(curve, frame_angle), m_list)
+def arc_integrals(curve: SupportCurve, frame_angle: float, m_list,
+                  upper: bool) -> tuple:
+    """int e^{ix} (arc)^{2m} dx over the upper or lower arc of the frame
+    rotated by frame_angle, for every m in m_list, as (mantissa, log_scale)
+    arrays from one trapezoid grid.
 
-
-def _arc_integrals(curve: SupportCurve, frame_angle: float, peaks, m_list,
-                   upper: bool) -> tuple:
-    """arc_integrals from the frame's frame_peaks.  The sample c at tau
-    in [0, pi) is e^{ix} rho |sin(theta)| dtheta/dtau, so that the integral
-    of c y^p is that of e^{ix} y^p dx over the arc, at theta = lo + pi/2 -
+    Integrated in the normal angle, dx = -rho sin(theta) dtheta, over
+    [0, pi] (upper) or [pi, 2pi] (lower), by the trapezoid rule in tau of
+    a cosine map packed about the arc's peak normal, log-scaled by the
+    peak: the kernel sums exp(2m ln|arc| - 2m ln|peak|).  Points where the
+    arc has the wrong sign (y <= 0 on the upper arc, y >= 0 on the lower)
+    are masked; no inversion of x.  The sample c at tau in [0, pi) is
+    e^{ix} rho |sin(theta)| dtheta/dtau, so that the integral of c y^p is
+    that of e^{ix} y^p dx over the arc, at theta = lo + pi/2 -
     atan2(k sin z, cos z), z = (pi/2) cos tau: the cosine map
     lo + (pi/2)(1 - cos tau) at k = 1, its nodes packed about the peak
     normal by 1/k for the arc's own peak_packing k, so flat arcs cost no
-    more nodes than round ones."""
+    more nodes than round ones.
+
+    Raises QuadratureNoConvergence when the arc's peak |y| is below about
+    1e-7 (the origin that close to the lowest boundary point for the lower
+    arc, the highest for the upper): y = h sin(theta) + h' cos(theta) then
+    cancels from O(1) terms, and y^{2m} carries relative noise
+    ~2m 1e-16/|y| above the kernel's stopping test.
+    """
+    require_origin_inside(curve)
     lo, sgn, i = (0.0, 1.0, 0) if upper else (math.pi, -1.0, 1)
-    h, _, rho = peaks
+    h, _, rho = frame_peaks(curve, frame_angle)
     k = peak_packing(h[i], 1.0 / rho[i])
 
     def sample(tau):
@@ -82,30 +94,6 @@ def _arc_integrals(curve: SupportCurve, frame_angle: float, peaks, m_list,
     sums = trapezoid_sums(sample, math.pi, [2 * m for m in m_list], ln_peak,
                           "arc integrals")
     return normalized(sums, 2.0 * np.asarray(m_list, dtype=float) * ln_peak)
-
-
-def arc_integrals(curve: SupportCurve, frame_angle: float, m_list,
-                  upper: bool) -> tuple:
-    """int e^{ix} (arc)^{2m} dx over the upper or lower arc of the frame
-    rotated by frame_angle, for every m in m_list, as (mantissa, log_scale)
-    arrays from one trapezoid grid.
-
-    Integrated in the normal angle, dx = -rho sin(theta) dtheta, over
-    [0, pi] (upper) or [pi, 2pi] (lower), by the trapezoid rule in tau of
-    a cosine map packed about the arc's peak normal, log-scaled by the
-    peak: the kernel sums exp(2m ln|arc| - 2m ln|peak|).  Points where the
-    arc has the wrong sign (y <= 0 on the upper arc, y >= 0 on the lower)
-    are masked; no inversion of x.
-
-    Raises QuadratureNoConvergence when the arc's peak |y| is below about
-    1e-7 (the origin that close to the lowest boundary point for the lower
-    arc, the highest for the upper): y = h sin(theta) + h' cos(theta) then
-    cancels from O(1) terms, and y^{2m} carries relative noise
-    ~2m 1e-16/|y| above the kernel's stopping test.
-    """
-    require_origin_inside(curve)
-    return _arc_integrals(curve, frame_angle, frame_peaks(curve, frame_angle),
-                          m_list, upper)
 
 
 def _ratio(a, b):
@@ -142,16 +130,14 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list) -> list:
     """
     m_list = list(m_list)
     check_m_list(m_list)
-    require_origin_inside(curve)
-    peaks = frame_peaks(curve, frame_angle)
-    term_f, term_g, bracket = _peak_terms(peaks, m_list)
+    term_f, term_g, bracket = bracket_main_term(curve, frame_angle, m_list)
     # the bracket is a closed form: decide which rows get a combined entry
     # before integrating anything
     with np.errstate(divide="ignore"):
         abs_log = [np.log(np.abs(z)) + ls for z, ls in (term_f, term_g, bracket)]
     live = abs_log[2] > math.log(1e-12) + np.maximum(abs_log[0], abs_log[1])
     ratio_f, ratio_g = (
-        np.abs(_ratio(_arc_integrals(curve, frame_angle, peaks, m_list, up), t) - 1.0)
+        np.abs(_ratio(arc_integrals(curve, frame_angle, m_list, up), t) - 1.0)
         for up, t in ((True, term_f), (False, term_g)))
     combined = [None] * len(m_list)
     if live.any():

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DiscSearchFailed
 from .geometry import (
+    CONTACT_GRID,
     VALIDATION_GRID,
     SupportCurve,
     arclength,
@@ -84,32 +85,33 @@ def kl_profile(curve: SupportCurve, sample_count: int = 1000,
     return KLReport(samples, max_dev, verdict, fitted, tol)
 
 
-_GRID = 1024  # angle grid of the clearance polish and the fitted circle
 _NEWTON_STEPS = 50  # 26 at most over 30,000 random K = 3, 4 shapes
 _HALVINGS = 30
 _POOL = 32  # lowest contacts searched for a balanced triple
 _POLISH_STEPS = 30
-_FLAT_EPS = 64.0 * np.finfo(float).eps  # |q''| floor, per unit of scale
-_THETAS = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
+_FLAT_EPS = 64.0 * np.finfo(float).eps  # |q'| floor, per unit of scale
+_THETAS = np.linspace(0.0, 2.0 * math.pi, CONTACT_GRID, endpoint=False)
 _COS, _SIN = np.cos(_THETAS), np.sin(_THETAS)
 
 
-def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
-    """(angles, values) of the local minima, or maxima, of the support
-    function about `center`, q = h - center . u.  The grid's discrete
-    extrema are Newton-polished together (q' = h' + cx sin - cy cos,
-    q'' = rho - q), from one jet per step; a candidate stops once its step
-    is below 1e-14, q'' has the wrong sign, or |q'| is at the rounding
-    floor of the curve's scale, where a step is noise.  A candidate whose
-    |q''| is at that floor keeps its grid angle and value: q is flat there,
-    as about a circle's centre, where the grid's extrema are rounding
-    noise.  `h` is curve.h on the grid, if known.
-    """
+def _support_extrema(curve: SupportCurve, center, maximum=False):
+    """(angles, values, q'') of the local minima, or maxima, of the support
+    function about `center`, q = h - center . u, with q'' = rho - q.  Each
+    discrete extremum t on the contact grid, with its two grid neighbours,
+    brackets one of q, and all are polished in their brackets together, one
+    jet per step, as rtsafe (Press et al., Numerical Recipes, 3rd ed., 2007):
+    the end that the sign of q' = h' + cx sin - cy cos rules out moves to t,
+    and t takes the Newton step q'/q'' if q'' has the extremum's sign and
+    the step lands in the closed bracket, else the bracket's midpoint.  A
+    candidate stops once its step is below 1e-14, or |q'| is at the rounding
+    floor of the curve's scale, where a step is noise (q is flat about a
+    circle's centre, whose grid extrema keep their angles and values)."""
     cx, cy = center
-    h = curve.periodic_jet(_GRID)[0] if h is None else h
+    h = curve.contact_h
     sign = -1.0 if maximum else 1.0
     s = sign * (h - cx * _COS - cy * _SIN)
     t = _THETAS[(s <= np.roll(s, 1)) & (s <= np.roll(s, -1))]
+    lo, hi = t - _THETAS[1], t + _THETAS[1]  # the grid neighbours
     flat = _FLAT_EPS * (float(np.max(np.abs(h))) + math.hypot(cx, cy))
     active = np.ones(t.shape, dtype=bool)
     for step_no in range(_POLISH_STEPS + 1):
@@ -117,11 +119,16 @@ def _support_extrema(curve: SupportCurve, center, maximum=False, h=None):
         cos, sin = np.cos(t), np.sin(t)
         q = h_t - cx * cos - cy * sin
         d1, d2 = h1 + cx * sin - cy * cos, rho - q
-        active &= (sign * d2 > flat) & (np.abs(d1) > flat)
+        active &= np.abs(d1) > flat
         if step_no == _POLISH_STEPS or not active.any():
-            return t, q
-        step = np.divide(d1, d2, out=np.zeros_like(t), where=active)
-        t = t - step
+            return t, q, d2
+        lo, hi = np.where(sign * d1 > 0.0, (lo, t), (t, hi))  # q' rules a side out
+        # the Newton step where q'' has the extremum's sign, else none
+        step = np.divide(d1, d2, out=np.full_like(t, np.inf), where=sign * d2 > 0.0)
+        newton, mid = t - step, 0.5 * (lo + hi)
+        inside = (lo <= newton) & (newton <= hi)
+        step = np.where(inside, step, t - mid)
+        t = np.where(active, np.where(inside, newton, mid), t)
         active &= np.abs(step) >= 1e-14
 
 
@@ -156,7 +163,7 @@ def _balanced_triple(t, q, i):
     return (i3[b], w[b]) if dual[b] < np.inf else (None, None)
 
 
-def _kkt_step(curve, t, q, i, lam, a0, s, tol):
+def _kkt_step(t, q, q2, i, lam, a0, s, tol):
     """Newton step (d, r, i, lam) on the KKT system of max r s.t.
     r <= q_i(c) over the active contacts i with multipliers lam:
 
@@ -175,7 +182,6 @@ def _kkt_step(curve, t, q, i, lam, a0, s, tol):
     other), the last step with multipliers >= 0 is returned: the caller's
     halving on the exact clearance guards it."""
     cos, sin = np.cos(t), np.sin(t)
-    q2 = curve.rho(t) - q
     for _ in range(2 * len(t) + 2):
         k = len(i)
         up = np.stack([-sin[i], cos[i]])
@@ -213,11 +219,12 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     min over theta of q = h(theta) - c . u(theta).  Returns ((cx, cy), r).
 
     Local reduction (Hettich & Kortanek, SIAM Review 35, 1993, sec. 7):
-    each local minimum theta_i of q (a contact) is a smooth constraint
-    r <= q_i(c), and the disc solves the KKT system of the contacts that
-    bind.  It starts at the centre c1 of h's fitted circle a0 + c1 . u,
-    whose largest deviation from h is s, with the local minima of q within
-    s of the lowest as contacts of equal weight.  Exact Newton steps
+    each local minimum theta_i of q (a contact, from _support_extrema's
+    bracketed polish with its q'') is a smooth constraint r <= q_i(c), and
+    the disc solves the KKT system of the contacts that bind.  It starts at
+    the centre c1 of the fitted circle a0 + c1 . u of h on the contact
+    grid, whose largest deviation from h is s, with the local minima of q
+    within s of the lowest as contacts of equal weight.  Exact Newton steps
     (`_kkt_step`) follow, each halved until the exact clearance does not
     drop.  They stop once the step is below 1e-15 * scale, or before a
     step that neither predicts nor makes a gain above that, which is
@@ -226,7 +233,7 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     1e-13 * (a0 + |c1|) of its fitted circle, the rounding of h, is that
     disc.  Raises DiscSearchFailed rather than return an unconverged centre.
     """
-    h = curve.periodic_jet(_GRID)[0]
+    h = curve.contact_h
     a0, c1 = fitted_circle(h)
     dev = h - a0 - c1[0] * _COS - c1[1] * _SIN
     s = float(np.max(np.abs(dev)))
@@ -234,15 +241,15 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     if s <= 1e-13 * scale:
         return (float(c1[0]), float(c1[1])), min_clearance(curve, c1)
     center, tol = c1, 1e-15 * scale
-    t, q = _support_extrema(curve, center, h=h)
+    t, q, q2 = _support_extrema(curve, center)
     phi = float(np.min(q))
     i = np.flatnonzero(q <= phi + s)
     lam = np.full(len(i), 1.0 / len(i))
     for _ in range(_NEWTON_STEPS):
-        d, r, i, lam = _kkt_step(curve, t, q, i, lam, a0, s, tol)
+        d, r, i, lam = _kkt_step(t, q, q2, i, lam, a0, s, tol)
         angles = t[i]
         for _ in range(_HALVINGS):
-            t, q = _support_extrema(curve, center + d, h=h)
+            t, q, q2 = _support_extrema(curve, center + d)
             phi_new = float(np.min(q))
             if phi_new >= phi - tol:
                 break
@@ -285,7 +292,7 @@ def lemma2_witness(curve: SupportCurve, *,
     already has it.
     """
     (cx, cy), r = disc if disc is not None else inscribed_disc(curve)
-    t, q = _support_extrema(curve, (cx, cy), maximum=True)
+    t, q, _ = _support_extrema(curve, (cx, cy), maximum=True)
     q_max = float(np.max(q))
     if q_max - r <= DISC_TOL_DEFAULT * max(1.0, r):
         return None

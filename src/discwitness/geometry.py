@@ -30,6 +30,7 @@ from .errors import MalformedSpec, NotStrictlyConvex, QuadratureNoConvergence
 
 EPS0 = 1e-3  # least radius of curvature a curve may have
 VALIDATION_GRID = 4096
+CONTACT_GRID = 1024  # nodes of h that the origin check and contact search read
 ARCLENGTH_NODE_BUDGET = 1 << 20  # largest FFT grid of h that arclength reads
 
 
@@ -99,6 +100,11 @@ class SupportCurve:
         """jet on the periodic n-node grid of [0, 2 pi)."""
         return self.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
 
+    @functools.cached_property
+    def contact_h(self):
+        """h on the periodic CONTACT_GRID, evaluated once per curve; read-only."""
+        return self.periodic_jet(CONTACT_GRID)[0]
+
 
 @dataclass(frozen=True)
 class EllipseCurve(SupportCurve):
@@ -108,12 +114,12 @@ class EllipseCurve(SupportCurve):
     rotation: float = 0.0
 
     def __post_init__(self):
-        ab = self.a * self.b
-        if math.isinf(ab * ab):  # jet's rho numerator; it caps a^2 and b^2 too
+        ab, m = self.a * self.b, max(self.a, self.b)
+        # jet's rho = (a b)^2 / w^1.5 with w <= max(a, b)^2; these cap a^2, b^2
+        if math.isinf(ab * ab) or math.isinf(m * m * m):
             raise MalformedSpec(f"ellipse semi-axes {self.a:g} x {self.b:g}: "
-                                "(a b)^2 overflows")
-        # least rho, at the normal of the longer axis
-        rho = min(self.a, self.b) ** 2 / max(self.a, self.b)
+                                "(a b)^2 or max(a, b)^3 overflows")
+        rho = min(self.a, self.b) ** 2 / m  # least rho, at the longer axis' normal
         if rho <= EPS0:
             raise NotStrictlyConvex(self.rotation + 0.5 * math.pi * (self.a < self.b),
                                     rho, EPS0)
@@ -270,9 +276,9 @@ def fitted_circle(h):
 
 
 def require_origin_inside(curve: SupportCurve) -> None:
-    """MalformedSpec unless h > 0 on a 1024-node grid, so that in every
+    """MalformedSpec unless h > 0 on the contact grid, so that in every
     frame the upper arc peaks above the origin and the lower arc below."""
-    if np.min(curve.periodic_jet(1024)[0]) <= 0.0:
+    if np.min(curve.contact_h) <= 0.0:
         raise MalformedSpec(
             "frame peaks require the origin strictly inside the curve")
 

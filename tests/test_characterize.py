@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discwitness import build_curve, characterize
 from discwitness.geometry import FourierCurve
@@ -109,7 +110,7 @@ class TestInscribedDisc:
     def test_step_lowering_the_clearance_raises(self, three_lobe, monkeypatch):
         """A step towards a contact lowers the clearance however it is
         halved, so the search raises instead of taking it."""
-        def towards_a_contact(curve, t, q, i, lam, *rest):
+        def towards_a_contact(t, q, q2, i, lam, *rest):
             d = 0.1 * np.array([math.cos(t[i[0]]), math.sin(t[i[0]])])
             return d, float(np.min(q)) + 1.0, i, lam
 
@@ -127,12 +128,12 @@ class TestInscribedDisc:
         any start set, the step keeps the lower pair, with r = 0.94."""
         curve = build_curve({"type": "support_fourier", "a0": 1.0,
                              "cos": [0.0, 0.0, 0.0, 0.05], "sin": [0.0, 0.01]})
-        t, q = characterize._support_extrema(curve, (0.0, 0.0))
+        t, q, q2 = characterize._support_extrema(curve, (0.0, 0.0))
         assert np.sort(q) == pytest.approx([0.94, 0.94, 0.96, 0.96], abs=1e-15)
         for i in ([0, 1, 2, 3], [0, 1, 2], [1, 3]):
             lam = np.full(len(i), 1.0 / len(i))
             d, r, i, lam = characterize._kkt_step(
-                curve, t, q, np.array(i), lam, 1.0, 0.06, 1e-15)
+                t, q, q2, np.array(i), lam, 1.0, 0.06, 1e-15)
             assert sorted(q[i]) == pytest.approx([0.94, 0.94], abs=1e-15)
             assert r == pytest.approx(0.94, abs=1e-15)
             assert lam == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -148,10 +149,10 @@ class TestInscribedDisc:
         a0 = float(np.mean(h))
         s = float(np.max(np.abs(h - a0)))
         center = -0.0922 * np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
-        t, q = characterize._support_extrema(curve, center)
+        t, q, q2 = characterize._support_extrema(curve, center)
         assert len(t) == 2
         d, r, i, lam = characterize._kkt_step(
-            curve, t, q, np.arange(2), np.full(2, 0.5), a0, s,
+            t, q, q2, np.arange(2), np.full(2, 0.5), a0, s,
             1e-15 * a0)
         assert list(i) == [0, 1] and lam == pytest.approx([0.5, 0.5])
         assert r == pytest.approx(1.0, abs=1e-6)
@@ -168,10 +169,10 @@ class TestInscribedDisc:
         u = np.stack([characterize._COS, characterize._SIN])
         a0, c1 = float(np.mean(h)), 2.0 * (u @ h) / len(h)
         s = float(np.max(np.abs(h - a0 - c1 @ u)))
-        t, q = characterize._support_extrema(curve, c1)
+        t, q, q2 = characterize._support_extrema(curve, c1)
         assert len(t) == 5 and np.ptp(q) < s
         d, r, i, lam = characterize._kkt_step(
-            curve, t, q, np.arange(5), np.full(5, 0.2), a0, s, 1e-15)
+            t, q, q2, np.arange(5), np.full(5, 0.2), a0, s, 1e-15)
         assert len(i) == 3 and np.all(lam > 0.0)
         center, r = inscribed_disc(curve)
         assert _dual_bound(curve, center) - r <= 1e-12
@@ -200,6 +201,49 @@ class TestInscribedDisc:
             (cx, cy), r = inscribed_disc(curve)
             assert math.hypot(cx - center[0], cy - center[1]) <= 1e-14 * 100.0
             assert r == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFlatEllipses:
+    """Contacts sharper than the contact grid: about a flat ellipse's
+    centre q = h - c . u has a well about b/a wide at the minor axis'
+    normals, narrower than the grid spacing once a/b passes a few hundred,
+    and the polish must find its floor inside the bracket of grid nodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_ratio=st.floats(0.0, math.log(1e4)),
+           log_rho=st.floats(0.0, math.log(10.0)),
+           rotation=st.floats(0.0, math.pi),
+           where=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 2.0 * math.pi)))
+    def test_random_flat_ellipses(self, log_ratio, log_rho, rotation, where):
+        """a/b log-uniform in [1, 1e4] with min rho = b^2/a in [1, 10], a
+        random rotation and centre |c| <= a/2: the disc has radius b at
+        the centre, and the witness width is 2a, all to 1e-9 a."""
+        ratio = math.exp(log_ratio)
+        a = ratio * ratio * math.exp(log_rho)
+        b = a / ratio
+        center = (where[0] * a * math.cos(where[1]),
+                  where[0] * a * math.sin(where[1]))
+        curve = build_curve({"type": "ellipse", "a": a, "b": b,
+                             "center": list(center), "rotation": rotation})
+        disc = inscribed_disc(curve)
+        (cx, cy), r = disc
+        assert abs(r - b) <= 1e-9 * a
+        assert math.hypot(cx - center[0], cy - center[1]) <= 1e-9 * a
+        w = lemma2_witness(curve, disc=disc)
+        if w is None:  # a disc to the witness' tolerance
+            assert a - b <= 2.0 * characterize.DISC_TOL_DEFAULT * max(1.0, b)
+        else:
+            assert abs(w.L_dir - 2.0 * a) <= 1e-9 * a
+
+    @pytest.mark.parametrize("a,b,rel", [(1e8, 400.0, 0.0), (1e20, 1e9, 1e-10),
+                                         (1e24, 1e12, 1e-8)])
+    def test_rotation_zero_pins(self, a, b, rel):
+        """Upright, far past a/b = 1e4, the radius keeps the accuracy that
+        rounding of h at the minor-axis normal allows; a bracket test that
+        excludes its ends bisects away from an exact grid node here."""
+        (_, _), r = inscribed_disc(build_curve({"type": "ellipse", "a": a,
+                                                "b": b}))
+        assert abs(r - b) <= rel * b
 
 
 def _polished_minima(f, f1, f2, n=1 << 14):
@@ -351,7 +395,7 @@ def test_flat_support_function_is_not_polished(center, about, circle_jet_calls):
                             np.mean(h * characterize._SIN)])
     for maximum in (False, True):
         circle_jet_calls.clear()
-        t, q = characterize._support_extrema(curve, c, maximum=maximum)
+        t, q, _ = characterize._support_extrema(curve, c, maximum=maximum)
         assert len(circle_jet_calls) <= 2
         assert np.max(np.abs(q - 1.0)) <= 1e-15
     assert lemma2_witness(curve) is None
@@ -365,7 +409,7 @@ def test_small_real_curvature_stops_at_the_rounding_floor(circle_jet_calls):
     c = np.array([0.3 + 6e-10, 0.1 + 8e-10])
     for maximum, expect in ((False, 1.0 - 1e-9), (True, 1.0 + 1e-9)):
         circle_jet_calls.clear()
-        t, q = characterize._support_extrema(curve, c, maximum=maximum)
+        t, q, _ = characterize._support_extrema(curve, c, maximum=maximum)
         assert len(circle_jet_calls) <= 3
         assert len(q) == 1 and abs(q[0] - expect) <= 1e-15
 

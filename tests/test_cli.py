@@ -10,6 +10,7 @@ import pytest
 import discwitness
 from discwitness import characterize
 from discwitness.cli import build_parser, main
+from discwitness.geometry import CONTACT_GRID, FourierCurve, SupportCurve
 from discwitness.logscale import exp_or_inf
 from discwitness.moments import moment_sweep
 
@@ -396,6 +397,29 @@ class TestSubcommands:
         assert rep["verdict"] == "not_disc"
         assert "residuals" in rep and "inscribed" in rep and "witness" in rep
         assert rep["witness"]["inequality_report"]["L_gt_two_r"] is True
+
+    @pytest.mark.parametrize("spec", [ELLIPSE, THREE_LOBE],
+                             ids=["ellipse", "fourier"])
+    def test_report_reads_the_contact_grid_once(self, spec, shape_file,
+                                                monkeypatch):
+        """The origin check, the disc search and the witness all read the
+        curve's one evaluation of h on the contact grid."""
+        calls = []
+        for cls in (SupportCurve, FourierCurve):
+            def counted(self, n, periodic_jet=cls.periodic_jet):
+                calls.append(n)
+                return periodic_jet(self, n)
+            monkeypatch.setattr(cls, "periodic_jet", counted)
+        assert run(["report", "--shape", shape_file(spec)]) == 0
+        assert calls.count(CONTACT_GRID) == 1
+
+    def test_inscribed_sharp_contacts(self, shape_file, capsys):
+        """At a/b = 500 the minor-axis well of q is narrower than the
+        contact grid's spacing; the disc is still the minor semi-axis."""
+        flat = {"type": "ellipse", "a": 250000, "b": 500, "rotation": 0.01}
+        assert run(["inscribed", "--shape", shape_file(flat)]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == pytest.approx(
+            500.0, rel=1e-9)
 
     def test_json_keys_are_the_record_fields(self, shape_file, capsys):
         """The residuals and witness blocks carry exactly these keys."""

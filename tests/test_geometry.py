@@ -226,6 +226,7 @@ class TestBuildCurve:
         {"type": "ellipse", "a": 0, "b": 1},
         {"type": "ellipse", "a": 1e78, "b": 1e78},  # (a b)^2 overflows in jet
         {"type": "ellipse", "a": 1e155, "b": 1e155},  # a^2 overflows too
+        {"type": "ellipse", "a": 4e103, "b": 3e50},  # a^3 overflows in jet
         {"type": "polygon"},
         {"type": "support_fourier", "a0": "x"},
         "not a dict",
