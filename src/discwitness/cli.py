@@ -29,7 +29,7 @@ import numpy as np
 from . import characterize, shapeopt
 from .asymptotics import asymptotic_ratio, check_m_list
 from .errors import DiscWitnessError, MalformedSpec, NoFeasibleStart, NotStrictlyConvex
-from .geometry import FourierCurve, build_curve
+from .geometry import FourierCurve, arclength, build_curve
 from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
@@ -105,8 +105,11 @@ def _profile_dict(report):
 
 def cmd_profile(curve, args) -> str:
     report = characterize.kl_profile(curve, args.samples, args.tol)
-    if args.format == "csv":
-        return _csv(report.samples, ["s", "theta", "kappa", "L", "kappaL"])
+    if args.format == "csv":  # with the arc length s from theta = 0
+        columns = (arclength(curve, 0.0, report.theta), report.theta,
+                   report.kappa, report.L, report.kappa_L)
+        return _csv(zip(*(c.tolist() for c in columns)),
+                    ["s", "theta", "kappa", "L", "kappaL"])
     return _json(_profile_dict(report))
 
 

@@ -229,8 +229,8 @@ def arclength(curve: SupportCurve, theta0: float, theta1):
     shape's upper spectrum near 2e-16 max|h| at every n); the modes below
     n/4 are summed by baby and giant steps, e^{ik t} = e^{igBt} e^{irt}.
     A 2 x 1 ellipse takes 256 nodes, 100 x 1 16,384, 10,000 x 10 65,536;
-    an aspect ratio near 1e5 exceeds ARCLENGTH_NODE_BUDGET and raises
-    QuadratureNoConvergence."""
+    an aspect ratio of 3e4 exceeds ARCLENGTH_NODE_BUDGET (2e4 does not)
+    and raises QuadratureNoConvergence."""
     theta1 = np.asarray(theta1, dtype=float)
     t = np.append(float(theta0), theta1)
     if not np.all(np.isfinite(t)):

@@ -120,9 +120,8 @@ def circle_distance(curve: FourierCurve) -> float:
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f, (cx, cy) = fitted_circle(h)
-    k = max(1, len(curve.cos))  # the table periodic_jet read, or cos theta alone
-    cos, sin = (t[:, 0] for t in periodic_trig(_GRID, k)[:2])
-    fit = a0f + cx * cos + cy * sin
+    theta = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
+    fit = a0f + cx * np.cos(theta) + cy * np.sin(theta)
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 
 

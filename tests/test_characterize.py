@@ -51,12 +51,12 @@ class TestKLProfile:
         rep = kl_profile(ellipse, 1000)
         assert rep.verdict == "not_disc"
         # kappa * L at the major-axis normal: (a/b^2) * 2a = 8
-        assert rep.samples[0][4] == pytest.approx(8.0, abs=1e-6)
+        assert rep.kappa_L[0] == pytest.approx(8.0, abs=1e-6)
 
     def test_constant_width_is_not_enough(self, three_lobe):
         rep = kl_profile(build_curve(
             {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.05]}), 1000)
-        widths = [row[3] for row in rep.samples]
+        widths = rep.L
         assert max(widths) - 2 < 1e-10 and 2 - min(widths) < 1e-10
         assert rep.max_dev >= 0.5
         assert rep.verdict == "not_disc"

@@ -21,6 +21,8 @@ THREE_LOBE = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]}
 SWEEP_FOURIER = {"type": "support_fourier", "a0": 1.0, "cos": [0.0, 0.05],
                  "sin": [0.0, 0.0, 0.03]}
 CIRCLE_10 = {"type": "circle", "center": [0, 0], "radius": 10}
+# a/b = 3e4: h's spectrum outruns arclength's node budget
+FLAT_ROTATED = {"type": "ellipse", "a": 9e6, "b": 300, "rotation": 0.2}
 NON_FINITE = {
     "nan_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.nan},
     "inf_radius": {"type": "circle", "center": [0.0, 0.0], "radius": math.inf},
@@ -420,6 +422,44 @@ class TestSubcommands:
         assert run(["inscribed", "--shape", shape_file(flat)]) == 0
         assert json.loads(capsys.readouterr().out)["radius"] == pytest.approx(
             500.0, rel=1e-9)
+
+    def test_flat_ellipse_report_and_json_profile(self, shape_file, capsys):
+        """Neither prints arc length, so neither meets its node budget."""
+        path = shape_file(FLAT_ROTATED)
+        assert run(["report", "--shape", path]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verdict"] == "not_disc"
+        assert rep["inscribed"]["radius"] == pytest.approx(300.0, rel=1e-9)
+        assert run(["profile", "--shape", path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "not_disc"
+
+    def test_flat_ellipse_profile_csv_is_numerical_error(self, shape_file,
+                                                         capsys):
+        """The CSV's arc-length column is the one place the budget binds."""
+        assert run(["profile", "--shape", shape_file(FLAT_ROTATED),
+                    "--format", "csv"]) == 1
+        err = capsys.readouterr().err
+        assert "QuadratureNoConvergence" in err and "Traceback" not in err
+
+    def test_only_the_profile_csv_takes_arc_length(self, shape_file,
+                                                   monkeypatch):
+        """report and JSON profile take no arc length; the CSV's s column
+        is one call, which shows the patch reaches every holder."""
+        calls = []
+        real = discwitness.geometry.arclength
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("discwitness") and hasattr(mod, "arclength"):
+                monkeypatch.setattr(mod, "arclength", counted)
+        assert run(["report", "--shape", shape_file(ELLIPSE)]) == 0
+        assert run(["profile", "--shape", shape_file(ELLIPSE)]) == 0
+        assert calls == []
+        assert run(["profile", "--shape", shape_file(ELLIPSE), "--format",
+                    "csv"]) == 0
+        assert len(calls) == 1
 
     def test_json_keys_are_the_record_fields(self, shape_file, capsys):
         """The residuals and witness blocks carry exactly these keys."""

@@ -232,7 +232,7 @@ KL_STARTS = [FourierCurve(1.0, (0, 0, 0.1)), _random_k8(1), _random_k8(2)]
 
 class TestNewtonKL:
     """The closed forms behind the kl Newton solve, checked against
-    kl_profile's samples and against finite differences of J."""
+    kl_profile's arrays and against finite differences of J."""
 
     @pytest.mark.parametrize("v", KL_STARTS)
     def test_affine_parts_match_kl_profile(self, v):
@@ -242,8 +242,8 @@ class TestNewtonKL:
         thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         rho = curve.rho(thetas)
         kl = width_at(curve, thetas) / rho
-        prof = kl_profile(curve, n).samples
-        assert np.allclose(kl[:len(prof)], [row[4] for row in prof],
+        prof = kl_profile(curve, n).kappa_L
+        assert np.allclose(kl[:len(prof)], prof,
                            rtol=1e-14, atol=0.0)
         ref = 2.0 * math.pi / n * float(np.sum((kl - 2.0) ** 2 * rho))
         assert ref > 1e-3
