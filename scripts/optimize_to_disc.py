@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Drive a perturbed shape to a disc and print the convergence trace summary.
 
-Both objectives are solved by damped Newton steps in one loop: the default
-kappa*L objective is convex in the support coefficients and takes exact Newton
-steps (eight from this start); the "bracket" objective takes Gauss-Newton steps
-on the equal-height, equal-curvature and phase residuals of each frame's two
-Laplace peak terms (six from this start).  Both are deterministic.
+Both objectives are residual vectors, solved by damped Gauss-Newton steps in
+one loop: the default kappa*L objective, convex in the support coefficients,
+takes five from this start; the "bracket" objective, on the equal-height,
+equal-curvature and phase residuals of each frame's two Laplace peak terms,
+takes six.  Both are deterministic.
 
 Usage: python3 scripts/optimize_to_disc.py [objective]
 """

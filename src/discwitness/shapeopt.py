@@ -3,8 +3,8 @@
 Minimizing the kappa*L residual, or the bracket residuals (the equal-height,
 equal-curvature and phase conditions of each frame's two Laplace peak
 terms), drives strictly convex shapes to discs, which is the numerical face
-of the symmetry theorem.  Both take damped Newton steps in one loop: exact
-Newton on the convex kappa*L residual, Gauss-Newton on the bracket.
+of the symmetry theorem.  Each objective is a residual vector r(x) with
+J = r . r, and both take damped Gauss-Newton steps in one loop.
 minimize takes a FourierCurve and returns one, gauged: scale by
 normalizing the mean width to 2 (a0 = 1), translation by pinning the first
 harmonics, which puts the Steiner point, inside the body, at the origin,
@@ -54,21 +54,15 @@ def _kl_maps(K: int):
     return basis * np.tile(w_ell, 2), basis * np.tile(1.0 - k[1:] ** 2, 2)
 
 
-def _kl_value(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray) -> float:
-    # (kappa L - 2)^2 ds = (ell / rho)^2 rho dtheta, by the periodic trapezoid
+def _kl_residuals(maps, x: np.ndarray):
+    """(r, dr/dx), r = (2 pi / N)^(1/2) ell / sqrt(rho): r . r is the periodic
+    trapezoid of (kappa L - 2)^2 ds = (ell / rho)^2 rho dtheta, convex as
+    the perspective of a square of affine maps (Boyd & Vandenberghe, 2004,
+    3.2.6), so it has one minimum, the disc."""
+    a_ell, a_rho = maps
     ell, rho = a_ell @ x, 1.0 + a_rho @ x
-    return float(np.mean(ell * ell / rho) * 2.0 * math.pi)
-
-
-def _kl_derivatives(a_ell: np.ndarray, a_rho: np.ndarray, x: np.ndarray):
-    """Gradient and Hessian of J at x, with lam = ell / rho = kappa L - 2:
-    sum 2 lam ell' - lam^2 rho' and sum (2 / rho) q q^T, q = ell' - lam rho'."""
-    ell, rho = a_ell @ x, 1.0 + a_rho @ x
-    lam = ell / rho
-    q = a_ell - lam[:, None] * a_rho
-    w = 2.0 * math.pi / len(rho)
-    return (w * (a_ell.T @ (2.0 * lam) - a_rho.T @ (lam * lam)),
-            w * (q.T * (2.0 / rho)) @ q)
+    s = math.sqrt(2.0 * math.pi / len(rho)) / np.sqrt(rho)
+    return s * ell, s[:, None] * (a_ell - (0.5 * ell / rho)[:, None] * a_rho)
 
 
 def bracket_frames(K: int) -> np.ndarray:
@@ -108,11 +102,6 @@ def _bracket_residuals(maps, x: np.ndarray):
     return r, jac
 
 
-def _bracket_value(maps, x: np.ndarray) -> float:
-    res = _bracket_residuals(maps, x)
-    return math.inf if res is None else float(res[0] @ res[0])
-
-
 def circle_distance(curve: FourierCurve) -> float:
     """Relative curvature spread plus support residual to the best-fit
     circle of the curve."""
@@ -143,15 +132,15 @@ class OptResult:
 
 def minimize(start: FourierCurve, objective: str = "kl",
              max_iter: int = 5000) -> OptResult:
-    """Damped Newton descent over the gauged start's free coordinates, in
-    harmonics 2..K, K = max(DEFAULT_K, len(start.cos)).
+    """Damped Gauss-Newton descent over the gauged start's free coordinates,
+    in harmonics 2..K, K = max(DEFAULT_K, len(start.cos)).
 
-    objective: "kl" (Newton steps on the convex kappa*L residual) or
-    "bracket" (Gauss-Newton steps on the bracket residuals).  Stops on
-    J <= TARGETS[objective], no further descent, or max_iter steps.  A
-    point is accepted only if its validation_rho clears EPS0, so the best
-    point is always a valid curve.  Raises NoFeasibleStart when the gauged
-    start is not strictly convex.
+    objective: "kl" (the kappa*L residuals) or "bracket" (the bracket
+    residuals over bracket_frames(K)); J is the sum of their squares.
+    Stops on J <= TARGETS[objective], no further descent, or max_iter
+    steps.  A point is accepted only if its validation_rho clears EPS0, so
+    the best point is always a valid curve.  Raises NoFeasibleStart when the
+    gauged start is not strictly convex.
     """
     K = max(DEFAULT_K, len(start.cos))
     x = _coordinates(start, K)
@@ -160,43 +149,19 @@ def minimize(start: FourierCurve, objective: str = "kl",
     except NotStrictlyConvex as exc:
         raise NoFeasibleStart(str(exc)) from exc
     if objective == "kl":
-        problem = _kl_problem(K)
+        maps, residuals = _kl_maps(K), _kl_residuals
     elif objective == "bracket":
-        problem = _bracket_problem(K)
+        maps = _bracket_maps(K, bracket_frames(K))
+        residuals = _bracket_residuals
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    x_best, j_best, iterations, trace, evaluations = _damped_newton(
-        x, TARGETS[objective], max_iter, *problem)
-    best = _curve(x_best)
+    x, trace, evaluations = _damped_newton(
+        x, TARGETS[objective], max_iter, lambda y: residuals(maps, y))
+    best = _curve(x)
     rho = best.periodic_jet(_GRID)[2]
-    return OptResult(best=best, objective=j_best, iterations=iterations,
+    return OptResult(best=best, objective=trace[-1], iterations=len(trace) - 1,
                      trace=trace, circle_distance=circle_distance(best),
                      min_rho=float(np.min(rho)), evaluations=evaluations)
-
-
-def _kl_problem(K: int):
-    """(value, step) for Newton descent on J = (2 pi / N) sum ell^2 / rho,
-    convex as the perspective of a square of affine maps (Boyd &
-    Vandenberghe, 2004, 3.2.6 and 9.5)."""
-    a_ell, a_rho = _kl_maps(K)
-
-    def step(x):
-        grad, hess = _kl_derivatives(a_ell, a_rho, x)
-        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
-
-    return (lambda x: _kl_value(a_ell, a_rho, x)), step
-
-
-def _bracket_problem(K: int):
-    """(value, step) for Gauss-Newton descent on the sum of squared bracket
-    residuals over bracket_frames(K) (Nocedal & Wright, 2006, 10.3)."""
-    maps = _bracket_maps(K, bracket_frames(K))
-
-    def step(x):
-        r, jac = _bracket_residuals(maps, x)
-        return np.linalg.lstsq(jac, -r, rcond=None)[0]
-
-    return (lambda x: _bracket_value(maps, x)), step
 
 
 def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
@@ -205,29 +170,34 @@ def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
     return validation_rho(a0, np.r_[0.0, cos], np.r_[0.0, sin])
 
 
-def _damped_newton(x: np.ndarray, target: float, max_iter: int, value, step):
-    """Descent on value(x) from the free coordinates x by the full steps
-    step(x).  rho is affine in x, so from _free_rho at the start and along
-    the step (a0 = 0) one ratio test caps a step at BOUNDARY_FRACTION of the
-    way to rho = EPS0; it then halves until the value falls at a point whose
-    _free_rho, _curve's validation sum on the same values, clears EPS0."""
-    j = value(x)
+def _damped_newton(x: np.ndarray, target: float, max_iter: int, residuals):
+    """Descent on J = r . r, (r, dr/dx) = residuals(x) or None where J is
+    undefined, from the free coordinates x by Gauss-Newton steps, the least
+    squares solutions of dr/dx p = -r (Nocedal & Wright, 2006, 10.3).  rho
+    is affine in x, so from _free_rho at the start and along the step
+    (a0 = 0) one ratio test caps a step at BOUNDARY_FRACTION of the way to
+    rho = EPS0; it then halves until J falls at a point whose _free_rho,
+    _curve's validation sum on the same values, clears EPS0.  Each point is
+    scored once: the accepted trial's (r, dr/dx) gives the next step."""
+    r, jac = residuals(x)
+    j = float(r @ r)
     rho_v = _free_rho(1.0, x)
     trace, evaluations = [j], 1
     while j > target and len(trace) <= max_iter:
-        p = step(x)
+        p = np.linalg.lstsq(jac, -r, rcond=None)[0]
         rho_p = _free_rho(0.0, p)
         falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
             (rho_v[falling] - EPS0) / -rho_p[falling], initial=math.inf)))
         for _ in range(MAX_HALVINGS):
-            j_t = value(x + t * p)
+            res = residuals(x + t * p)
             evaluations += 1
+            j_t = math.inf if res is None else float(res[0] @ res[0])
             if j_t < j and np.min(_free_rho(1.0, x + t * p)) > EPS0:
                 break
             t *= 0.5
         else:
             break  # J no longer decreases
-        x, j, rho_v = x + t * p, j_t, rho_v + t * rho_p
+        x, (r, jac), j, rho_v = x + t * p, res, j_t, rho_v + t * rho_p
         trace.append(j)
-    return x, j, len(trace) - 1, trace, evaluations
+    return x, trace, evaluations
