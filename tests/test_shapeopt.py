@@ -261,6 +261,29 @@ class TestNewtonKL:
         assert ref > 1e-3
         assert objective(v, "kl") == pytest.approx(ref, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("v", KL_STARTS)
+    def test_derivatives_match_central_differences(self, v):
+        # the closed-form Jacobian, and J's gradient 2 jac^T r, against
+        # central differences of r and of J = r . r
+        _, x = gauged(v)
+        maps = shapeopt._kl_maps(8)
+        r, jac = shapeopt._kl_residuals(maps, x)
+
+        def res(dx):
+            return shapeopt._kl_residuals(maps, x + dx)[0]
+
+        eye = np.eye(len(x))
+        d = 1e-7
+        fd_jac = np.array([(res(d * e) - res(-d * e)) / (2 * d)
+                           for e in eye]).T
+        fd_grad = np.array([(res(d * e) @ res(d * e)
+                             - res(-d * e) @ res(-d * e)) / (2 * d)
+                            for e in eye])
+        grad = 2.0 * jac.T @ r
+        assert np.max(np.abs(jac - fd_jac)) <= 1e-6 * np.max(np.abs(jac))
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.min(np.linalg.eigvalsh(jac.T @ jac)) > 0.0
+
     def test_near_floor_start(self, monkeypatch):
         # min rho = 1 - 8 * 0.1248 = 0.0016, just above EPS0 = 1e-3
         cleared = _record_cleared(monkeypatch)
@@ -289,6 +312,18 @@ class TestNewtonKL:
                              "--out", str(out), "--trace-out", str(trace)]) == 0
             outs.append(out.read_bytes() + trace.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_evaluations_count_every_j(self, monkeypatch):
+        calls = [0]
+        kl_residuals = shapeopt._kl_residuals
+
+        def counted(*args):
+            calls[0] += 1
+            return kl_residuals(*args)
+
+        monkeypatch.setattr(shapeopt, "_kl_residuals", counted)
+        res = minimize(FourierCurve(1.0, (0, 0, 0.1248)), "kl")
+        assert calls[0] == res.evaluations >= res.iterations + 1
 
 
 def test_circle_distance_on_circle():
