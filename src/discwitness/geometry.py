@@ -41,11 +41,19 @@ def trig_table(theta, K: int):
     return np.cos(kt), np.sin(kt), k
 
 
+def read_only(*arrays):
+    """The arrays, flagged writeable=False: tables a cache shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=8)
 def periodic_trig(n: int, K: int):
     """trig_table on the periodic n-node grid of [0, 2 pi), cached per
-    (n, K); callers must not mutate it."""
-    return trig_table(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), K)
+    (n, K) and read-only."""
+    return read_only(*trig_table(np.linspace(0.0, 2.0 * math.pi, n,
+                                             endpoint=False), K))
 
 
 def fourier_coefficients(cos, sin, deriv: int):
@@ -80,6 +88,14 @@ def validation_rho(a0, cos, sin):
     coskt, sinkt, _ = periodic_trig(VALIDATION_GRID, len(cos))
     cr, sr = radius_coefficients(cos, sin)
     return a0 + coskt @ cr + sinkt @ sr
+
+
+def require_strictly_convex(rho, error=NotStrictlyConvex) -> None:
+    """error, NotStrictlyConvex or a subclass, at the least of
+    validation_rho's values rho unless it clears EPS0."""
+    i = int(np.argmin(rho))
+    if rho[i] <= EPS0:
+        raise error(i * (2.0 * math.pi / VALIDATION_GRID), rho[i], EPS0)
 
 
 class SupportCurve:
@@ -155,11 +171,7 @@ class FourierCurve(SupportCurve):
         if kmax >= VALIDATION_GRID // 2:  # would alias onto the grid's low modes
             raise MalformedSpec(f"{kmax} harmonics: support_fourier takes fewer "
                                 f"than {VALIDATION_GRID // 2}")
-        rho = validation_rho(self.a0, self.cos, self.sin)
-        i = int(np.argmin(rho))
-        if rho[i] <= EPS0:
-            raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
-                                    rho[i], EPS0)
+        require_strictly_convex(validation_rho(self.a0, self.cos, self.sin))
 
     @functools.cached_property
     def _coefficients(self):

@@ -1,33 +1,35 @@
 """Shape optimization over support-Fourier coefficients.
 
-Minimizing the kappa*L residual, or the bracket residuals (the equal-height,
-equal-curvature and phase conditions of each frame's two Laplace peak
-terms), drives strictly convex shapes to discs, which is the numerical face
-of the symmetry theorem.  Each objective is a residual vector r(x) with
-J = r . r, and both take damped Gauss-Newton steps in one loop.
-minimize takes a FourierCurve and returns one, gauged: scale by
-normalizing the mean width to 2 (a0 = 1), translation by pinning the first
-harmonics, which puts the Steiner point, inside the body, at the origin,
-so h > 0.  The search runs over the free coordinates left, and feasible
-means geometry.validation_rho, the sum FourierCurve validates with, clears
-EPS0 on the validation grid, at every trial point of the line search too.
+Minimizing the kappa*L residuals, or the bracket residuals (the
+equal-height, equal-curvature and phase conditions of each frame's two
+Laplace peak terms), drives strictly convex shapes to discs, the numerical
+face of the symmetry theorem.  minimize takes a FourierCurve and returns
+one, gauged: a0 = 1 (mean width 2) and the first harmonics pinned at 0,
+which puts the Steiner point, inside the body, at the origin, so h > 0.
+Each objective is a residual vector r(x) of the free coordinates left,
+J = r . r, and one damped Gauss-Newton loop solves the normal equations of
+the column-scaled Jacobian (Nocedal & Wright, 2006, 10.2; van der Sluis,
+Numer. Math. 14, 1969).  Feasible means geometry.validation_rho, the sum
+FourierCurve validates with, clears EPS0, at every line-search trial too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasibleStart, NotStrictlyConvex
+from .errors import MalformedSpec, NoFeasibleStart
 from .geometry import (EPS0, FourierCurve, fitted_circle, peak_normals,
-                       periodic_trig, trig_table, validation_rho)
+                       periodic_trig, read_only, require_strictly_convex,
+                       trig_table, validation_rho)
 
 DEFAULT_K = 8
 BOUNDARY_FRACTION = 0.99
 MAX_HALVINGS = 40
-_GRID = 512  # even, so theta + pi is an exact roll
+_GRID = 512  # even, so theta + pi is an exact roll; resolves K < _GRID / 2
 
 
 def _coordinates(curve: FourierCurve, K: int) -> np.ndarray:
@@ -45,13 +47,15 @@ def _curve(x: np.ndarray) -> FourierCurve:
     return FourierCurve(1.0, (0.0, *cos.tolist()), (0.0, *sin.tolist()))
 
 
+@functools.lru_cache(maxsize=8)
 def _kl_maps(K: int):
     """A_ell, A_rho: ell = L - 2 rho = A_ell x and rho = 1 + A_rho x on the
-    grid for the free coordinates x of a gauged curve."""
+    grid for the free coordinates x of a gauged curve; cached, read-only."""
     coskt, sinkt, k = periodic_trig(_GRID, K)
     basis = np.hstack([coskt[:, 1:], sinkt[:, 1:]])
     w_ell = np.where(k % 2 == 0, 2.0 * k * k, 2.0 * (k * k - 1.0))[1:]
-    return basis * np.tile(w_ell, 2), basis * np.tile(1.0 - k[1:] ** 2, 2)
+    return read_only(basis * np.tile(w_ell, 2),
+                     basis * np.tile(1.0 - k[1:] ** 2, 2))
 
 
 def _kl_residuals(maps, x: np.ndarray):
@@ -102,15 +106,15 @@ def _bracket_residuals(maps, x: np.ndarray):
     return r, jac
 
 
-def circle_distance(curve: FourierCurve) -> float:
+def circle_distance(curve: FourierCurve, jet=None) -> float:
     """Relative curvature spread plus support residual to the best-fit
-    circle of the curve."""
-    h, _, rho = curve.periodic_jet(_GRID)
+    circle of the curve, from its periodic_jet(_GRID) if given."""
+    h, _, rho = curve.periodic_jet(_GRID) if jet is None else jet
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f, (cx, cy) = fitted_circle(h)
-    theta = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-    fit = a0f + cx * np.cos(theta) + cy * np.sin(theta)
+    cos, sin, _ = periodic_trig(_GRID, 1)
+    fit = a0f + cx * cos[:, 0] + cy * sin[:, 0]
     return rel_std + float(np.max(np.abs(h - fit))) / a0f
 
 
@@ -138,66 +142,87 @@ def minimize(start: FourierCurve, objective: str = "kl",
     objective: "kl" (the kappa*L residuals) or "bracket" (the bracket
     residuals over bracket_frames(K)); J is the sum of their squares.
     Stops on J <= TARGETS[objective], no further descent, or max_iter
-    steps.  A point is accepted only if its validation_rho clears EPS0, so
-    the best point is always a valid curve.  Raises NoFeasibleStart when the
-    gauged start is not strictly convex.
+    steps; the best point is always a valid curve.  Raises MalformedSpec
+    when K >= _GRID / 2, harmonics the grid cannot resolve, and
+    NoFeasibleStart when the gauged start is not strictly convex.
     """
     K = max(DEFAULT_K, len(start.cos))
+    if K >= _GRID // 2:  # would alias onto the grid's low modes, or vanish
+        raise MalformedSpec(f"{K} harmonics: optimize takes fewer than "
+                            f"{_GRID // 2}")
     x = _coordinates(start, K)
-    try:
-        _curve(x)
-    except NotStrictlyConvex as exc:
-        raise NoFeasibleStart(str(exc)) from exc
-    if objective == "kl":
-        maps, residuals = _kl_maps(K), _kl_residuals
-    elif objective == "bracket":
-        maps = _bracket_maps(K, bracket_frames(K))
-        residuals = _bracket_residuals
-    else:
+    rho = _free_rho(1.0, x)
+    require_strictly_convex(rho, NoFeasibleStart)
+    if objective not in TARGETS:
         raise ValueError(f"unknown objective {objective!r}")
+    kl = objective == "kl"
+    maps = _kl_maps(K) if kl else _bracket_maps(K, bracket_frames(K))
+    residuals = _kl_residuals if kl else _bracket_residuals
     x, trace, evaluations = _damped_newton(
-        x, TARGETS[objective], max_iter, lambda y: residuals(maps, y))
+        x, rho, TARGETS[objective], max_iter, lambda y: residuals(maps, y))
     best = _curve(x)
-    rho = best.periodic_jet(_GRID)[2]
+    jet = best.periodic_jet(_GRID)
     return OptResult(best=best, objective=trace[-1], iterations=len(trace) - 1,
-                     trace=trace, circle_distance=circle_distance(best),
-                     min_rho=float(np.min(rho)), evaluations=evaluations)
+                     trace=trace, circle_distance=circle_distance(best, jet),
+                     min_rho=float(np.min(jet[2])), evaluations=evaluations)
 
 
 def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
     """validation_rho of free coordinates x, the first harmonics pinned at 0."""
-    cos, sin = np.split(x, 2)
-    return validation_rho(a0, np.r_[0.0, cos], np.r_[0.0, sin])
+    m = len(x) // 2
+    z = np.zeros(len(x) + 2)  # [0, cos, 0, sin]
+    z[1:m + 1], z[m + 2:] = x[:m], x[m:]
+    return validation_rho(a0, z[:m + 1], z[m + 1:])
 
 
-def _damped_newton(x: np.ndarray, target: float, max_iter: int, residuals):
+def _step(jac: np.ndarray, r: np.ndarray):
+    """The least-squares solution of jac p = -r, D solve((jac D)^T (jac D),
+    -(jac D)^T r) with D = 1 / |column|; None unless that is finite."""
+    norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+    if not np.all(norms > 0.0):
+        return None
+    d = 1.0 / norms
+    a = jac * d
+    try:
+        p = d * np.linalg.solve(a.T @ a, -(a.T @ r))
+    except np.linalg.LinAlgError:  # singular
+        return None
+    return p if np.all(np.isfinite(p)) else None
+
+
+def _damped_newton(x: np.ndarray, rho: np.ndarray, target: float,
+                   max_iter: int, residuals):
     """Descent on J = r . r, (r, dr/dx) = residuals(x) or None where J is
-    undefined, from the free coordinates x by Gauss-Newton steps, the least
-    squares solutions of dr/dx p = -r (Nocedal & Wright, 2006, 10.3).  rho
-    is affine in x, so from _free_rho at the start and along the step
-    (a0 = 0) one ratio test caps a step at BOUNDARY_FRACTION of the way to
-    rho = EPS0; it then halves until J falls at a point whose _free_rho,
-    _curve's validation sum on the same values, clears EPS0.  Each point is
-    scored once: the accepted trial's (r, dr/dx) gives the next step."""
+    undefined, from free coordinates x with _free_rho rho, by the steps p of
+    _step (Nocedal & Wright, 2006, 10.2; van der Sluis, 1969).  rho is
+    affine in x: its sum at x + p, less rho(x), caps t by one ratio test at
+    BOUNDARY_FRACTION of the way to EPS0; t then halves until J falls at a
+    point whose _free_rho (at t = 1, that same sum) clears EPS0.  Each point
+    is scored and summed once: the accepted trial's r, dr/dx and rho carry
+    over.  A step that is not finite stops the descent, as no fall does."""
     r, jac = residuals(x)
     j = float(r @ r)
-    rho_v = _free_rho(1.0, x)
     trace, evaluations = [j], 1
     while j > target and len(trace) <= max_iter:
-        p = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        rho_p = _free_rho(0.0, p)
+        p = _step(jac, r)
+        if p is None:
+            break  # singular normal equations
+        rho_full = _free_rho(1.0, x + p)
+        rho_p = rho_full - rho
         falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
-            (rho_v[falling] - EPS0) / -rho_p[falling], initial=math.inf)))
+            (rho[falling] - EPS0) / -rho_p[falling], initial=math.inf)))
         for _ in range(MAX_HALVINGS):
             res = residuals(x + t * p)
             evaluations += 1
             j_t = math.inf if res is None else float(res[0] @ res[0])
-            if j_t < j and np.min(_free_rho(1.0, x + t * p)) > EPS0:
-                break
+            if j_t < j:
+                rho_t = rho_full if t == 1.0 else _free_rho(1.0, x + t * p)
+                if np.min(rho_t) > EPS0:
+                    break
             t *= 0.5
         else:
             break  # J no longer decreases
-        x, (r, jac), j, rho_v = x + t * p, res, j_t, rho_v + t * rho_p
+        x, (r, jac), j, rho = x + t * p, res, j_t, rho_t
         trace.append(j)
     return x, trace, evaluations

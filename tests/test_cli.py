@@ -515,6 +515,24 @@ class TestOptimizeRoundTrip:
         assert err == ("error: NoFeasibleStart: radius of curvature 0.00075 "
                        "<= 0.001 at theta=0\n")
 
+    @pytest.mark.parametrize("K,field", [(256, "sin"), (300, "cos")])
+    def test_unresolved_harmonic_is_validation_error(self, shape_file,
+                                                      tmp_path, capsys, K,
+                                                      field):
+        # the optimizer's 512-node grid resolves harmonics below 256:
+        # sin 256 theta vanishes on every node, cos 300 theta aliases onto
+        # cos 212 theta
+        spec = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.02],
+                "sin": []}
+        spec[field] = spec[field] + [0.0] * (K - 1 - len(spec[field])) + [1e-6]
+        out = tmp_path / "out.json"
+        assert run(["optimize", "--shape", shape_file(spec),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: MalformedSpec: {K} harmonics: optimize takes "
+                       "fewer than 256\n")
+        assert not out.exists()
+
     def test_bracket_seed_is_ignored(self, shape_file, tmp_path):
         shape = shape_file(THREE_LOBE)
         outs = []

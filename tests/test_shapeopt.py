@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discwitness.geometry import (EPS0, VALIDATION_GRID, FourierCurve,
-                                  build_curve, frame_peaks, validation_rho,
-                                  width_at)
+                                  build_curve, frame_peaks, periodic_trig,
+                                  validation_rho, width_at)
 from discwitness.characterize import constraint_residuals, kl_profile
-from discwitness import cli, shapeopt
+from discwitness import cli, geometry, shapeopt
 from discwitness.errors import NoFeasibleStart
 from discwitness.shapeopt import circle_distance, minimize
 
@@ -60,9 +62,10 @@ def test_validation_rho_is_the_curves_jet_bit_for_bit(v, K):
 
 
 def _record_cleared(monkeypatch):
-    """The (a0, cos, sin) whose shapeopt.validation_rho clears EPS0,
-    direction sums (a0 = 0) aside: the start, then every point the solve
-    accepts, since a trial's rho is summed only once its value has fallen."""
+    """The (a0, cos, sin) whose shapeopt.validation_rho clears EPS0: the
+    start, then every point the solve accepts on these starts, since a
+    halved trial's rho is summed only once its value has fallen, and every
+    full step whose sum clears EPS0 is taken."""
     cleared = []
     rho_of = shapeopt.validation_rho
 
@@ -138,6 +141,92 @@ def test_jacobian_matches_central_differences(name):
                     - residuals(maps, x - d * e)[0]) / (2 * d)
                    for e in np.eye(len(x))]).T
     assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+
+
+@st.composite
+def free_starts(draw):
+    """(K, x): free coordinates of harmonics 2..K, K in 2..40, with
+    sum k^2 |c| <= 0.9, so min rho >= 0.1."""
+    K = draw(st.integers(2, 40))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * K - 2,
+                               max_size=2 * K - 2)))
+    weight = float(np.tile(np.arange(2, K + 1) ** 2, 2) @ np.abs(c))
+    return K, c * (draw(st.floats(0.0, 0.9)) / weight if weight else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=free_starts(), name=st.sampled_from(["kl", "bracket"]))
+def test_step_is_the_least_squares_solution(start, name):
+    # the normal equations of the column-scaled Jacobian, against an SVD
+    # solve; unit columns keep cond(J D) small, so cond((J D)^T J D) too
+    K, x = start
+    maps, residuals = _problem(name, K)
+    r, jac = residuals(maps, x)
+    want = np.linalg.lstsq(jac, -r, rcond=None)[0]
+    p = shapeopt._step(jac, r)
+    assert np.linalg.norm(p - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.cond(jac / np.linalg.norm(jac, axis=0)) <= 100.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column", ["zero", "repeated"])
+def test_singular_jacobian_stops_the_descent(monkeypatch, column):
+    # no step: the run stops at the gauged start, as when no halving
+    # lowers J, with no LinAlgError and no non-finite value
+    kl_residuals = shapeopt._kl_residuals
+
+    def singular(maps, x):
+        r, jac = kl_residuals(maps, x)
+        jac[:, 1] = 0.0 if column == "zero" else jac[:, 0]
+        return r, jac
+
+    monkeypatch.setattr(shapeopt, "_kl_residuals", singular)
+    start = FourierCurve(1.0, (0, 0, 0.1))
+    r, jac = singular(_problem("kl")[0], gauged(start)[1])
+    assert shapeopt._step(jac, r) is None
+    res = minimize(start, "kl")
+    assert res.iterations == 0 and res.evaluations == 1
+    assert res.best == gauged(start)[0]
+    assert all(map(math.isfinite, (res.objective, res.circle_distance,
+                                   res.min_rho)))
+
+
+@pytest.mark.parametrize("table", [lambda: periodic_trig(64, 3),
+                                   lambda: shapeopt._kl_maps(5)],
+                         ids=["periodic_trig", "kl_maps"])
+def test_cached_tables_are_read_only(table):
+    before = [a.copy() for a in table()]
+    for a in table():
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 7.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    assert all(np.array_equal(a, b) for a, b in zip(table(), before))
+
+
+@pytest.mark.parametrize("name", ["kl", "bracket"])
+def test_highest_resolved_harmonic(name):
+    # harmonic 255 is the last the 512-node grid resolves: the run sees it
+    # and removes it (sin 256 theta would vanish on every node)
+    start = FourierCurve(1.0, (0, 0, 0.02), (0,) * 254 + (1e-6,))
+    res = minimize(start, name)
+    assert res.objective <= shapeopt.TARGETS[name]
+    assert res.circle_distance <= 1e-8
+    assert abs(res.best.sin[254]) <= 1e-12
+
+
+def test_each_point_summed_once(monkeypatch):
+    # the start, one sum per full step (each kl step here takes t = 1), and
+    # the returned curve's own validation
+    start, calls = _random_k8(1), [0]
+    for module in (geometry, shapeopt):
+        def counted(*args, rho_of=module.validation_rho):
+            calls[0] += 1
+            return rho_of(*args)
+
+        monkeypatch.setattr(module, "validation_rho", counted)
+    res = minimize(start, "kl")
+    assert res.iterations == 3 and calls[0] == res.iterations + 2
 
 
 
