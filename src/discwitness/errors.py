@@ -30,5 +30,5 @@ class DiscSearchFailed(DiscWitnessError):
     """The inscribed-disc Newton search did not converge."""
 
 
-class NoFeasibleStart(NotStrictlyConvex):
-    """The optimizer's start, once gauged, is not strictly convex."""
+class NoFeasibleStart(DiscWitnessError):
+    """Optimizer start point is infeasible."""

@@ -90,12 +90,13 @@ def validation_rho(a0, cos, sin):
     return a0 + coskt @ cr + sinkt @ sr
 
 
-def require_strictly_convex(rho, error=NotStrictlyConvex) -> None:
-    """error, NotStrictlyConvex or a subclass, at the least of
-    validation_rho's values rho unless it clears EPS0."""
+def require_strictly_convex(rho) -> None:
+    """NotStrictlyConvex at the least of validation_rho's values rho unless
+    it clears EPS0."""
     i = int(np.argmin(rho))
     if rho[i] <= EPS0:
-        raise error(i * (2.0 * math.pi / VALIDATION_GRID), rho[i], EPS0)
+        raise NotStrictlyConvex(i * (2.0 * math.pi / VALIDATION_GRID),
+                                rho[i], EPS0)
 
 
 class SupportCurve:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedSpec, NoFeasibleStart
+from .errors import MalformedSpec, NoFeasibleStart, NotStrictlyConvex
 from .geometry import (EPS0, FourierCurve, fitted_circle, peak_normals,
                        periodic_trig, read_only, require_strictly_convex,
                        trig_table, validation_rho)
@@ -106,10 +106,9 @@ def _bracket_residuals(maps, x: np.ndarray):
     return r, jac
 
 
-def circle_distance(curve: FourierCurve, jet=None) -> float:
+def circle_distance(h: np.ndarray, rho: np.ndarray) -> float:
     """Relative curvature spread plus support residual to the best-fit
-    circle of the curve, from its periodic_jet(_GRID) if given."""
-    h, _, rho = curve.periodic_jet(_GRID) if jet is None else jet
+    circle of a curve, from h and rho on its periodic_jet(_GRID)."""
     kappa = 1.0 / rho
     rel_std = float(np.std(kappa) / np.mean(kappa))
     a0f, (cx, cy) = fitted_circle(h)
@@ -151,8 +150,11 @@ def minimize(start: FourierCurve, objective: str = "kl",
         raise MalformedSpec(f"{K} harmonics: optimize takes fewer than "
                             f"{_GRID // 2}")
     x = _coordinates(start, K)
-    rho = _free_rho(1.0, x)
-    require_strictly_convex(rho, NoFeasibleStart)
+    rho = _free_rho(x)
+    try:
+        require_strictly_convex(rho)
+    except NotStrictlyConvex as exc:
+        raise NoFeasibleStart(str(exc)) from exc
     if objective not in TARGETS:
         raise ValueError(f"unknown objective {objective!r}")
     kl = objective == "kl"
@@ -161,32 +163,30 @@ def minimize(start: FourierCurve, objective: str = "kl",
     x, trace, evaluations = _damped_newton(
         x, rho, TARGETS[objective], max_iter, lambda y: residuals(maps, y))
     best = _curve(x)
-    jet = best.periodic_jet(_GRID)
+    h, _, rho = best.periodic_jet(_GRID)
     return OptResult(best=best, objective=trace[-1], iterations=len(trace) - 1,
-                     trace=trace, circle_distance=circle_distance(best, jet),
-                     min_rho=float(np.min(jet[2])), evaluations=evaluations)
+                     trace=trace, circle_distance=circle_distance(h, rho),
+                     min_rho=float(np.min(rho)), evaluations=evaluations)
 
 
-def _free_rho(a0: float, x: np.ndarray) -> np.ndarray:
-    """validation_rho of free coordinates x, the first harmonics pinned at 0."""
+def _free_rho(x: np.ndarray) -> np.ndarray:
+    """validation_rho of the gauged curve of free coordinates x."""
     m = len(x) // 2
     z = np.zeros(len(x) + 2)  # [0, cos, 0, sin]
     z[1:m + 1], z[m + 2:] = x[:m], x[m:]
-    return validation_rho(a0, z[:m + 1], z[m + 1:])
+    return validation_rho(1.0, z[:m + 1], z[m + 1:])
 
 
 def _step(jac: np.ndarray, r: np.ndarray):
     """The least-squares solution of jac p = -r, D solve((jac D)^T (jac D),
     -(jac D)^T r) with D = 1 / |column|; None unless that is finite."""
-    norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
-    if not np.all(norms > 0.0):
-        return None
-    d = 1.0 / norms
-    a = jac * d
-    try:
-        p = d * np.linalg.solve(a.T @ a, -(a.T @ r))
-    except np.linalg.LinAlgError:  # singular
-        return None
+    with np.errstate(all="ignore"):  # a zero column makes D infinite
+        d = 1.0 / np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        a = jac * d
+        try:
+            p = d * np.linalg.solve(a.T @ a, -(a.T @ r))
+        except np.linalg.LinAlgError:  # singular
+            return None
     return p if np.all(np.isfinite(p)) else None
 
 
@@ -207,7 +207,7 @@ def _damped_newton(x: np.ndarray, rho: np.ndarray, target: float,
         p = _step(jac, r)
         if p is None:
             break  # singular normal equations
-        rho_full = _free_rho(1.0, x + p)
+        rho_full = _free_rho(x + p)
         rho_p = rho_full - rho
         falling = rho_p < 0.0
         t = min(1.0, BOUNDARY_FRACTION * float(np.min(
@@ -217,7 +217,7 @@ def _damped_newton(x: np.ndarray, rho: np.ndarray, target: float,
             evaluations += 1
             j_t = math.inf if res is None else float(res[0] @ res[0])
             if j_t < j:
-                rho_t = rho_full if t == 1.0 else _free_rho(1.0, x + t * p)
+                rho_t = rho_full if t == 1.0 else _free_rho(x + t * p)
                 if np.min(rho_t) > EPS0:
                     break
             t *= 0.5
