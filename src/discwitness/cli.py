@@ -9,13 +9,12 @@ command line and converted to radians internally; floats are emitted with
 
 Exit codes: 0 success; 1 numerical failure (quadrature non-convergence, a
 failed inscribed-disc search); 2 validation error (malformed spec,
-non-convex shape, bad arguments).
+non-convex shape, bad arguments, an --out or --trace-out it cannot write).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -23,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,7 +33,12 @@ from .geometry import FourierCurve, arclength, build_curve
 from .logscale import exp_or_inf
 from .moments import METHODS, check_orders, moment_sweep
 
-VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart)  # exit 2
+
+class UnwritableOutput(DiscWitnessError):
+    """An --out or --trace-out path that cannot be written."""
+
+
+VALIDATION_ERRORS = (MalformedSpec, NotStrictlyConvex, NoFeasibleStart, UnwritableOutput)
 # "chord" names green's integral traversed in x along the arcs: its rows are
 # green's, from the same sweep
 MOMENT_NAMES = ("chord",) + METHODS
@@ -45,24 +50,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".discwitness-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(path, text: str) -> None:
+    """Write text to stdout, or to path by a temp file and a rename; path gets
+    the mode open(path, "w") leaves: its own, else 0o666 less the umask."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
+        return
+    os.umask(umask := os.umask(0))  # read the umask: set 0, then restore it
+    try:
+        mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".discwitness-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, mode)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _csv(rows, header) -> str:
@@ -150,22 +158,13 @@ def cmd_inscribed(curve, args) -> str:
 
 
 def cmd_identities(curve, args) -> str:
-    ident = characterize.identity_residuals(curve, args.samples)
-    pz = characterize.p_zero_check(curve)
-    return _json({
-        "step": ident.step,
-        "max_res_gap": ident.max_res_gap,
-        "max_res_width": ident.max_res_width,
-        "total_L_prime": pz.total_L_prime,
-        "total_curvature": pz.total_curvature,
-        "implied_p": pz.implied_p,
-        "p_zero_consistent": pz.p_zero_consistent,
-    })
+    return _json({**asdict(characterize.identity_residuals(curve, args.samples)),
+                  **asdict(characterize.p_zero_check(curve))})
 
 
 def cmd_residuals(curve, args) -> str:
     res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
-    return _json(dataclasses.asdict(res))
+    return _json(asdict(res))
 
 
 def cmd_optimize(curve, args) -> str:
@@ -190,12 +189,12 @@ def cmd_report(curve, args) -> str:
     ident = characterize.identity_residuals(curve, args.samples)
     witness = characterize.lemma2_witness(curve, disc=disc)
     out = _profile_dict(profile)
-    out["residuals"] = dataclasses.asdict(res)
+    out["residuals"] = asdict(res)
     out["inscribed"] = {"center": [cx, cy], "radius": r}
     out["identities"] = {"max_res_gap": ident.max_res_gap,
                          "max_res_width": ident.max_res_width}
     if witness is not None:
-        out["witness"] = dataclasses.asdict(witness)
+        out["witness"] = asdict(witness)
     return _json(out)
 
 

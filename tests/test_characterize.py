@@ -179,16 +179,16 @@ class TestInscribedDisc:
 
     @pytest.mark.parametrize("a", ELLIPSE_AXES)
     def test_flat_rotated_ellipses(self, a):
-        """r = b at the ellipse's centre, in closed form, over 12 rotations
+        """r = b at the ellipse's centre, in closed form, over 13 rotations
         and 3 centres (b = 1)."""
-        for k, center in itertools.product(range(12), ELLIPSE_CENTERS):
+        rotations = [k * math.pi / 12 for k in range(12)] + [0.3]
+        for rotation, center in itertools.product(rotations, ELLIPSE_CENTERS):
             curve = build_curve({"type": "ellipse", "a": a, "b": 1.0,
-                                 "center": list(center),
-                                 "rotation": k * math.pi / 12})
+                                 "center": list(center), "rotation": rotation})
             (cx, cy), r = inscribed_disc(curve)
-            assert r == pytest.approx(1.0, abs=1e-12), (k, center)
+            assert r == pytest.approx(1.0, abs=1e-12), (rotation, center)
             assert math.hypot(cx - center[0], cy - center[1]) <= 1e-12 * a, (
-                k, center)
+                rotation, center)
 
     def test_no_gain_step_is_refused(self):
         """From the exact centre of a 100 x 1 ellipse standing upright, the
@@ -517,10 +517,11 @@ class TestIdentities:
 class TestPZero:
     @pytest.mark.parametrize("spec", [
         {"type": "ellipse", "a": 20, "b": 0.2, "center": [0.0, 0.05]},
+        {"type": "ellipse", "a": 20, "b": 0.2},
         _fourier(8, 0.5, 3), _fourier(8, 0.79, 4),
         {"type": "circle", "center": [0.0, -(1.0 - 1e-8)], "radius": 1.0},
-    ], ids=["ellipse_20x0.2", "fourier_K8", "fourier_K8_near_floor",
-            "origin_1e-8_inside"])
+    ], ids=["ellipse_20x0.2", "ellipse_20x0.2_centred", "fourier_K8",
+            "fourier_K8_near_floor", "origin_1e-8_inside"])
     def test_periodic_grid_sum_vanishes(self, spec):
         """oint L' is the periodic trapezoid sum of one jet on the
         validation grid, 0 to rounding."""

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import pytest
@@ -21,6 +23,7 @@ THREE_LOBE = {"type": "support_fourier", "a0": 1, "cos": [0, 0, 0.1]}
 SWEEP_FOURIER = {"type": "support_fourier", "a0": 1.0, "cos": [0.0, 0.05],
                  "sin": [0.0, 0.0, 0.03]}
 CIRCLE_10 = {"type": "circle", "center": [0, 0], "radius": 10}
+FAR_CIRCLE = {"type": "circle", "center": [1000, 1000], "radius": 1}
 # a/b = 3e4: h's spectrum outruns arclength's node budget
 FLAT_ROTATED = {"type": "ellipse", "a": 9e6, "b": 300, "rotation": 0.2}
 NON_FINITE = {
@@ -118,6 +121,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "MalformedSpec" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["inscribed", "--out"],
+                                      ["optimize", "--trace-out"]],
+                             ids=["out", "trace-out"])
+    @pytest.mark.parametrize("where,reason", [
+        ("missing/x", "No such file or directory"), ("dir", "Is a directory")],
+        ids=["missing_dir", "directory"])
+    def test_unwritable_output_is_validation_error(self, shape_file, tmp_path,
+                                                   capsys, argv, where, reason):
+        (tmp_path / "dir").mkdir()
+        target = str(tmp_path / where)
+        assert run([argv[0], "--shape", shape_file(CIRCLE), argv[1], target]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: UnwritableOutput: cannot write {target}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "shape.json"]
+
+    @pytest.mark.parametrize("existing", ["--out", "--trace-out"])
+    def test_output_mode_is_what_open_leaves(self, shape_file, tmp_path,
+                                             existing):
+        """A new file gets 0o666 less the umask, an existing one keeps its
+        mode, as with open(path, "w")."""
+        paths = {"--out": tmp_path / "best.json", "--trace-out": tmp_path / "t.csv"}
+        paths[existing].write_text("old")
+        paths[existing].chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert run(["optimize", "--shape", shape_file(CIRCLE)] + [
+                str(v) for item in paths.items() for v in item]) == 0
+        finally:
+            os.umask(umask)
+        assert {flag: stat.S_IMODE(path.stat().st_mode)
+                for flag, path in paths.items()} == {
+            flag: 0o604 if flag == existing else 0o640 for flag in paths}
 
 
 SHARED_FLAGS = {"--format": "json", "--frame-deg": "0", "--tol": "1e-6",
@@ -253,6 +289,15 @@ class TestMoments:
                            "--frame-deg", "45"])
         assert out == per_row_csv(SWEEP_FOURIER, list(range(401)), 45.0,
                                   ["chord", "green", "area"])
+        # area within 1e-10 of green at every order, floor 1/(n+1)
+        rows = {}
+        for row in out.splitlines()[1:]:
+            n, _, method, re, im = row.split(",")[:5]
+            rows.setdefault(int(n), {})[method] = complex(float(re), float(im))
+        assert sorted(rows) == list(range(401))
+        for n, v in rows.items():
+            scale = max(abs(v["area"]), abs(v["green"]), 1.0 / (n + 1))
+            assert abs(v["area"] - v["green"]) <= 1e-10 * scale, n
 
     def test_overflow_rows(self, shape_file, capsys):
         # radius 10: |M_n| passes the largest float between n = 300 and 320;
@@ -270,6 +315,14 @@ class TestMoments:
             assert all(map(math.isinf, big)) if int(n) >= 320 else all(
                 map(math.isfinite, big))
         assert float(rows[5][5]) == pytest.approx(734.2305982341612, rel=1e-12)
+        # every order and method, no floating-point warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.stdout(shape_file, capsys, CIRCLE_10,
+                              ["--n-max", "400", "--methods", "chord,green,area"])
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert len(rows) == 3 * 401 and "nan" not in out
+        assert all(math.isfinite(float(r[5])) for r in rows)
 
     def test_rows_sorted_by_order_then_method(self, shape_file, capsys):
         # unsorted orders and a repeated order and method: a stable sort on
@@ -357,6 +410,13 @@ class TestSubcommands:
         assert lines[0] == "m,ratio_f_abs_err,ratio_g_abs_err,combined_abs_err"
         # symmetric ellipse: combined column blank
         assert lines[1].endswith(",")
+        # in a tilted frame the per-arc error halves with each doubling of m
+        assert run(["asymptotics", "--shape", shape_file(ELLIPSE), "--m-list",
+                    "50,100,200", "--frame-deg", "30", "--out", str(out)]) == 0
+        errs = [float(line.split(",")[1])
+                for line in out.read_text().splitlines()[1:]]
+        assert len(errs) == 3 and all(map(math.isfinite, errs))
+        assert all(1.6 <= hi / lo <= 2.4 for hi, lo in zip(errs, errs[1:]))
 
     def test_inscribed(self, shape_file, tmp_path):
         out = tmp_path / "i.json"
@@ -380,7 +440,7 @@ class TestSubcommands:
         out, err = capsys.readouterr()
         assert err == ""
         radius = json.loads(out)["radius"]
-        assert abs(radius - 1.0) <= 1e-12 * (1.0 + math.hypot(offset, offset))
+        assert abs(radius - 1.0) <= 1e-12 * offset
 
     def test_identities_and_residuals(self, shape_file, tmp_path):
         out = tmp_path / "r.json"
@@ -399,6 +459,12 @@ class TestSubcommands:
         assert rep["verdict"] == "not_disc"
         assert "residuals" in rep and "inscribed" in rep and "witness" in rep
         assert rep["witness"]["inequality_report"]["L_gt_two_r"] is True
+        circle = {"type": "circle", "center": [0.3, 0.1], "radius": 1.5}
+        assert run(["report", "--shape", shape_file(circle),
+                    "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == "disc" and "witness" not in rep
+        assert abs(rep["inscribed"]["radius"] - 1.5) <= 1e-12
 
     @pytest.mark.parametrize("spec", [ELLIPSE, THREE_LOBE],
                              ids=["ellipse", "fourier"])
@@ -491,15 +557,17 @@ class TestOptimizeRoundTrip:
 
     def test_circle_start_is_the_unit_disc(self, shape_file, tmp_path):
         """A circle is a one-harmonic support series: optimize gauges it to
-        the unit disc and stops at J = 0 after no iterations."""
+        the unit disc and stops at J = 0 after no iterations, near the
+        origin or far from it."""
         out, trace = tmp_path / "disc.json", tmp_path / "trace.csv"
-        assert run(["optimize", "--shape", shape_file(CIRCLE), "--out", str(out),
-                    "--trace-out", str(trace)]) == 0
-        spec = json.loads(out.read_text())
-        assert spec == {"type": "support_fourier", "a0": 1.0,
-                        "cos": [0.0] * 8, "sin": [0.0] * 8}
-        header, *rows = trace.read_text().splitlines()
-        assert len(rows) == 1 and rows[0].split(",")[:2] == ["0", "0"]
+        for circle in (CIRCLE, FAR_CIRCLE):
+            assert run(["optimize", "--shape", shape_file(circle), "--out",
+                        str(out), "--trace-out", str(trace)]) == 0
+            spec = json.loads(out.read_text())
+            assert spec == {"type": "support_fourier", "a0": 1.0,
+                            "cos": [0.0] * 8, "sin": [0.0] * 8}
+            header, *rows = trace.read_text().splitlines()
+            assert len(rows) == 1 and rows[0].split(",")[:2] == ["0", "0"]
 
     def test_ellipse_start_is_validation_error(self, shape_file, capsys):
         assert run(["optimize", "--shape", shape_file(ELLIPSE)]) == 2
@@ -571,7 +639,9 @@ class TestParserCache:
 
 ASYMMETRIC = {"type": "support_fourier", "a0": 1, "cos": [0, 0.05],
               "sin": [0, 0, 0.03]}
-SCIPY_MODULES = ("scipy.optimize", "scipy.special")
+# scipy, and the polynomial module and quadrature engine the moments retired
+UNLOADED_MODULES = ("scipy.optimize", "scipy.special", "numpy.polynomial",
+                    "discwitness.quadrature")
 
 
 def _fresh_python(code):
@@ -583,9 +653,10 @@ def _fresh_python(code):
 
 
 class TestColdStart:
-    """No subcommand imports scipy."""
+    """No subcommand imports scipy, numpy.polynomial or a second
+    quadrature engine."""
 
-    loaded = f"print([m for m in {SCIPY_MODULES!r} if m in sys.modules])\n"
+    loaded = f"print([m for m in {UNLOADED_MODULES!r} if m in sys.modules])\n"
 
     def test_import_and_build_curve(self):
         code = ("import sys\n"
@@ -625,9 +696,9 @@ class TestColdStart:
         assert _fresh_python(code) == "[]\n"
 
     def test_disc_commands_skip_scipy(self, shape_file, tmp_path):
-        shape = shape_file(ASYMMETRIC)
+        shapes = [shape_file(ASYMMETRIC), shape_file(ELLIPSE, "ellipse.json")]
         runs = [[cmd, "--shape", shape, "--out", str(tmp_path / cmd)]
-                for cmd in ("inscribed", "report")]
+                for cmd in ("inscribed", "report") for shape in shapes]
         code = ("import sys\n"
                 "from discwitness.cli import main\n"
                 f"for argv in {runs!r}:\n"

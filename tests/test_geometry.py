@@ -30,6 +30,8 @@ ARC_SHAPES = {
     "ellipse_30x1": {"type": "ellipse", "a": 30, "b": 1},
     "ellipse_20x0.2": {"type": "ellipse", "a": 20, "b": 0.2, "center": [0, 0.05]},
     "ellipse_100x1": {"type": "ellipse", "a": 100, "b": 1},
+    "ellipse_20x1_rotated": {"type": "ellipse", "a": 20, "b": 1,
+                             "center": [0.1, -0.2], "rotation": 0.3},
 }
 ARC_SPANS = [(0.0, 2 * math.pi), (0.3, 2.9), (-1.0, 9.0)]
 

@@ -184,9 +184,15 @@ def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
     a, b = 20.0, 0.2
     curve = build_curve({"type": "ellipse", "a": a, "b": b})
     exact = exact_ellipse_moments(a, b, 0.0, 400)
-    for method in ("green", "area"):
-        results = moment_sweep(curve, range(401), 0.0, method)
+    sweeps = {method: moment_sweep(curve, range(401), 0.0, method)
+              for method in ("green", "area")}
+    for method, results in sweeps.items():
         assert worst_exact_gap(results, exact, b) <= 1e-10, method
+    # and area within 1e-10 of green, relative with the same floor
+    with mpmath.workdps(30):
+        green = [mpmath.mpc(complex(z)) * mpmath.exp(float(ls))
+                 for z, ls in zip(*sweeps["green"])]
+    assert worst_exact_gap(sweeps["area"], green, b) <= 1e-10
 
 
 def test_flat_ellipse_in_few_nodes(monkeypatch):

@@ -238,9 +238,9 @@ class TestMinimize:
 
     def test_three_lobe_converges_to_disc(self):
         res = minimize(FourierCurve(1.0, (0, 0, 0.1)), "kl")
-        assert res.objective <= 1e-8
+        assert res.objective <= shapeopt.TARGETS["kl"]
         assert res.circle_distance <= 1e-4
-        assert res.iterations <= 5000
+        assert res.iterations <= 10
         assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
         verdict = kl_profile(res.best, 256, tol=1e-3).verdict
         assert verdict == "disc"
