@@ -136,14 +136,6 @@ def min_clearance(curve: SupportCurve, center) -> float:
     return float(np.min(_support_extrema(curve, center)[1]))
 
 
-def _nearest(t, angles, weights):
-    """Indices of the contacts `t` nearest each of `angles` (circularly),
-    with the weights of angles that share a contact summed."""
-    gap = np.abs(np.angle(np.exp(1j * np.subtract.outer(angles, t))))
-    idx, inv = np.unique(np.argmin(gap, axis=1), return_inverse=True)
-    return idx, np.bincount(inv, weights=weights)
-
-
 def _balanced_triple(t, q, i):
     """(i3, w): the three of the _POOL lowest contacts i whose normals
     balance, sum w u = 0 with w >= 0 and sum w = 1, at the least sum w q:
@@ -161,9 +153,9 @@ def _balanced_triple(t, q, i):
     return (i3[b], w[b]) if dual[b] < np.inf else (None, None)
 
 
-def _kkt_step(t, q, q2, i, lam, a0, s, tol):
+def _kkt_step(t, q, q2, i, a0, s, tol):
     """Newton step (d, r, i, lam) on the KKT system of max r s.t.
-    r <= q_i(c) over the active contacts i with multipliers lam:
+    r <= q_i(c) over the active contacts i, from equal multipliers lam:
 
         W d + U lam = 0,   1.lam = 1,   q_i - u_i . d = r,
 
@@ -180,6 +172,7 @@ def _kkt_step(t, q, q2, i, lam, a0, s, tol):
     other), the last step with multipliers >= 0 is returned: the caller's
     halving on the exact clearance guards it."""
     cos, sin = np.cos(t), np.sin(t)
+    lam = np.full(len(i), 1.0 / len(i))
     for _ in range(2 * len(t) + 2):
         k = len(i)
         up = np.stack([-sin[i], cos[i]])
@@ -221,10 +214,10 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     bracketed polish with its q'') is a smooth constraint r <= q_i(c), and
     the disc solves the KKT system of the contacts that bind.  It starts at
     the centre c1 of the fitted circle a0 + c1 . u of h on the contact
-    grid, whose largest deviation from h is s, with the local minima of q
-    within s of the lowest as contacts of equal weight.  Exact Newton steps
-    (`_kkt_step`) follow, each halved until the exact clearance does not
-    drop.  They stop once the step is below 1e-15 * scale, or before a
+    grid, whose largest deviation from h is s.  Each exact Newton step
+    (`_kkt_step`) takes the local minima of q within s of the lowest as its
+    contacts, at equal weight, and is halved until the exact clearance does
+    not drop.  The steps stop once one is below 1e-15 * scale, or before a
     step that neither predicts nor makes a gain above that, which is
     refused (along a flat direction, as along an ellipse's major axis, the
     step is rounding that the curvature amplifies).  A curve within
@@ -241,11 +234,8 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
     center, tol = c1, 1e-15 * scale
     t, q, q2 = _support_extrema(curve, center)
     phi = float(np.min(q))
-    i = np.flatnonzero(q <= phi + s)
-    lam = np.full(len(i), 1.0 / len(i))
     for _ in range(_NEWTON_STEPS):
-        d, r, i, lam = _kkt_step(t, q, q2, i, lam, a0, s, tol)
-        angles = t[i]
+        d, r, _, _ = _kkt_step(t, q, q2, np.flatnonzero(q <= phi + s), a0, s, tol)
         for _ in range(_HALVINGS):
             t, q, q2 = _support_extrema(curve, center + d)
             phi_new = float(np.min(q))
@@ -260,7 +250,6 @@ def inscribed_disc(curve: SupportCurve) -> tuple:
         center, phi = center + d, phi_new
         if math.hypot(*d) < tol:
             return (float(center[0]), float(center[1])), phi
-        i, lam = _nearest(t, angles, lam)
     raise DiscSearchFailed("inscribed disc: Newton steps did not converge")
 
 

@@ -60,14 +60,18 @@ class TestExitCodes:
         assert report["fitted_circle"]["radius"] == pytest.approx(1.0)
 
     def test_nonconvex_is_validation_error(self, shape_file, capsys):
-        assert run(["profile", "--shape", shape_file(NONCONVEX)]) == 2
-        assert "NotStrictlyConvex" in capsys.readouterr().err
+        # an ellipse's least rho, b^2/a at the major axis' normal: 1e-4 here
+        for spec in (NONCONVEX, {"type": "ellipse", "a": 1, "b": 0.01}):
+            assert run(["profile", "--shape", shape_file(spec)]) == 2
+            assert "NotStrictlyConvex" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["profile", "--shape", str(bad)]) == 2
-        assert "MalformedSpec" in capsys.readouterr().err
+        # broken JSON, then a shape parameter that is not a number
+        for text in ("{not json", '{"type": "circle", "radius": true}'):
+            bad.write_text(text)
+            assert run(["profile", "--shape", str(bad)]) == 2
+            assert "MalformedSpec" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run(["profile", "--shape", str(tmp_path / "nope.json")]) == 2
@@ -224,6 +228,7 @@ class TestFlags:
           for v in ("nan", "inf", "-inf")),
         *([command, "--tol", v] for command in ("profile", "report")
           for v in ("nan", "inf")),
+        ["moments", "--frame-deg", "abc"],  # not a float at all
     ])
     def test_non_finite_float_is_usage_error(self, shape_file, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -232,6 +232,11 @@ class TestBuildCurve:
         {"type": "polygon"},
         {"type": "support_fourier", "a0": "x"},
         "not a dict",
+        {"type": "circle", "radius": True},  # numbers only, not booleans
+        {"type": "ellipse", "a": "2", "b": 1},  # nor strings
+        {"type": "circle", "center": "12", "radius": 1},  # nor their characters
+        {"type": "support_fourier", "a0": 1, "cos": "00"},
+        {"type": "ellipse", "a": 1e12, "b": 9.9e5},  # a/b past ELLIPSE_ASPECT_MAX
     ])
     def test_malformed_specs(self, spec):
         with pytest.raises(MalformedSpec):
@@ -308,6 +313,8 @@ class TestArclength:
         assert got.shape == theta1.shape
         assert got.tolist() == [[arclength(curve, 0.3, t) for t in row]
                                 for row in theta1.tolist()]
+        with pytest.raises(ValueError, match="theta1 must be >= theta0"):
+            arclength(curve, 0.3, np.append(theta1, 0.2))
 
     def test_node_budget(self, monkeypatch):
         curve = build_curve(ARC_SHAPES["ellipse_30x1"])

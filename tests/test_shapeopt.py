@@ -93,6 +93,8 @@ class TestObjectiveBracket:
         maps = shapeopt._bracket_maps(8, [math.pi * k / 8 for k in range(8)])
         r, _ = shapeopt._bracket_residuals(maps, x)
         assert r @ r <= 1e-28
+        row = maps[0][0]  # h = 1 + row . x at the first frame's upper peak
+        assert shapeopt._bracket_residuals(maps, -2.0 * row / (row @ row)) is None
         assert len(shapeopt.bracket_frames(8)) == 16
         assert objective(C8, "bracket") > 1e-2
 
