@@ -27,7 +27,7 @@ def main():
     n_max = int(sys.argv[2]) if len(sys.argv) > 2 else 401
     curve = build_curve(spec)
     ns = np.arange(19, n_max, 40)
-    z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, "green")
+    z_m, ls_m = moment_sweep(curve, ns.tolist(), 0.0, ["green"])[0]
     _, _, (z_b, ls_b) = bracket_main_term(curve, 0.0, (ns + 1) // 2)
     ls_b = ls_b - np.log(ns + 1.0)  # bracket / (n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -88,11 +88,11 @@ def arc_integrals(curve: SupportCurve, frame_angle: float, m_list,
         x, y, rho = frame_point(curve, frame_angle, theta)
         c = np.exp(1j * x) * rho * np.sin(theta) * dtheta
         keep = sgn * y > 0.0
-        return np.where(keep, sgn * c, 0.0), np.where(keep, y, 0.0)
+        return [np.where(keep, sgn * c, 0.0)], np.where(keep, y, 0.0)
 
     ln_peak = math.log(abs(h[i]))
-    sums = trapezoid_sums(sample, math.pi, [2 * m for m in m_list], ln_peak,
-                          "arc integrals")
+    sums = trapezoid_sums(sample, math.pi, [[2 * m for m in m_list]], ln_peak,
+                          ["arc integrals"])[0]
     return normalized(sums, 2.0 * np.asarray(m_list, dtype=float) * ln_peak)
 
 
@@ -142,7 +142,7 @@ def asymptotic_ratio(curve: SupportCurve, frame_angle: float, m_list) -> list:
     combined = [None] * len(m_list)
     if live.any():
         ms = np.asarray(m_list)[live]
-        moments = moment_sweep(curve, (2 * ms - 1).tolist(), frame_angle, "green")
+        moments = moment_sweep(curve, (2 * ms - 1).tolist(), frame_angle, ["green"])[0]
         rhs = bracket[0][live], bracket[1][live] - np.log(2.0 * ms)
         for i, err in zip(np.flatnonzero(live), np.abs(_ratio(moments, rhs) - 1.0)):
             combined[i] = float(err)

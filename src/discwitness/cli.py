@@ -15,8 +15,10 @@ non-convex shape, bad arguments, an --out or --trace-out it cannot write).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -122,27 +124,30 @@ def cmd_profile(curve, args) -> str:
 
 
 def cmd_moments(curve, args) -> str:
-    frame = math.radians(args.frame_deg)
-    n_list = args.n_list or list(range(args.n_max + 1))
-    integrals = ["green" if m == "chord" else m for m in args.methods]
-    cells = {}  # integral -> its value columns, formatted once per order
-    for m in dict.fromkeys(integrals):  # --methods order fixes which failure shows
-        mantissa, log_scale = moment_sweep(curve, n_list, frame, m)
+    n_list = args.n_list or range(args.n_max + 1)
+    orders = sorted(set(n_list))
+    integral = {m: "green" if m == "chord" else m for m in args.methods}
+    integrals = list(dict.fromkeys(integral.values()))  # fixes which failure shows
+    cells = {}  # integral -> its value columns, one line per order
+    for m, (mantissa, log_scale) in zip(integrals, moment_sweep(
+            curve, orders, math.radians(args.frame_deg), integrals)):
         # np.exp and np.abs(complex) differ from math.exp and abs() in the last
         # bit; complex * float and np.hypot match Python, inf and nan included
         with np.errstate(over="ignore", invalid="ignore"):
             val = mantissa * np.array([exp_or_inf(x) for x in log_scale.tolist()])
-        cells[m] = ["%.17g,%.17g,%.17g,%.17g\n" % r for r in zip(
-            val.real.tolist(), val.imag.tolist(), log_scale.tolist(),
-            np.hypot(val.real, val.imag).tolist())]
-    # by order, then method name; sorted is stable: repeated rows keep their order
-    n = len(n_list)
-    rows = sorted(range(n * len(integrals)),
-                  key=lambda r: (n_list[r % n], args.methods[r // n]))
-    prefix = "%d," + _fmt(args.frame_deg) + ",%s,"
-    return "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
-        prefix % (n_list[r % n], args.methods[r // n])
-        + cells[integrals[r // n]][r % n] for r in rows)
+        table = np.stack([val.real, val.imag, log_scale, np.hypot(val.real, val.imag)])
+        cells[m] = ("%.17g,%.17g,%.17g,%.17g\n" * len(orders)
+                    % tuple(table.T.ravel().tolist())).splitlines(keepends=True)
+    # rows by order, then method name; a repeated order or method repeats its rows
+    names = sorted(args.methods)
+    row = "".join("%d," + _fmt(args.frame_deg) + "," + name + ",%s" for name in names)
+    text = row * len(orders) % tuple(itertools.chain.from_iterable(zip(
+        *[column for name in names for column in (orders, cells[integral[name]])])))
+    if len(n_list) > len(orders):
+        repeats = collections.Counter(n_list)
+        text = "".join(line * repeats[n] for line, n in zip(
+            text.splitlines(keepends=True), (n for n in orders for _ in names)))
+    return "n,frame_deg,method,re,im,log_scale,abs\n" + text
 
 
 def cmd_asymptotics(curve, args) -> str:

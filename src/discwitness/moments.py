@@ -13,18 +13,14 @@
              the independent references.
 
 The chord integral over the arcs y = f(x), g(x),
-int_a^b e^{ix} (f^{n+1} - g^{n+1})/(n+1) dx, is green's traversed in x
-instead of the normal angle: the same integral, so it has no integrator
-of its own.  The CLI keeps "chord" as a name for green's rows.
+int_a^b e^{ix} (f^{n+1} - g^{n+1})/(n+1) dx, is green's traversed in x:
+the same integral, so the CLI's "chord" rows are green's.
 
 trapezoid_sums, one kernel for both and the arc integrals of asymptotics
 (periodic trapezoid rules converge geometrically; Trefethen & Weideman,
-SIAM Review 2014), takes every power from one doubling grid and one
-baby-step/giant-step product per level, O(sqrt(P) N) exp calls.
-
-moment_sweep is the one entry point: M_n for any list of orders as
-(mantissa, log_scale) arrays (see logscale); a single order is
-moment_sweep(curve, [n], frame_angle, method).
+SIAM Review 2014), takes every power of W weight rows from one doubling
+grid; moment_sweep, the one entry point, gives M_n for any list of orders
+as one (mantissa, log_scale) pair of arrays (see logscale) per method.
 """
 
 from __future__ import annotations
@@ -47,53 +43,64 @@ def check_orders(n_list) -> None:
         raise ValueError("moment order must be >= 0")
 
 
-def trapezoid_sums(sample, period: float, powers, ln_ref: float, what: str,
-                   rel_tol: float = 1e-10) -> np.ndarray:
-    """Trapezoid integrals of c (v/ref)^p over [0, period) for every p in
-    powers, from one doubling grid.
+def trapezoid_sums(sample, period: float, powers, ln_ref: float, what,
+                   rel_tol: float = 1e-10) -> list:
+    """Per weight row c_j, the trapezoid integrals of c_j (v/ref)^p over
+    [0, period) for every p in powers[j], from one doubling grid.
 
-    ``sample(t)`` returns (c, v) at the nodes t; each level samples every
-    new node once.  Baby-step/giant-step (Paterson & Stockmeyer 1973):
-    p = g b + r with an even block b ~ sqrt(max p), and one product
-    baby @ (giant c)^T of the rows sign(v)^r |v/ref|^r and |v/ref|^(g b),
-    exactly 1 at r = 0 or g = 0 (also at v = 0), gives every power from
-    O(sqrt(P) N) exp calls.  N doubles, keeping the old nodes, until no
-    sum moves by more than rel_tol of itself or the rounding floor, 1e-14
-    of the sum of |c| (which bounds the scaled integrand)."""
-    ps = np.asarray(powers, dtype=np.int64)
-    b = 2 * max(1, math.isqrt(int(ps.max(initial=0))) // 2)
-    rs, ri = np.unique(ps % b, return_inverse=True)
-    gs, gi = np.unique(ps // b * b, return_inverse=True)
+    ``sample(t)`` returns (c, v) at the nodes t, c holding W rows of
+    len(t).  Baby-step/giant-step (Paterson & Stockmeyer 1973): p = g b + r
+    with an even block b ~ sqrt(max powers[j]), and one product per row,
+    baby @ (giant c_j)^T of the rows sign(v)^r |v/ref|^r and |v/ref|^(g b),
+    exactly 1 at r = 0 or g = 0 (also at v = 0): O(sqrt(P) N) exp calls.
+    N doubles, keeping the old nodes; each row keeps the sums of its first
+    level at which none moves by more than rel_tol of itself or 1e-14 of
+    the sum of |c_j| (the rounding floor), else the error names what[j]."""
+    blocks = []  # per row: its baby and giant exponents, with their inverses
+    for ps in (np.asarray(p, dtype=np.int64) for p in powers):
+        b = 2 * max(1, math.isqrt(int(ps.max(initial=0))) // 2)
+        blocks.append(np.unique(ps % b, return_inverse=True)
+                      + np.unique(ps // b * b, return_inverse=True))
 
     def rows(ks, lv):  # exp(k lv) for each k, exactly 1 at k = 0
         out = np.ones((len(ks), len(lv)))
         out[ks > 0] = np.exp(np.multiply.outer(ks[ks > 0], lv))
         return out
 
-    def level_sum(t):
+    def level_sums(t, live):  # (sums, sum of |c_j|) of each row j in live, over t
         c, v = sample(t)
-        s = np.zeros((len(rs), 2 * len(gs)))
-        for i in range(0, len(v), _NODE_BLOCK):  # bounds the power rows
-            vb, cb = v[i:i + _NODE_BLOCK], c[i:i + _NODE_BLOCK]
-            with np.errstate(divide="ignore"):
-                lv = np.log(np.abs(vb)) - ln_ref
-            baby, giant = rows(rs, lv), rows(gs, lv)
-            baby[rs % 2 == 1] *= np.sign(vb)  # g b is even: giants need none
-            s += baby @ np.concatenate([giant * cb.real, giant * cb.imag]).T
-        return s[ri, gi] + 1j * s[ri, len(gs) + gi], np.sum(np.abs(c))
+        with np.errstate(divide="ignore"):
+            lv, sign = np.log(np.abs(v)) - ln_ref, np.sign(v)
+        out = []
+        for j in live:
+            rs, ri, gs, gi = blocks[j]
+            s = np.zeros((len(rs), 2 * len(gs)))
+            for i in range(0, len(v), _NODE_BLOCK):  # bounds the power rows
+                at, cb = slice(i, i + _NODE_BLOCK), c[j][i:i + _NODE_BLOCK]
+                baby, giant = rows(rs, lv[at]), rows(gs, lv[at])
+                baby[rs % 2 == 1] *= sign[at]  # g b is even: giants need none
+                s += baby @ np.concatenate([giant * cb.real, giant * cb.imag]).T
+            out.append((s[ri, gi] + 1j * s[ri, len(gs) + gi], np.sum(np.abs(c[j]))))
+        return out
 
-    n = 64
-    total, mass = level_sum(period * np.arange(n) / n)
-    prev = total * (period / n)
-    while n < _MAX_TRAPEZOID_NODES:
-        ds, dmass = level_sum(period * (np.arange(n) + 0.5) / n)
-        total, mass, n = total + ds, mass + dmass, 2 * n
-        cur = total * (period / n)
-        tol = np.maximum(rel_tol * np.abs(cur), 1e-14 * mass * period / n)
-        if np.all(np.abs(cur - prev) <= tol):
-            return cur
-        prev = cur
-    raise QuadratureNoConvergence(f"{what} not stable at {n} trapezoid nodes")
+    n, live = 64, list(range(len(blocks)))  # live: the rows not yet settled
+    acc = level_sums(period * np.arange(n) / n, live)
+    prev = [total * (period / n) for total, _ in acc]  # each row's latest sums
+    while live and n < _MAX_TRAPEZOID_NODES:
+        new, n = level_sums(period * (np.arange(n) + 0.5) / n, live), 2 * n
+        moving = []
+        for j, (ds, dmass) in zip(live, new):
+            total, mass = acc[j] = acc[j][0] + ds, acc[j][1] + dmass
+            cur = total * (period / n)
+            tol = np.maximum(rel_tol * np.abs(cur), 1e-14 * mass * period / n)
+            if not np.all(np.abs(cur - prev[j]) <= tol):
+                moving.append(j)
+            prev[j] = cur
+        live = moving
+    if live:
+        raise QuadratureNoConvergence(
+            f"{what[live[0]]} not stable at {n} trapezoid nodes")
+    return prev
 
 
 def peak_packing(y: float, ypp: float) -> float:
@@ -104,9 +111,9 @@ def peak_packing(y: float, ypp: float) -> float:
 
 
 def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
-                 method: str = "green") -> tuple:
-    """(mantissa, log_scale) arrays of M_n = mantissa e^log_scale for every
-    n in n_list, in n_list order, from one kernel call; |mantissa| is 1 up
+                 methods=("green",)) -> list:
+    """For each method, (mantissa, log_scale) arrays of M_n = mantissa
+    e^log_scale for every n in n_list, in n_list order; |mantissa| is 1 up
     to rounding, or (0j, 0.0) exactly where the sum vanishes.
 
     Green's theorem round the support curve (ccw), in its dx-form for
@@ -119,8 +126,8 @@ def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
     about the frame_peaks (t = pi/2, 3pi/2 in the frame) by 1/k, k the
     peak_packing of the narrower peak: as periodic and analytic as the
     uniform grid (k = 1), and flat shapes cost no more nodes than round
-    ones."""
-    if method not in METHODS:
+    ones.  Every method is one weight row of one kernel call on them."""
+    if any(m not in METHODS for m in methods):
         raise ValueError(f"method must be one of {', '.join(METHODS)}")
     n_list = list(n_list)
     check_orders(n_list)
@@ -129,7 +136,7 @@ def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
     # it as that high, or an origin near the curve there starves the other
     h_max = max(hs)
     k = min(peak_packing(max(h, 0.5 * h_max), 1.0 / rho) for h, rho in zip(hs, rhos))
-    lift = int(method == "green")
+    lifts = [int(m == "green") for m in methods]
 
     def sample(s):
         cs, ss = np.cos(s), np.sin(s)
@@ -137,10 +144,13 @@ def moment_sweep(curve: SupportCurve, n_list, frame_angle: float = 0.0,
         dt = k / (cs * cs + (k * ss) ** 2)
         x, y, rho = frame_point(curve, frame_angle, t)
         w = np.exp(1j * x) * rho
-        return (w * np.sin(t) * dt if lift else -1j * w * np.cos(t) * dt), y
+        return [w * np.sin(t) * dt if lift else -1j * w * np.cos(t) * dt
+                for lift in lifts], y
 
     ln_ref = math.log(h_max)
-    sums = trapezoid_sums(sample, 2.0 * math.pi, [n + lift for n in n_list],
-                          ln_ref, f"{method} moments")
+    sums = trapezoid_sums(sample, 2.0 * math.pi,
+                          [[n + lift for n in n_list] for lift in lifts], ln_ref,
+                          [f"{m} moments" for m in methods])
     ns = np.asarray(n_list, dtype=float)
-    return normalized(sums, (ns + lift) * ln_ref - lift * np.log(ns + 1))
+    return [normalized(s, (ns + lift) * ln_ref - lift * np.log(ns + 1))
+            for s, lift in zip(sums, lifts)]

@@ -151,7 +151,7 @@ def relative_gap(a, b, abs_floor_log=-math.inf):
 
 def one_order(curve, n, frame_angle=0.0, method="green"):
     """M_n of a one-order moment_sweep as a scalar (mantissa, log_scale)."""
-    mantissa, log_scale = moment_sweep(curve, [n], frame_angle, method)
+    mantissa, log_scale = moment_sweep(curve, [n], frame_angle, [method])[0]
     return complex(mantissa[0]), float(log_scale[0])
 
 

@@ -114,7 +114,7 @@ def _check_odd_moments_from_green(curve, a, b, cx, cy, rot):
     """green's M_{2m-1}, m = 50, 100, 200, against mpmath."""
     m_list = [50, 100, 200]
     centred = exact_ellipse_moments(a, b, cx, 2 * m_list[-1])
-    odd = moment_sweep(curve, [2 * m - 1 for m in m_list], rot, "green")
+    odd = moment_sweep(curve, [2 * m - 1 for m in m_list], rot, ["green"])[0]
     for m, got in zip(m_list, zip(*odd)):
         exact = _exact_odd_moment(a, b, cx, cy, 2 * m - 1, centred)
         with mpmath.workdps(30):

@@ -7,14 +7,17 @@ import sys
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import discwitness
 from discwitness import characterize
 from discwitness.cli import build_parser, main
 from discwitness.geometry import CONTACT_GRID, FourierCurve, SupportCurve
 from discwitness.logscale import exp_or_inf
-from discwitness.moments import moment_sweep
+from discwitness.moments import moment_sweep, trapezoid_sums
 
 CIRCLE = {"type": "circle", "center": [0, 0], "radius": 1}
 ELLIPSE = {"type": "ellipse", "a": 2, "b": 1, "center": [0, 0], "rotation": 0}
@@ -268,7 +271,7 @@ def per_row_csv(spec, n_list, frame_deg, methods):
     rows = []
     for method in methods:
         mantissa, log_scale = moment_sweep(curve, n_list, math.radians(frame_deg),
-                                           "green" if method == "chord" else method)
+                                           ["green" if method == "chord" else method])[0]
         for n, z, ls in zip(n_list, mantissa.tolist(), log_scale.tolist()):
             val = z * exp_or_inf(ls)
             rows.append((n, frame_deg, method, val.real, val.imag, ls, abs(val)))
@@ -349,17 +352,23 @@ class TestMoments:
     ], ids=["chord,green", "repeats", "default"])
     def test_chord_rows_are_green_rows(self, shape_file, capsys, monkeypatch,
                                        methods, integrals):
-        # one sweep per distinct integral; a chord row is green's, byte for byte
-        calls = []
+        # one sweep and one kernel call for all distinct integrals; a chord
+        # row is green's, byte for byte
+        calls, kernel_calls = [], []
 
-        def counted(curve, n_list, frame_angle, method):
-            calls.append(method)
-            return moment_sweep(curve, n_list, frame_angle, method)
+        def counted(curve, n_list, frame_angle, methods):
+            calls.append(sorted(methods))
+            return moment_sweep(curve, n_list, frame_angle, methods)
+
+        def counted_kernel(sample, period, powers, *args):
+            kernel_calls.append(len(powers))
+            return trapezoid_sums(sample, period, powers, *args)
 
         monkeypatch.setattr(discwitness.cli, "moment_sweep", counted)
+        monkeypatch.setattr(discwitness.moments, "trapezoid_sums", counted_kernel)
         out = self.stdout(shape_file, capsys, SWEEP_FOURIER,
                           ["--n-list", "0,57,400", "--frame-deg", "45"] + methods)
-        assert sorted(calls) == integrals
+        assert calls == [integrals] and kernel_calls == [len(integrals)]
         fields = {}
         for row in out.splitlines()[1:]:
             n, frame, method, rest = row.split(",", 3)
@@ -404,6 +413,58 @@ class TestMoments:
             errs.append(proc.stderr)
         assert errs[0] == errs[1]
         assert errs[0].startswith("error: QuadratureNoConvergence: green moments")
+
+    @pytest.mark.parametrize("budget,methods,unsettled", [
+        (256, "area,green", "area"), (256, "green,area", "green"),
+        (512, "area,green", "green"), (512, "green,area", "green")])
+    def test_budget_failure_names_the_first_unsettled_method(
+            self, shape_file, capsys, monkeypatch, budget, methods, unsettled):
+        # on the 20 x 0.2 ellipse to n = 400 area settles at 512 nodes and
+        # green at 1024: the one kernel call reports the first method in
+        # --methods order that did not settle, as one sweep per method did
+        monkeypatch.setattr(discwitness.moments, "_MAX_TRAPEZOID_NODES", budget)
+        assert run(["moments", "--shape", shape_file({"type": "ellipse", "a": 20,
+                                                      "b": 0.2}),
+                    "--n-max", "400", "--methods", methods]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: QuadratureNoConvergence: {unsettled} "
+                                     f"moments not stable at {budget} trapezoid nodes\n")
+
+
+def sorted_rows_csv(curve, n_list, frame_deg, methods):
+    """The moments CSV by the stable sort of every (order, method) row:
+    row r is order n_list[r % n] of methods[r // n], sorted by
+    (order, method name), its values from a one-method sweep over n_list."""
+    cells = {}
+    for m in dict.fromkeys("green" if m == "chord" else m for m in methods):
+        mantissa, log_scale = moment_sweep(curve, n_list, math.radians(frame_deg), [m])[0]
+        val = mantissa * np.array([exp_or_inf(x) for x in log_scale.tolist()])
+        cells[m] = ["%.17g,%.17g,%.17g,%.17g\n" % r for r in zip(
+            val.real.tolist(), val.imag.tolist(), log_scale.tolist(),
+            np.hypot(val.real, val.imag).tolist())]
+    n = len(n_list)
+    rows = sorted(range(n * len(methods)),
+                  key=lambda r: (n_list[r % n], methods[r // n]))
+    return "n,frame_deg,method,re,im,log_scale,abs\n" + "".join(
+        "%d,%s,%s," % (n_list[r % n], format(frame_deg, ".17g"), methods[r // n])
+        + cells["green" if methods[r // n] == "chord" else methods[r // n]][r % n]
+        for r in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_list=st.lists(st.integers(0, 450), min_size=1, max_size=12),
+       methods=st.lists(st.sampled_from(["chord", "green", "area"]), min_size=1,
+                        max_size=5))
+@example(n_list=[5, 0, 5, 450, 57, 5], methods=["green", "chord", "area", "green"])
+@example(n_list=[450, 0], methods=["chord"])
+def test_moment_rows_follow_the_stable_sort(n_list, methods):
+    # unsorted orders and methods, with repeats: the writer's walk over the
+    # distinct orders and the sorted names gives the stable sort's bytes
+    args = build_parser().parse_args([
+        "moments", "--shape", "unread.json", "--frame-deg", "45",
+        "--n-list", ",".join(map(str, n_list)), "--methods", ",".join(methods)])
+    curve = discwitness.build_curve(SWEEP_FOURIER)
+    assert args.func(curve, args) == sorted_rows_csv(curve, n_list, 45.0, methods)
 
 
 class TestSubcommands:

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discwitness import build_curve, moments
+from discwitness.errors import QuadratureNoConvergence
 from discwitness.geometry import FourierCurve
-from discwitness.moments import moment_sweep, trapezoid_sums
+from discwitness.moments import METHODS, moment_sweep, trapezoid_sums
 
 from conftest import (
     abs_log,
@@ -82,8 +83,7 @@ class TestArea:
                     one_order(ellipse, 4, method="green")) < 1e-6
 
     def test_sweep_needs_no_chart_inversion(self, asymmetric):
-        greens = moment_sweep(asymmetric, range(41), 0.3, "green")
-        areas = moment_sweep(asymmetric, range(41), 0.3, "area")
+        greens, areas = moment_sweep(asymmetric, range(41), 0.3, ["green", "area"])
         assert _worst_sweep_gap(areas, greens) < 1e-6
 
 
@@ -92,13 +92,13 @@ class TestSweep:
         # chord was green's integral in x: the CLI name maps to green
         assert moments.METHODS == ("green", "area")
         with pytest.raises(ValueError, match="green, area"):
-            moment_sweep(unit_disc, [0], 0.0, "chord")
+            moment_sweep(unit_disc, [0], 0.0, ["chord"])
 
     def test_disc_odd_all_zero(self, unit_disc):
-        assert np.all(abs_log(moment_sweep(unit_disc, [1, 3, 5])) <= math.log(1e-10))
+        assert np.all(abs_log(moment_sweep(unit_disc, [1, 3, 5])[0]) <= math.log(1e-10))
 
     def test_empty(self, unit_disc):
-        mantissa, log_scale = moment_sweep(unit_disc, [])
+        mantissa, log_scale = moment_sweep(unit_disc, [])[0]
         assert mantissa.shape == log_scale.shape == (0,)
 
     @pytest.mark.parametrize("method", ["green", "area"])
@@ -107,7 +107,7 @@ class TestSweep:
         # the top normal's height is ~0: packing the nodes about it as about
         # the peak would collapse them (cy = -1) or starve the bottom peak
         curve = build_curve({"type": "circle", "center": [0, cy], "radius": 1})
-        results = list(zip(*moment_sweep(curve, range(401), 0.0, method)))
+        results = list(zip(*moment_sweep(curve, range(401), 0.0, [method])[0]))
         assert value(results[0]) == pytest.approx(DISC_M0, rel=1e-10)
         assert value(results[1]) == pytest.approx(cy * DISC_M0, rel=1e-10)
 
@@ -116,7 +116,7 @@ class TestSweep:
         # unsorted, with a duplicate: each result is the one-order sweep's
         ns = [399, 0, 57, 57, 200]
         for method in ("green", "area"):
-            mantissa, log_scale = moment_sweep(asymmetric, ns, frame, method)
+            mantissa, log_scale = moment_sweep(asymmetric, ns, frame, [method])[0]
             assert mantissa.shape == log_scale.shape == (len(ns),)
             assert mantissa.dtype == complex and log_scale.dtype == float
             for got, n in zip(zip(mantissa, log_scale), ns):
@@ -126,12 +126,14 @@ class TestSweep:
     def test_zero_sum_is_exact_zero(self, asymmetric, monkeypatch):
         # the kernel run on zeroed weights: every order's sum vanishes
         def zero_weights(sample, *args):
-            return trapezoid_sums(
-                lambda t: (np.zeros(t.shape, dtype=complex), sample(t)[1]), *args)
+            def zeroed(t):
+                c, v = sample(t)
+                return np.zeros_like(c), v
+            return trapezoid_sums(zeroed, *args)
 
         monkeypatch.setattr(moments, "trapezoid_sums", zero_weights)
-        for method in ("green", "area"):
-            mantissa, log_scale = moment_sweep(asymmetric, [0, 3], 0.0, method)
+        for mantissa, log_scale in moment_sweep(asymmetric, [0, 3], 0.0,
+                                                ["green", "area"]):
             assert list(zip(mantissa.tolist(), log_scale.tolist())) == [(0j, 0.0)] * 2
             assert mantissa.dtype == complex and log_scale.dtype == float
 
@@ -172,8 +174,7 @@ def test_ellipse_moments_match_closed_form(a, b, cx, rot):
                 "center": [cx * math.cos(rot), cx * math.sin(rot)]}
     curve = build_curve(spec)
     exact = exact_ellipse_moments(a, b, cx, 400)
-    for method in ("green", "area"):
-        results = moment_sweep(curve, range(401), rot, method)
+    for method, results in zip(METHODS, moment_sweep(curve, range(401), rot, METHODS)):
         assert worst_exact_gap(results, exact, b) <= 1e-10, method
 
 
@@ -184,8 +185,7 @@ def test_wide_ellipse_odd_orders_stop_at_rounding_floor():
     a, b = 20.0, 0.2
     curve = build_curve({"type": "ellipse", "a": a, "b": b})
     exact = exact_ellipse_moments(a, b, 0.0, 400)
-    sweeps = {method: moment_sweep(curve, range(401), 0.0, method)
-              for method in ("green", "area")}
+    sweeps = dict(zip(METHODS, moment_sweep(curve, range(401), 0.0, METHODS)))
     for method, results in sweeps.items():
         assert worst_exact_gap(results, exact, b) <= 1e-10, method
     # and area within 1e-10 of green, relative with the same floor
@@ -203,8 +203,8 @@ def test_flat_ellipse_in_few_nodes(monkeypatch):
     for a in (5.0, 20.0):
         curve = build_curve({"type": "ellipse", "a": a, "b": 0.2})
         exact = exact_ellipse_moments(a, 0.2, 0.0, 400)
-        for method in ("green", "area"):
-            results = moment_sweep(curve, range(401), 0.0, method)
+        for method, results in zip(METHODS, moment_sweep(curve, range(401), 0.0,
+                                                         METHODS)):
             assert worst_exact_gap(results, exact, 0.2) <= 1e-10, (a, method)
 
 
@@ -225,9 +225,9 @@ def test_trapezoid_sums_match_direct_powers(powers, seed):
 
     def sample(t):
         i = np.rint(t * (128 / math.pi)).astype(int)
-        return c[i], v[i]
+        return c[i][None], v[i]
 
-    got = trapezoid_sums(sample, math.pi, powers, ln_ref, "test", np.inf)
+    got = trapezoid_sums(sample, math.pi, [powers], ln_ref, ["test"], np.inf)[0]
     assert got.shape == (len(powers),)
     with np.errstate(divide="ignore"):
         lv = np.log(np.abs(v)) - ln_ref
@@ -236,6 +236,76 @@ def test_trapezoid_sums_match_direct_powers(powers, seed):
         direct = math.pi / 128 * np.sum(c * term)
         size = math.pi / 128 * np.sum(np.abs(c) * np.maximum(1.0, np.abs(term)))
         assert abs(s - direct) <= 1e-13 * size, p
+
+
+COLUMN_SHAPES = {
+    "circle": {"type": "circle", "center": [0.2, 0.15], "radius": 1.0},
+    "ellipse": {"type": "ellipse", "a": 1.6, "b": 1.0, "center": [0.1, 0.05],
+                "rotation": 0.5},
+    "fourier": SWEEP_FOURIER,
+}
+
+
+@pytest.mark.parametrize("n_max", [40, 399, 400])
+@pytest.mark.parametrize("shape", sorted(COLUMN_SHAPES))
+def test_each_column_is_its_one_method_sweep(shape, n_max):
+    # at n_max = 399 area's block is 18 and green's 20: each column keeps
+    # its own block and product, so the bits are those of a one-method call
+    curve = build_curve(COLUMN_SHAPES[shape])
+    ns = list(range(n_max + 1))
+    joint = moment_sweep(curve, ns, 0.7, ["area", "green"])
+    for method, pair in zip(["area", "green"], joint):
+        alone = moment_sweep(curve, ns, 0.7, [method])[0]
+        assert [a.tobytes() for a in pair] == [a.tobytes() for a in alone], method
+
+
+def _peaked(a):
+    """Weights 1/(1 - a cos t), whose integral over a period is
+    2 pi/sqrt(1 - a^2): the trapezoid rule converges as r^N,
+    r = (1 - sqrt(1 - a^2))/a."""
+    return lambda t: 1.0 / (1.0 - a * np.cos(t)) + 0j
+
+
+def _kernel(weights, rel_tol=1e-6):
+    """trapezoid_sums of power 0 on one column per weight, and the node
+    count of its last level."""
+    nodes = []
+
+    def sample(t):
+        nodes.append(len(t))
+        return np.array([w(t) for w in weights]), np.ones_like(t)
+
+    sums = trapezoid_sums(sample, 2.0 * math.pi, [[0]] * len(weights), 0.0,
+                          [f"column {j}" for j in range(len(weights))], rel_tol)
+    return sums, sum(nodes)
+
+
+def test_a_column_settling_early_keeps_its_level():
+    # a = 0.969 settles at 128 nodes, 1.9e-14 from its integral, which later
+    # levels would move; a = 0.999 settles only at 1024
+    early, late = _peaked(0.969), _peaked(0.999)
+    (alone_early,), n_early = _kernel([early])
+    (alone_late,), n_late = _kernel([late])
+    assert (n_early, n_late) == (128, 1024)
+    assert abs(alone_early[0] / (2.0 * math.pi / math.sqrt(1.0 - 0.969 ** 2)) - 1.0) > 1e-15
+    for weights in ([early, late], [late, early]):
+        sums, nodes = _kernel(weights)
+        assert nodes == 1024
+        got = dict(zip(weights, sums))
+        assert got[early].tobytes() == alone_early.tobytes()
+        assert got[late].tobytes() == alone_late.tobytes()
+
+
+def test_budget_error_names_the_first_unsettled_column(monkeypatch):
+    early, late = _peaked(0.969), _peaked(0.999)
+    monkeypatch.setattr(moments, "_MAX_TRAPEZOID_NODES", 256)
+    with pytest.raises(QuadratureNoConvergence,
+                       match="^column 1 not stable at 256 trapezoid nodes$"):
+        _kernel([early, late])
+    monkeypatch.setattr(moments, "_MAX_TRAPEZOID_NODES", 64)
+    with pytest.raises(QuadratureNoConvergence,
+                       match="^column 0 not stable at 64 trapezoid nodes$"):
+        _kernel([early, late])
 
 
 # --- properties ---
