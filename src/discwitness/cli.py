@@ -2,10 +2,10 @@
 
 Subcommands: profile, moments, asymptotics, inscribed, identities,
 residuals, optimize, report.  Each cmd_<name>(curve, args) returns its
-output text; main loads the --shape curve and writes the text to --out,
-atomically (temp file + rename).  Angles are taken in degrees on the
-command line and converted to radians internally; floats are emitted with
-17 significant digits so round-trips are bit-faithful.
+output text; main parses argv by the subcommand's own parser, loads --shape
+and writes the text atomically to --out (a symlink's target).  Angles are
+degrees on the command line, radians inside; floats are emitted with 17
+significant digits so round-trips are bit-faithful.
 
 Exit codes: 0 success; 1 numerical failure (quadrature non-convergence, a
 failed inscribed-disc search); 2 validation error (malformed spec,
@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
@@ -53,21 +53,33 @@ def _fmt(x) -> str:
 
 
 def _emit(path, text: str) -> None:
-    """Write text to stdout, or to path by a temp file and a rename; path gets
-    the mode open(path, "w") leaves: its own, else 0o666 less the umask."""
+    """Write text to stdout, or to path (a link's target) by a temp file and
+    a rename, in open(path, "w")'s mode: its own, else 0o666 less the umask."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    os.umask(umask := os.umask(0))  # read the umask: set 0, then restore it
+    target, st = path, None
     try:
-        mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".discwitness-")
+        with contextlib.suppress(FileNotFoundError):  # then st stays None
+            st = os.lstat(path)
+            if stat.S_ISLNK(st.st_mode):  # a link loop raises, as open would
+                st, target = None, os.path.realpath(path)
+                st = os.stat(target)
+        for i in itertools.count():  # unique per process; a leftover is skipped
+            tmp = os.path.join(os.path.dirname(target), f".discwitness-{os.getpid()}-{i}")
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+                break
         try:
-            with os.fdopen(fd, "w") as fh:
-                os.fchmod(fd, mode)
-                fh.write(text)
-            os.replace(tmp, path)
+            try:
+                if st is not None:
+                    os.fchmod(fd, stat.S_IMODE(st.st_mode))
+                data = text.encode()
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -163,13 +175,13 @@ def cmd_inscribed(curve, args) -> str:
 
 
 def cmd_identities(curve, args) -> str:
-    return _json({**asdict(characterize.identity_residuals(curve, args.samples)),
-                  **asdict(characterize.p_zero_check(curve))})
+    return _json({**vars(characterize.identity_residuals(curve, args.samples)),
+                  **vars(characterize.p_zero_check(curve))})
 
 
 def cmd_residuals(curve, args) -> str:
     res = characterize.constraint_residuals(curve, math.radians(args.frame_deg))
-    return _json(asdict(res))
+    return _json(vars(res))
 
 
 def cmd_optimize(curve, args) -> str:
@@ -194,12 +206,12 @@ def cmd_report(curve, args) -> str:
     ident = characterize.identity_residuals(curve, args.samples)
     witness = characterize.lemma2_witness(curve, disc=disc)
     out = _profile_dict(profile)
-    out["residuals"] = asdict(res)
+    out["residuals"] = vars(res)
     out["inscribed"] = {"center": [cx, cy], "radius": r}
     out["identities"] = {"max_res_gap": ident.max_res_gap,
                          "max_res_width": ident.max_res_width}
     if witness is not None:
-        out["witness"] = asdict(witness)
+        out["witness"] = vars(witness)
     return _json(out)
 
 
@@ -238,13 +250,14 @@ def _methods(text):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged."""
+    """The argument parser, built once per process, its .subcommands each
+    name's subparser; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="discwitness",
         description="Moment, asymptotic, and disc-characterization analyses "
                     "of strictly convex plane shapes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
 
     shared = {  # each subcommand takes only the ones it reads
         "--format": dict(choices=["csv", "json"], default="json"),
@@ -256,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     def add(name, help, func, *flags):
-        p = sub.add_parser(name, help=help)
+        p = parser.subcommands[name] = sub.add_parser(name, help=help)
         p.add_argument("--shape", required=True, help="shape spec JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=name)  # as the full parse sets it
         return p
 
     p = add("profile", "kappa*L profile and disc verdict", cmd_profile,
@@ -294,8 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv, parser = sys.argv[1:] if argv is None else argv, build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if rest:  # no subcommand, or leftover arguments: the full parse and its errors
+        args = parser.parse_args(argv)
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         parser.exit(2, "tol must be positive and finite\n")
     if getattr(args, "samples", 16) < 16:

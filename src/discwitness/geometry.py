@@ -7,8 +7,8 @@ The boundary point with that normal is
     r(theta) = h u + h' u',
 
 the tangent is u', the inward normal is -u, and the radius of curvature is
-rho = h + h''.  Strict convexity is the pointwise condition rho > EPS0 > 0,
-one constant for every curve, validated on a dense grid at construction.
+rho = h + h''.  Strict convexity is rho > EPS0 > 0, one constant for every
+curve, checked at construction by a closed-form bound, else on a dense grid.
 This parameterization makes the antipodal map exact (theta -> theta + pi)
 and the width a two-point formula L(theta) = h(theta) + h(theta + pi).
 
@@ -32,6 +32,7 @@ from .errors import MalformedSpec, NotStrictlyConvex, QuadratureNoConvergence
 EPS0 = 1e-3  # least radius of curvature a curve may have
 VALIDATION_GRID = 4096
 CONTACT_GRID = 1024  # nodes of h that the origin check and contact search read
+CERTIFICATE_MARGIN = 1e-9  # of the sizes of a bound's terms; grid sums err < 1e-11 of them
 ARCLENGTH_NODE_BUDGET = 1 << 20  # largest FFT grid of h that arclength reads
 # largest ellipse a/b: inscribed_disc errs by 1.8e-10 relative there, 2e-9 at 1e7
 ELLIPSE_ASPECT_MAX = 1e6
@@ -103,7 +104,8 @@ def require_strictly_convex(rho) -> None:
 
 
 class SupportCurve:
-    """Base class; subclasses supply jet, of which h and rho are views."""
+    """Base class; subclasses supply jet, of which h and rho are views, and
+    h_floor: a bound h exceeds at every theta, less CERTIFICATE_MARGIN."""
 
     def jet(self, theta):
         """(h, h', rho) at the normal angles theta, rho = h + h''."""
@@ -147,6 +149,10 @@ class EllipseCurve(SupportCurve):
             raise NotStrictlyConvex(self.rotation + 0.5 * math.pi * (self.a < self.b),
                                     rho, EPS0)
 
+    def h_floor(self):
+        c = math.hypot(*self.center)
+        return min(self.a, self.b) - c - CERTIFICATE_MARGIN * (max(self.a, self.b) + c)
+
     # support function of the centered ellipse: sqrt(a^2 cos^2 + b^2 sin^2)
     def _w(self, psi):
         return (self.a * np.cos(psi)) ** 2 + (self.b * np.sin(psi)) ** 2
@@ -178,7 +184,9 @@ class FourierCurve(SupportCurve):
         if kmax >= VALIDATION_GRID // 2:  # would alias onto the grid's low modes
             raise MalformedSpec(f"{kmax} harmonics: support_fourier takes fewer "
                                 f"than {VALIDATION_GRID // 2}")
-        require_strictly_convex(validation_rho(self.a0, self.cos, self.sin))
+        reach = float(np.abs(self._coefficients[2]).sum())  # |rho - a0| <= reach
+        if not self.a0 - reach > EPS0 + CERTIFICATE_MARGIN * (self.a0 + reach):
+            require_strictly_convex(validation_rho(self.a0, self.cos, self.sin))
 
     @functools.cached_property
     def _coefficients(self):
@@ -199,6 +207,10 @@ class FourierCurve(SupportCurve):
 
     def periodic_jet(self, n):
         return self._jet(periodic_trig(n, len(self.cos)))
+
+    def h_floor(self):
+        reach = sum(map(abs, self.cos + self.sin))
+        return self.a0 - reach - CERTIFICATE_MARGIN * (self.a0 + reach)
 
     def to_spec(self):
         return {"type": "support_fourier", "a0": self.a0,
@@ -298,9 +310,9 @@ def fitted_circle(h):
 
 
 def require_origin_inside(curve: SupportCurve) -> None:
-    """MalformedSpec unless h > 0 on the contact grid, so that in every
-    frame the upper arc peaks above the origin and the lower arc below."""
-    if np.min(curve.contact_h) <= 0.0:
+    """MalformedSpec unless h > 0 (by h_floor, else on the contact grid), so
+    that in every frame the upper arc peaks above the origin, the lower below."""
+    if not curve.h_floor() > 0.0 and np.min(curve.contact_h) <= 0.0:
         raise MalformedSpec(
             "frame peaks require the origin strictly inside the curve")
 

@@ -56,15 +56,15 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what,
     N doubles, keeping the old nodes; each row keeps the sums of its first
     level at which none moves by more than rel_tol of itself or 1e-14 of
     the sum of |c_j| (the rounding floor), else the error names what[j]."""
-    blocks = []  # per row: its baby and giant exponents, with their inverses
+    blocks = []  # per row: baby and giant exponents and inverses, positive ones, odd r
     for ps in (np.asarray(p, dtype=np.int64) for p in powers):
         b = 2 * max(1, math.isqrt(int(ps.max(initial=0))) // 2)
-        blocks.append(np.unique(ps % b, return_inverse=True)
-                      + np.unique(ps // b * b, return_inverse=True))
+        (rs, ri), (gs, gi) = (np.unique(e, return_inverse=True) for e in (ps % b, ps // b * b))
+        blocks.append((rs, ri, gs, gi, rs[rs > 0], gs[gs > 0], np.flatnonzero(rs % 2)))
 
-    def rows(ks, lv):  # exp(k lv) for each k, exactly 1 at k = 0
-        out = np.ones((len(ks), len(lv)))
-        out[ks > 0] = np.exp(np.multiply.outer(ks[ks > 0], lv))
+    def rows(n, ks, lv):  # exp(k lv) for n ascending exponents, ks the positive ones
+        out = np.ones((n, len(lv)))
+        out[n - len(ks):] = np.exp(np.multiply.outer(ks, lv))
         return out
 
     def level_sums(t, live):  # (sums, sum of |c_j|) of each row j in live, over t
@@ -73,12 +73,12 @@ def trapezoid_sums(sample, period: float, powers, ln_ref: float, what,
             lv, sign = np.log(np.abs(v)) - ln_ref, np.sign(v)
         out = []
         for j in live:
-            rs, ri, gs, gi = blocks[j]
+            rs, ri, gs, gi, r_pos, g_pos, odd = blocks[j]
             s = np.zeros((len(rs), 2 * len(gs)))
             for i in range(0, len(v), _NODE_BLOCK):  # bounds the power rows
                 at, cb = slice(i, i + _NODE_BLOCK), c[j][i:i + _NODE_BLOCK]
-                baby, giant = rows(rs, lv[at]), rows(gs, lv[at])
-                baby[rs % 2 == 1] *= sign[at]  # g b is even: giants need none
+                baby, giant = rows(len(rs), r_pos, lv[at]), rows(len(gs), g_pos, lv[at])
+                baby[odd] *= sign[at]  # g b is even: giants need none
                 s += baby @ np.concatenate([giant * cb.real, giant * cb.imag]).T
             out.append((s[ri, gi] + 1j * s[ri, len(gs) + gi], np.sum(np.abs(c[j]))))
         return out

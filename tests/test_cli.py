@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import discwitness
-from discwitness import characterize
-from discwitness.cli import build_parser, main
+from discwitness import characterize, cli, geometry
+from discwitness.cli import UnwritableOutput, build_parser, main
 from discwitness.geometry import CONTACT_GRID, FourierCurve, SupportCurve
 from discwitness.logscale import exp_or_inf
 from discwitness.moments import moment_sweep, trapezoid_sums
@@ -149,18 +150,99 @@ class TestExitCodes:
                                              existing):
         """A new file gets 0o666 less the umask, an existing one keeps its
         mode, as with open(path, "w")."""
-        paths = {"--out": tmp_path / "best.json", "--trace-out": tmp_path / "t.csv"}
-        paths[existing].write_text("old")
-        paths[existing].chmod(0o604)
-        umask = os.umask(0o027)
-        try:
-            assert run(["optimize", "--shape", shape_file(CIRCLE)] + [
-                str(v) for item in paths.items() for v in item]) == 0
-        finally:
-            os.umask(umask)
-        assert {flag: stat.S_IMODE(path.stat().st_mode)
-                for flag, path in paths.items()} == {
-            flag: 0o604 if flag == existing else 0o640 for flag in paths}
+        shape = shape_file(CIRCLE)
+        for umask in (0o027, 0o077):
+            (tmp_path / str(umask)).mkdir()
+            paths = {"--out": tmp_path / str(umask) / "best.json",
+                     "--trace-out": tmp_path / str(umask) / "t.csv"}
+            paths[existing].write_text("old")
+            paths[existing].chmod(0o604)
+            old = os.umask(umask)
+            try:
+                assert run(["optimize", "--shape", shape] + [
+                    str(v) for item in paths.items() for v in item]) == 0
+            finally:
+                os.umask(old)
+            assert {flag: stat.S_IMODE(path.stat().st_mode)
+                    for flag, path in paths.items()} == {
+                flag: 0o604 if flag == existing else 0o666 & ~umask
+                for flag in paths}
+
+
+def _listing(*dirs):
+    return sorted(p.name for d in dirs for p in d.iterdir())
+
+
+class TestOutputFile:
+    """--out is replaced whole by a rename, or left as it was."""
+
+    @pytest.mark.parametrize("link", ["absolute", "relative", "dangling"])
+    def test_write_through_a_symlink(self, shape_file, tmp_path, capsys, link):
+        """The link stays a link; its target gets the new bytes and keeps
+        its mode, or is made as open(path, "w") would make it."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        target = tmp_path / "b" / "target.json"
+        if link != "dangling":
+            target.write_text("old")
+            target.chmod(0o604)
+        out = tmp_path / "a" / "link.json"
+        out.symlink_to(target if link == "absolute" else "../b/target.json")
+        shape = shape_file(CIRCLE)
+        assert run(["inscribed", "--shape", shape]) == 0
+        want = capsys.readouterr().out
+        assert run(["inscribed", "--shape", shape, "--out", str(out)]) == 0
+        assert out.is_symlink() and target.read_text() == want
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == (
+            0o666 & ~umask if link == "dangling" else 0o604)
+        assert _listing(tmp_path / "a", tmp_path / "b") == ["link.json", "target.json"]
+
+    def test_a_leftover_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        """A file left with the writer's temp name (a crashed process with
+        this pid) neither fails the write nor is overwritten."""
+        names, real_open = [], os.open
+
+        def recorded(path, flags, *args):
+            names.append(path)
+            return real_open(path, flags, *args)
+        monkeypatch.setattr(os, "open", recorded)
+        out = tmp_path / "out.txt"
+        cli._emit(str(out), "first\n")
+        leftover = names[0]
+        with open(leftover, "w") as fh:
+            fh.write("leftover")
+        cli._emit(str(out), "second\n")
+        assert out.read_text() == "second\n"
+        assert open(leftover).read() == "leftover"
+        assert names[1] == leftover and names[2] != leftover
+
+    @pytest.mark.parametrize("call", ["write", "replace"])
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                               call):
+        out = tmp_path / "out.txt"
+        out.write_text("old")
+
+        def fail(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, call, fail)
+        with pytest.raises(UnwritableOutput, match="No space left on device"):
+            cli._emit(str(out), "new text\n")
+        monkeypatch.undo()
+        assert out.read_text() == "old" and _listing(tmp_path) == ["out.txt"]
+
+    def test_short_writes_write_every_byte(self, tmp_path, monkeypatch):
+        real_write, sizes = os.write, []
+
+        def short(fd, data):
+            sizes.append(real_write(fd, data[:7]))
+            return sizes[-1]
+        monkeypatch.setattr(os, "write", short)
+        text = "".join(f"{i},\u03b8={i / 7!r}\n" for i in range(40))
+        cli._emit(str(tmp_path / "out.txt"), text)
+        assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+        assert len(sizes) == -(-len(text.encode("utf-8")) // 7)
 
 
 SHARED_FLAGS = {"--format": "json", "--frame-deg": "0", "--tol": "1e-6",
@@ -547,6 +629,28 @@ class TestSubcommands:
         assert run(["report", "--shape", shape_file(spec)]) == 0
         assert calls.count(CONTACT_GRID) == 1
 
+    @pytest.mark.parametrize("spec", [ELLIPSE, THREE_LOBE],
+                             ids=["ellipse", "fourier"])
+    @pytest.mark.parametrize("command", ["residuals", "asymptotics"])
+    def test_certified_shapes_build_no_grid(self, spec, command, shape_file,
+                                            monkeypatch):
+        """Their coefficient bounds prove convexity and the origin inside,
+        so the op sums neither validation_rho nor a periodic jet."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(geometry, "validation_rho",
+                            counted("validation_rho", geometry.validation_rho))
+        for cls in (SupportCurve, FourierCurve):
+            monkeypatch.setattr(cls, "periodic_jet",
+                                counted("periodic_jet", cls.periodic_jet))
+        assert run([command, "--shape", shape_file(spec)]) == 0
+        assert calls == []
+
     def test_inscribed_sharp_contacts(self, shape_file, capsys):
         """At a/b = 500 the minor-axis well of q is narrower than the
         contact grid's spacing; the disc is still the minor semi-axis."""
@@ -679,6 +783,47 @@ class TestOptimizeRoundTrip:
         assert outs[0] == outs[1]
         rows = outs[0][1].decode().splitlines()
         assert float(rows[-1].split(",")[2]) <= 1e-8  # circle distance
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+PARSE_CASES = {
+    **{cmd: [cmd] for cmd in READ_FLAGS},
+    "moments_n_max": ["moments", "--n-max", "3"],
+    "unknown_option": ["inscribed", "--bogus"],
+    "unknown_option_first": ["inscribed", "--bogus", "1"],
+    "missing_shape": ["report"],
+    "nan_frame": ["residuals", "--frame-deg", "nan"],
+    "bad_n_list": ["moments", "--n-list", "1,x"],
+    "bad_methods": ["moments", "--methods", "green,foo"],
+    "zero_tol": ["profile", "--tol", "0"],
+    "no_subcommand": [],
+    "unknown_subcommand": ["bogus"],
+    "help": ["-h"],
+    "subcommand_help": ["report", "-h"],
+}
+
+
+class TestParseParity:
+    @pytest.mark.parametrize("case", sorted(PARSE_CASES))
+    def test_subcommand_parser_answers_as_the_full_parse(self, case, shape_file,
+                                                         capsys, monkeypatch):
+        """main gives the exit code, stdout and stderr of parsing with
+        build_parser().parse_args(argv), which it takes with no subcommand
+        map."""
+        argv = PARSE_CASES[case]
+        if argv and argv[0] in READ_FLAGS and case != "missing_shape":
+            argv = argv + ["--shape", shape_file(CIRCLE)]
+        got = _outcome(argv, capsys)
+        monkeypatch.setattr(build_parser(), "subcommands", {})
+        assert got == _outcome(argv, capsys)
 
 
 class TestParserCache:

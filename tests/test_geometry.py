@@ -3,7 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from discwitness import geometry
 from discwitness import (
@@ -14,7 +15,9 @@ from discwitness import (
     build_curve,
     perimeter,
 )
-from discwitness.geometry import frame_peaks, frame_point, width_at
+from discwitness.geometry import (EPS0, EllipseCurve, FourierCurve, frame_peaks,
+                                  frame_point, require_origin_inside,
+                                  require_strictly_convex, validation_rho, width_at)
 
 from conftest import angles, position, scaled, small_fourier_curves
 
@@ -451,3 +454,81 @@ def test_scaling_covariance(curve, theta):
     assert kappa_big == pytest.approx(kappa / c)
     assert L_big == pytest.approx(c * L)
     assert kappa_big * L_big == pytest.approx(kappa * L)
+
+
+# --- coefficient certificates against the grid checks they skip ---
+
+
+@st.composite
+def near_certified_series(draw):
+    """(a0, cos, sin) with K <= 64 harmonics, scaled so that the bound
+    a0 - sum_k (k^2 - 1)(|c_k| + |s_k|) lies in [0, 3 EPS0].  A tight
+    series (sin = 0, cos >= 0) attains the bound at theta = 0, a grid node."""
+    k_max = draw(st.integers(2, 64))
+    coef = st.lists(st.floats(-1.0, 1.0), min_size=k_max, max_size=k_max)
+    cos, sin = draw(coef), draw(coef)
+    if draw(st.booleans()):
+        cos, sin = [abs(v) for v in cos], [0.0] * k_max
+    w = np.arange(1, k_max + 1, dtype=float) ** 2 - 1.0
+    raw = float(w @ np.abs(cos) + w @ np.abs(sin))
+    assume(raw > 0.0)
+    a0 = draw(st.floats(0.5, 2.0))
+    scale = (a0 - draw(st.floats(0.0, 3 * EPS0))) / raw
+    return a0, tuple(scale * v for v in cos), tuple(scale * v for v in sin)
+
+
+def _error(check, kind):
+    """str of the kind error check() raises, or None."""
+    try:
+        check()
+    except kind as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(series=near_certified_series())
+@example(series=(1.0, (0.0, (1.0 - EPS0) / 3), (0.0, 0.0)))  # rho = EPS0 at 0
+@example(series=(1.0, (0.0, (1.0 - EPS0 * (1 + 1e-9)) / 3), (0.0, 0.0)))
+@example(series=(1.0, (0.0, (1.0 - EPS0 * (1 + 1e-5)) / 3), (0.0, 0.0)))
+def test_convexity_certificate_keeps_the_grid_verdict(series):
+    """FourierCurve raises exactly what the grid check raises, also where
+    its coefficient bound clears EPS0 and the grid is not summed."""
+    a0, cos, sin = series
+    assert _error(lambda: FourierCurve(a0, cos, sin), NotStrictlyConvex) == _error(
+        lambda: require_strictly_convex(validation_rho(a0, cos, sin)), NotStrictlyConvex)
+
+
+@st.composite
+def origin_near_boundary(draw):
+    """A circle, ellipse or Fourier curve with the origin within 1e-6 of
+    the boundary point of normal angle theta, inside or outside; theta on
+    an axis of the shape half the time, where the coefficient bounds are
+    tightest."""
+    kind = draw(st.sampled_from(["circle", "ellipse", "fourier"]))
+    delta = draw(st.floats(-1e-6, 1e-6))
+    rot = draw(st.floats(0.0, math.pi)) if kind == "ellipse" else 0.0
+    theta = rot + draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi,
+                                                   1.5 * math.pi]), angles()))
+    if kind == "circle":  # min h = r - (r + delta) = -delta
+        r = draw(st.floats(0.5, 2.0))
+        return build_curve({"type": "circle", "radius": r, "center": [
+            (r + delta) * math.cos(theta), (r + delta) * math.sin(theta)]})
+    base = (EllipseCurve(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)),
+                         (0.0, 0.0), rot) if kind == "ellipse"
+            else draw(small_fourier_curves()))
+    q = position(base, theta)  # the origin goes to q (1 + delta / |q|)
+    px, py = q * (1.0 + delta / float(np.hypot(*q)))
+    if kind == "ellipse":
+        return EllipseCurve(base.a, base.b, (-px, -py), rot)
+    return FourierCurve(base.a0, (base.cos[0] - px,) + base.cos[1:],
+                        (base.sin[0] - py,) + base.sin[1:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(curve=origin_near_boundary())
+def test_origin_certificate_keeps_the_grid_verdict(curve):
+    """require_origin_inside raises exactly when h <= 0 somewhere on the
+    contact grid, also where h_floor clears 0 and the grid is not read."""
+    raised = _error(lambda: require_origin_inside(curve), MalformedSpec) is not None
+    assert raised == bool(np.min(curve.contact_h) <= 0.0)

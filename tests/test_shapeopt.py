@@ -218,8 +218,8 @@ def test_highest_resolved_harmonic(name):
 
 
 def test_each_point_summed_once(monkeypatch):
-    # the start, one sum per full step (each kl step here takes t = 1), and
-    # the returned curve's own validation
+    # the start and one sum per full step (each kl step here takes t = 1);
+    # the returned curve is certified by its coefficients
     start, calls = _random_k8(1), [0]
     for module in (geometry, shapeopt):
         def counted(*args, rho_of=module.validation_rho):
@@ -228,7 +228,7 @@ def test_each_point_summed_once(monkeypatch):
 
         monkeypatch.setattr(module, "validation_rho", counted)
     res = minimize(start, "kl")
-    assert res.iterations == 3 and calls[0] == res.iterations + 2
+    assert res.iterations == 3 and calls[0] == res.iterations + 1
 
 
 
